@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Tunable machine description consumed by the timing engine.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GpuSpec {
     /// Human-readable name, e.g. `"A100-SXM4-40GB"`.
     pub name: String,
@@ -92,7 +92,7 @@ pub struct GpuSpec {
 }
 
 /// Geometry of one sectored cache level.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Number of sets.
     pub sets: usize,
@@ -114,7 +114,7 @@ impl CacheConfig {
 }
 
 /// The two-level hierarchy the engine/device interpose when enabled.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CacheHierarchyConfig {
     /// Per-SM L1 (one private instance per thread block's SM).
     pub l1: CacheConfig,

@@ -45,6 +45,7 @@ pub mod pool;
 pub mod reorder;
 pub mod serialize;
 pub mod session;
+pub mod sim_memo;
 pub mod spmm;
 pub mod swizzle;
 pub mod sync;
@@ -64,5 +65,6 @@ pub use kernel::build_launch;
 pub use pool::{PoolBuf, PoolStats, WorkspacePool};
 pub use reorder::{ReorderPlan, ReorderStats};
 pub use session::{ForwardReport, Layer, Session, SessionError};
+pub use sim_memo::{simulate_plan, SimMemo, SIM_MEMO_CAP};
 pub use spmm::{JigsawSpmm, SpmmRun, TuneReport};
 pub use sync::{lock_recover, wait_recover, wait_timeout_recover};

@@ -187,7 +187,9 @@ impl Session {
                 .spmm
                 .compiled()
                 .execute_pooled(&activations, &self.pool);
-            let stats = layer.spmm.simulate(n, &self.spec);
+            // Planned weights are stationary, so each layer simulates
+            // once per width; later passes read its memo.
+            let (stats, _) = layer.spmm.simulate_memoized(n, &self.spec);
             report.total_cycles += stats.duration_cycles;
             report.layers.push((layer.name.clone(), stats));
             // f32 accumulators round back to f16 activations.

@@ -5,7 +5,7 @@
 use std::sync::{Arc, OnceLock};
 
 use dlmc::Matrix;
-use gpu_sim::{simulate_kernel, GpuSpec, KernelStats};
+use gpu_sim::{GpuSpec, KernelStats};
 use serde::{Deserialize, Serialize};
 
 use jigsaw_obs::Span;
@@ -15,8 +15,8 @@ use crate::config::{JigsawConfig, MMA_TILE};
 use crate::errors::PlanError;
 use crate::exec::execute_via_fragments;
 use crate::format::JigsawFormat;
-use crate::kernel::build_launch;
 use crate::reorder::{ReorderPlan, ReorderStats};
+use crate::sim_memo::{simulate_plan, SimMemo};
 
 /// A planned (reordered + compressed) sparse matrix, ready to multiply
 /// against any B.
@@ -36,6 +36,10 @@ pub struct JigsawSpmm {
     /// Lazily compiled execution plan (built on first run, shared by
     /// clones made after that point).
     compiled: OnceLock<Arc<CompiledKernel>>,
+    /// Simulated stats per `(n, spec)`, shared by every clone. Like
+    /// `compiled`, it assumes `format` and `config` keep their planned
+    /// values.
+    sim_memo: Arc<SimMemo>,
 }
 
 /// Result of a timed SpMM: the product and the simulated kernel report.
@@ -101,6 +105,7 @@ impl JigsawSpmm {
             reorder_stats,
             exec_options: ExecOptions::default(),
             compiled: OnceLock::new(),
+            sim_memo: Arc::default(),
         })
     }
 
@@ -134,8 +139,7 @@ impl JigsawSpmm {
             let span = root.child("plan.candidate");
             span.attr("block_tile_m", bt);
             let planned = JigsawSpmm::plan_traced(a, JigsawConfig::v4(bt), &span)?;
-            let launch = build_launch(&planned.format, n, &planned.config);
-            let cycles = simulate_kernel(&launch, spec).duration_cycles;
+            let cycles = planned.simulate_memoized(n, spec).0.duration_cycles;
             span.cycles(cycles);
             span.finish();
             candidates.push((bt, cycles));
@@ -166,7 +170,9 @@ impl JigsawSpmm {
         self
     }
 
-    /// Computes `C = A × B` and simulates the kernel's execution.
+    /// Computes `C = A × B` and reports the kernel's simulated
+    /// execution (memoized per `(n, spec)`, see
+    /// [`JigsawSpmm::simulate_memoized`]).
     ///
     /// Values come from the compiled plan through the microkernel
     /// dispatch layer under [`JigsawSpmm::exec_options`] (default:
@@ -174,14 +180,28 @@ impl JigsawSpmm {
     /// [`crate::execute_fast`], the differential-testing oracle).
     pub fn run(&self, b: &Matrix, spec: &GpuSpec) -> SpmmRun {
         let c = self.compiled().execute_opts(b, &self.exec_options);
-        let stats = self.simulate(b.cols, spec);
+        let (stats, _) = self.simulate_memoized(b.cols, spec);
         SpmmRun { c, stats }
     }
 
-    /// Timing only (no values computed) — what the benchmark sweeps use.
+    /// Timing only (no values computed), simulated afresh on every call
+    /// — what the benchmark sweeps and differential tests use.
     pub fn simulate(&self, n: usize, spec: &GpuSpec) -> KernelStats {
-        let launch = build_launch(&self.format, n, &self.config);
-        simulate_kernel(&launch, spec)
+        simulate_plan(&self.format, &self.config, n, spec)
+    }
+
+    /// [`JigsawSpmm::simulate`] through this plan's memo: the first
+    /// call at `(n, spec)` simulates, later ones return bit-identical
+    /// stats without running the timing model. The flag says whether
+    /// the memo answered.
+    pub fn simulate_memoized(&self, n: usize, spec: &GpuSpec) -> (KernelStats, bool) {
+        self.sim_memo
+            .get_or_simulate(n, spec, || self.simulate(n, spec))
+    }
+
+    /// This plan's simulation memo (shared by its clones).
+    pub fn sim_memo(&self) -> &SimMemo {
+        &self.sim_memo
     }
 
     /// Computes the product through the full SpTC fragment emulation

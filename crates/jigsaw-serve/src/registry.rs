@@ -28,14 +28,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dlmc::Matrix;
-use gpu_sim::{simulate_kernel, GpuSpec, KernelStats};
+use gpu_sim::{GpuSpec, KernelStats};
 use jigsaw_core::compiled::dispatch;
 use jigsaw_core::compiled::tune;
 use jigsaw_core::fault::{self, points, FaultKind};
 use jigsaw_core::serialize;
 use jigsaw_core::{
-    build_launch, execute_fast, lock_recover, CompiledKernel, ExecOptions, JigsawConfig,
-    JigsawFormat, JigsawSpmm, PanelizedB, PlanError, PoolBuf, ReorderStats, WorkspacePool,
+    execute_fast, lock_recover, simulate_plan, CompiledKernel, ExecOptions, JigsawConfig,
+    JigsawFormat, JigsawSpmm, PanelizedB, PlanError, PoolBuf, ReorderStats, SimMemo, WorkspacePool,
 };
 use jigsaw_obs::{Counter, Span};
 
@@ -108,6 +108,9 @@ pub struct PlannedModel {
     /// (DESIGN.md §13): which dispatch variant runs and whether the
     /// opt-in sorted stream is allowed.
     pub exec_options: ExecOptions,
+    /// The registration's simulation memo (DESIGN.md §19): it outlives
+    /// eviction and disk reload of this resident copy.
+    pub sim_memo: Arc<SimMemo>,
 }
 
 /// The degradation ladder of one resident model:
@@ -301,9 +304,16 @@ impl PlannedModel {
         Ok((self.execute_pooled(&bcat, pool), false))
     }
 
-    /// Simulates one kernel at output width `n`.
+    /// Simulates one kernel at output width `n`, afresh on every call.
     pub fn simulate(&self, n: usize, spec: &GpuSpec) -> KernelStats {
-        simulate_kernel(&build_launch(&self.format, n, &self.config), spec)
+        simulate_plan(&self.format, &self.config, n, spec)
+    }
+
+    /// [`PlannedModel::simulate`] through the registration's memo, once
+    /// per `(n, spec)`; the flag says whether the memo answered.
+    pub fn simulate_memoized(&self, n: usize, spec: &GpuSpec) -> (KernelStats, bool) {
+        self.sim_memo
+            .get_or_simulate(n, spec, || self.simulate(n, spec))
     }
 }
 
@@ -477,6 +487,8 @@ struct Source {
     weights: Matrix,
     config: JigsawConfig,
     exec_options: ExecOptions,
+    /// Shared by every resident copy; a new registration starts afresh.
+    sim_memo: Arc<SimMemo>,
 }
 
 struct Resident {
@@ -506,7 +518,6 @@ struct Inner {
     /// Non-monotonic occupancy accounting (rises and falls with
     /// eviction) — stays under the lock rather than on counters.
     resident_bytes: usize,
-    resident_models: usize,
 }
 
 /// The multi-tenant model cache. All methods take `&self`; the registry
@@ -562,15 +573,14 @@ impl ModelRegistry {
                 resident: HashMap::new(),
                 tick: 0,
                 resident_bytes: 0,
-                resident_models: 0,
             }),
         })
     }
 
     /// Registers a model's weights with the registry-default
     /// microkernel selection. Planning is deferred to the first fetch;
-    /// re-registering a name replaces the source and drops any
-    /// resident plan.
+    /// re-registering a name replaces the source, drops any resident
+    /// plan and starts a fresh simulation memo.
     pub fn register(&self, name: &str, weights: Matrix, config: JigsawConfig) {
         self.register_with_options(name, weights, config, self.cfg.exec_options);
     }
@@ -589,7 +599,6 @@ impl ModelRegistry {
         let mut inner = lock_recover(&self.inner);
         if let Some(old) = inner.resident.remove(name) {
             inner.resident_bytes -= old.model.artifact_bytes;
-            inner.resident_models -= 1;
         }
         inner.sources.insert(
             name.to_string(),
@@ -597,6 +606,7 @@ impl ModelRegistry {
                 weights,
                 config,
                 exec_options,
+                sim_memo: Arc::default(),
             },
         );
     }
@@ -625,7 +635,7 @@ impl ModelRegistry {
             plans: self.counters.plans.get(),
             evictions: self.counters.evictions.get(),
             resident_bytes: inner.resident_bytes,
-            resident_models: inner.resident_models,
+            resident_models: inner.resident.len(),
             cold_host_ns: self.counters.cold_host_ns.get(),
         }
     }
@@ -672,53 +682,39 @@ impl ModelRegistry {
             .map(|d| d.join(format!("{name}.jgsw")));
         let on_disk = artifact_path.as_ref().is_some_and(|p| p.exists());
 
-        let (model, kind) = if on_disk {
+        let source = inner.sources.get(name).expect("checked above");
+        let (format, reorder_stats, artifact_bytes, kind) = if on_disk {
             parent.attr("fetch", "disk_load");
             let path = artifact_path.as_ref().expect("checked above");
             // Retrying loader: transient faults recover; persistent
             // corruption surfaces as a typed error, never a crash.
             let (format, artifact_bytes) = load_artifact(path)?;
-            let exec = build_exec_plan(&format, parent);
-            let source = inner.sources.get(name).expect("checked above");
-            let model = PlannedModel {
-                name: name.to_string(),
-                format,
-                config: source.config,
-                reorder_stats: None,
-                artifact_bytes,
-                plan_host_ns: started.elapsed().as_nanos() as u64,
-                exec,
-                exec_options: source.exec_options,
-            };
             self.counters.disk_loads.inc();
-            (model, Fetch::DiskLoaded)
+            (format, None, artifact_bytes, Fetch::DiskLoaded)
         } else {
             parent.attr("fetch", "planned");
-            let source = inner.sources.get(name).expect("checked above");
             let planned = JigsawSpmm::plan_traced(&source.weights, source.config, parent)?;
             let bytes = serialize::to_bytes(&planned.format);
             if let Some(path) = &artifact_path {
                 std::fs::write(path, &bytes)?;
             }
-            let exec = build_exec_plan(&planned.format, parent);
-            let model = PlannedModel {
-                name: name.to_string(),
-                format: planned.format,
-                config: planned.config,
-                reorder_stats: Some(planned.reorder_stats),
-                artifact_bytes: bytes.len(),
-                plan_host_ns: started.elapsed().as_nanos() as u64,
-                exec,
-                exec_options: source.exec_options,
-            };
             self.counters.plans.inc();
-            (model, Fetch::Planned)
+            let stats = Some(planned.reorder_stats);
+            (planned.format, stats, bytes.len(), Fetch::Planned)
         };
+        let model = Arc::new(PlannedModel {
+            name: name.to_string(),
+            exec: build_exec_plan(&format, parent),
+            format,
+            config: source.config,
+            reorder_stats,
+            artifact_bytes,
+            plan_host_ns: started.elapsed().as_nanos() as u64,
+            exec_options: source.exec_options,
+            sim_memo: source.sim_memo.clone(),
+        });
         self.counters.cold_host_ns.add(model.plan_host_ns);
-
-        let model = Arc::new(model);
         inner.resident_bytes += model.artifact_bytes;
-        inner.resident_models += 1;
         inner.resident.insert(
             name.to_string(),
             Resident {
@@ -767,7 +763,6 @@ impl ModelRegistry {
         inner.resident.clear();
         self.counters.evictions.add(n);
         inner.resident_bytes = 0;
-        inner.resident_models = 0;
     }
 
     /// Evicts least-recently-used residents (never `keep`) until the
@@ -787,7 +782,6 @@ impl ModelRegistry {
             };
             let evicted = inner.resident.remove(&victim).expect("victim exists");
             inner.resident_bytes -= evicted.model.artifact_bytes;
-            inner.resident_models -= 1;
             self.counters.evictions.inc();
         }
     }
@@ -871,7 +865,9 @@ mod tests {
         let dir = std::env::temp_dir().join("jigsaw-serve-registry-test");
         let _ = std::fs::remove_dir_all(&dir);
         let reg = registry_with_zoo(usize::MAX, Some(dir.clone()));
-        reg.get("attention-small").unwrap();
+        let spec = GpuSpec::a100();
+        let first = reg.get("attention-small").unwrap();
+        let (sim, _) = first.simulate_memoized(48, &spec);
         assert!(dir.join("attention-small.jgsw").exists());
         reg.drop_resident();
         let (m, kind) = reg.fetch("attention-small").unwrap();
@@ -879,12 +875,21 @@ mod tests {
         assert!(m.reorder_stats.is_none(), "artifact stores no plan stats");
         let s = reg.stats();
         assert_eq!(s.disk_loads, 1);
+        // The simulation memo outlives eviction and disk reload: a hit,
+        // no new miss, the same bits.
+        let (again, hit) = m.simulate_memoized(48, &spec);
+        assert!(hit && m.sim_memo.misses() == 1);
+        assert_eq!(format!("{again:?}"), format!("{sim:?}"));
 
         // Loaded format computes the same product as a fresh plan.
         let fresh = registry_with_zoo(usize::MAX, None);
         let f = fresh.get("attention-small").unwrap();
         let b = dlmc::dense_rhs(m.k(), 8, dlmc::ValueDist::SmallInt, 77);
         assert_eq!(m.execute(&b), f.execute(&b));
+        // Re-registering the name starts a fresh memo.
+        let z = &default_zoo(40)[0];
+        reg.register(&z.name, z.weights(), z.config);
+        assert!(reg.get("attention-small").unwrap().sim_memo.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -717,7 +717,9 @@ fn execute_batch(
         }
     };
     kernel.attr("fused", fused);
-    let batch_cycles = planned.simulate(total_n, &cfg.spec).duration_cycles;
+    let (stats, memo_hit) = planned.simulate_memoized(total_n, &cfg.spec);
+    let batch_cycles = stats.duration_cycles;
+    kernel.attr("sim_memo", if memo_hit { "hit" } else { "miss" });
     kernel.cycles(batch_cycles);
     kernel.finish();
     let split_span = batch_span.child("split");
@@ -811,14 +813,22 @@ mod tests {
         let reg = small_registry();
         let server = Server::start(reg.clone(), ServeConfig::default());
         let planned = reg.get("attention-small").unwrap();
-        let b = dense_rhs(256, 8, ValueDist::SmallInt, 1);
-        let expect = planned.execute(&b);
-        let resp = server.submit("attention-small", b).unwrap().wait().unwrap();
-        assert_eq!(resp.c, expect, "served result is bit-identical to solo");
-        assert_eq!((resp.rows, resp.cols), (256, 8));
-        assert!(resp.stats.batch_cycles > 0.0);
+        let spec = ServeConfig::default().spec;
+        // One request at a time: the first batch simulates, the second
+        // reads the memo, and both charge exactly a memo-free run.
+        for seed in 1..3 {
+            let b = dense_rhs(256, 8, ValueDist::SmallInt, seed);
+            let expect = planned.execute(&b);
+            let resp = server.submit("attention-small", b).unwrap().wait().unwrap();
+            assert_eq!(resp.c, expect, "served result is bit-identical to solo");
+            assert_eq!((resp.rows, resp.cols), (256, 8));
+            let fresh = planned.simulate(8, &spec).duration_cycles;
+            assert_eq!(resp.stats.batch_cycles.to_bits(), fresh.to_bits());
+            assert_eq!(resp.stats.device_cycles.to_bits(), fresh.to_bits());
+        }
+        assert_eq!((planned.sim_memo.misses(), planned.sim_memo.hits()), (1, 1));
         let metrics = server.shutdown();
-        assert_eq!(metrics.completed, 1);
+        assert_eq!(metrics.completed, 2);
         assert_eq!(metrics.rejected, 0);
     }
 
@@ -958,6 +968,9 @@ mod tests {
         assert!(batch.find("split").is_some());
         let kernel = batch.find("kernel").unwrap();
         assert_eq!(kernel.cycles, Some(resp.stats.batch_cycles));
+        // A fresh model's first batch pays for its simulation.
+        let miss = jigsaw_obs::AttrValue::Str("miss".into());
+        assert_eq!(kernel.attr("sim_memo"), Some(&miss));
         // First touch of the model is a cold fetch: the plan's phase
         // spans (each with its own wall time) nest under assembly.
         let assemble = batch.find("assemble").unwrap();

@@ -6,7 +6,7 @@
 //! Determinism contract: the only clock is the cycle counter; shard
 //! state lives in `BTreeMap`s; every tie (event time, head age, steal
 //! victim) breaks by id/name; and kernel costs come from a warm
-//! registry via a memo table keyed on `(model, batch N)`. Same
+//! registry through each model's simulation memo. Same
 //! `(schedule, config, warm registry)` ⇒ bit-identical report. The
 //! registry **must be warmed** (`warm_all`) — a cold fetch would
 //! charge measured host time to the virtual timeline and break
@@ -14,9 +14,9 @@
 //! cold fetch as a logic error in debug builds.
 //!
 //! Scale: requests only carry `(model, arrival, n)` — no operand
-//! bytes — and the cost memo collapses repeated `(model, n)` batch
-//! shapes into one `simulate` call, so driving a ~10⁶-user zipf
-//! population through hundreds of thousands of requests stays cheap.
+//! bytes — and each model's memo collapses repeated batch widths into
+//! one simulation, so driving a ~10⁶-user zipf population through
+//! hundreds of thousands of requests stays cheap.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -245,14 +245,6 @@ pub fn simulate_sharded(
         .collect();
     let mut hot = HotTracker::new(cfg.shard.replication.clone());
     let mut cursors: BTreeMap<String, usize> = BTreeMap::new();
-    // Kernel-cost memo: cycles for one batch of (model, total_n). This
-    // is what makes ~10⁶-user sweeps feasible — repeated batch shapes
-    // cost one BTreeMap probe, not a device-model evaluation. The key
-    // deliberately omits the model's assembly mode: fused batched-B
-    // assembly changes host-side copies, not the simulated device
-    // kernel, so a (model, n) cell is valid under either
-    // `ExecOptions::fused_assembly` setting carried by the registry.
-    let mut cost: BTreeMap<(String, usize), Option<f64>> = BTreeMap::new();
     let mut latency = Histogram::default();
     let mut forwarded = 0u64;
     let mut stolen = 0u64;
@@ -615,21 +607,17 @@ pub fn simulate_sharded(
             continue;
         }
 
-        // Kernel cost through the memo. A registry error (unknown
-        // model) fails the batch and strikes this shard's breaker —
-        // the failure stays inside the shard.
-        let batch_cycles = cost
-            .entry((model.clone(), total_n))
-            .or_insert_with(|| {
-                let (planned, fetch) = registry.fetch(&model).ok()?;
-                debug_assert!(
-                    !fetch.is_cold(),
-                    "simulate_sharded requires a warmed registry (cold fetch of {model})"
-                );
-                let _ = &fetch;
-                Some(planned.simulate(total_n, &cfg.sim.spec).duration_cycles)
-            })
-            .to_owned();
+        // Kernel cost through the model's memo. A registry error
+        // (unknown model) fails the batch and strikes this shard's
+        // breaker — the failure stays inside the shard.
+        let batch_cycles = registry.fetch(&model).ok().map(|(planned, fetch)| {
+            debug_assert!(
+                !fetch.is_cold(),
+                "simulate_sharded requires a warmed registry (cold fetch of {model})"
+            );
+            let (stats, _) = planned.simulate_memoized(total_n, &cfg.sim.spec);
+            stats.duration_cycles
+        });
         let Some(mut batch_cycles) = batch_cycles else {
             // The batch failed before touching the device: resolved
             // copies cancel silently, live ones fail (once per id).

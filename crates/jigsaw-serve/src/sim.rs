@@ -156,10 +156,6 @@ impl SimReport {
     }
 }
 
-struct Queued<'a> {
-    req: &'a SimRequest,
-}
-
 /// Runs the schedule to completion on the virtual clock.
 ///
 /// Deterministic: queues iterate in model-name order, ties in arrival
@@ -194,7 +190,7 @@ pub fn simulate_schedule(
             .then(a.id.cmp(&b.id))
     });
 
-    let mut queues: BTreeMap<String, VecDeque<Queued<'_>>> = BTreeMap::new();
+    let mut queues: BTreeMap<String, VecDeque<&SimRequest>> = BTreeMap::new();
     let mut breakers: BTreeMap<String, CircuitBreaker> = BTreeMap::new();
     let mut next_arrival = 0usize;
     let mut now = 0.0f64;
@@ -221,10 +217,7 @@ pub fn simulate_schedule(
                     continue;
                 }
             }
-            queues
-                .entry(req.model.clone())
-                .or_default()
-                .push_back(Queued { req });
+            queues.entry(req.model.clone()).or_default().push_back(req);
             metrics.submitted += 1;
         }
         let depth: usize = queues.values().map(|q| q.len()).sum();
@@ -250,11 +243,10 @@ pub fn simulate_schedule(
                     qa.front().expect("non-empty"),
                     qb.front().expect("non-empty"),
                 );
-                a.req
-                    .arrival_cycle
-                    .partial_cmp(&b.req.arrival_cycle)
+                a.arrival_cycle
+                    .partial_cmp(&b.arrival_cycle)
                     .expect("finite arrivals")
-                    .then(a.req.id.cmp(&b.req.id))
+                    .then(a.id.cmp(&b.id))
                     .then(na.cmp(nb))
             })
             .map(|(name, _)| name.clone())
@@ -266,17 +258,17 @@ pub fn simulate_schedule(
         let mut queued_reqs = 0usize;
         for p in q.iter() {
             if queued_reqs + 1 > cfg.max_batch_requests
-                || (queued_reqs > 0 && queued_n + p.req.n > cfg.max_batch_n)
+                || (queued_reqs > 0 && queued_n + p.n > cfg.max_batch_n)
             {
                 break;
             }
             queued_reqs += 1;
-            queued_n += p.req.n;
+            queued_n += p.n;
         }
         let full = queued_reqs >= cfg.max_batch_requests
             || queued_n >= cfg.max_batch_n
             || queued_reqs == q.len() && next_arrival >= order.len();
-        let head = q.front().expect("non-empty").req;
+        let head = *q.front().expect("non-empty");
         // The batching window never outlives the head's deadline: close
         // it early so a deadline-carrying head dispatches just in time
         // rather than being shed while waiting for co-riders.
@@ -307,11 +299,10 @@ pub fn simulate_schedule(
         let mut total_n = 0usize;
         while let Some(front) = q.front() {
             let expired = front
-                .req
                 .deadline_cycles
-                .is_some_and(|d| dispatch_at > front.req.arrival_cycle + d);
+                .is_some_and(|d| dispatch_at > front.arrival_cycle + d);
             if expired {
-                let req = q.pop_front().expect("front exists").req;
+                let req = q.pop_front().expect("front exists");
                 metrics.shed_expired += 1;
                 failures.push(SimFailure {
                     id: req.id,
@@ -323,12 +314,12 @@ pub fn simulate_schedule(
                 continue;
             }
             if members.len() + 1 > cfg.max_batch_requests
-                || (!members.is_empty() && total_n + front.req.n > cfg.max_batch_n)
+                || (!members.is_empty() && total_n + front.n > cfg.max_batch_n)
             {
                 break;
             }
-            total_n += front.req.n;
-            members.push(q.pop_front().expect("front exists").req);
+            total_n += front.n;
+            members.push(q.pop_front().expect("front exists"));
         }
         if q.is_empty() {
             queues.remove(&model);
@@ -378,8 +369,8 @@ pub fn simulate_schedule(
         } else {
             0.0
         };
-        let kernel_cycles = planned.simulate(total_n, &cfg.spec).duration_cycles;
-        let batch_cycles = cold_cycles + kernel_cycles;
+        let (kernel, _) = planned.simulate_memoized(total_n, &cfg.spec);
+        let batch_cycles = cold_cycles + kernel.duration_cycles;
         let finish = dispatch_at + batch_cycles;
         free_at = finish;
         now = dispatch_at;
