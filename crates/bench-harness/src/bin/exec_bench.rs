@@ -2,20 +2,15 @@
 //! oracle) vs the [`CompiledKernel`] microkernel variants on the
 //! fig10-style shapes (M=K=4096, sparsity 0.9, v=4, N ∈ {16, 64, 256}).
 //!
-//! For every N, one `selection=static` row is emitted per variant the
-//! host can run (`jigsaw_core::compiled::dispatch`), so the export
-//! shows the ISA ladder side by side: `scalar` is the portable floor,
-//! `avx2_fma` is the row CI floors, `narrow_n` is the FlashSparse-style
-//! register-blocked variant for skinny N, `avx512f`/`neon` ride along
-//! where the host supports them, and `sorted_stream` prices the opt-in
-//! column-sorted transform. One `selection=tuned` row per N then runs
-//! the measured-feedback cost table (`KernelPolicy::Tuned`): its
-//! calibration pass seeds the table deterministically and the row's
-//! `variant` names the kernel the table actually picked. The bench
-//! fails if tuned selection lands below 75% of the best static variant
-//! at any N — a cost table worse than a static ladder is a regression.
+//! For every N, one row is emitted per variant the host can run
+//! (`jigsaw_core::compiled::dispatch`), each pinned through
+//! `KernelPolicy::Forced`, so the export shows the ISA ladder side by
+//! side: `scalar` is the portable floor, `avx2_fma` is the row CI
+//! floors, `narrow_n` is the FlashSparse-style register-blocked variant
+//! for skinny N, and `avx512f`/`neon` ride along where the host
+//! supports them.
 //!
-//! Each static variant row also gets a `fusion=on` twin that times
+//! Each variant row also gets a `fusion=on` twin that times
 //! `execute_prepaneled_into_opts` over a prebuilt panel image — the
 //! serve fused hot path, where batch assembly already emitted B
 //! panel-major and the execute skips phase 1. The `off`/`on` gap is
@@ -27,7 +22,7 @@
 //! *speedup ratio* (variant over fast, both measured in the same
 //! process on the same machine), which is stable across host speeds in
 //! a way absolute wall times are not; every row gates against its own
-//! `(shape, variant, selection)` baseline row, with the absolute
+//! `(shape, variant, fusion)` baseline row, with the absolute
 //! `required_speedup` floor applied to the `avx2_fma` rows only, so
 //! baselines regenerated on exotic hosts do not move the bar.
 
@@ -42,7 +37,7 @@ use jigsaw_core::{
 };
 use serde::Serialize;
 
-/// One (shape, N, variant, selection) measurement.
+/// One (shape, N, variant, fusion) measurement.
 #[derive(Clone, Debug, Serialize)]
 pub struct ShapeResult {
     pub m: usize,
@@ -51,12 +46,8 @@ pub struct ShapeResult {
     pub sparsity: f64,
     pub v: usize,
     pub nnz: usize,
-    /// Microkernel variant name (`dispatch::KernelKind::name`). For
-    /// tuned rows this is the variant the cost table selected.
+    /// Microkernel variant name (`dispatch::KernelKind::name`).
     pub variant: String,
-    /// How the variant was chosen: `static` (forced) or `tuned`
-    /// (measured-feedback cost table).
-    pub selection: String,
     /// Assembly mode: `off` rows time the full two-phase execute
     /// (panelize + microkernel); `on` rows time
     /// `execute_prepaneled_into_opts` over a prebuilt [`PanelizedB`] —
@@ -71,28 +62,12 @@ pub struct ShapeResult {
     pub speedup: f64,
 }
 
-/// Tuned-vs-static summary for one N.
-#[derive(Clone, Debug, Serialize)]
-pub struct TunedGate {
-    pub n: usize,
-    /// Variant the cost table picked for this shape bucket.
-    pub tuned_variant: String,
-    pub tuned_speedup: f64,
-    /// Best static-variant speedup at the same N.
-    pub best_static_speedup: f64,
-    /// `tuned_speedup / best_static_speedup` — floored at 0.75.
-    pub ratio: f64,
-}
-
 /// The exec-bench document body (`data` in the bench export).
 #[derive(Clone, Debug, Serialize)]
 pub struct ExecBench {
-    /// Per-(shape, N, variant, selection) measurements.
+    /// Per-(shape, N, variant, fusion) measurements.
     pub shapes: Vec<ShapeResult>,
-    /// Tuned-selection acceptance per N: tuned must reach at least
-    /// 75% of the best static variant.
-    pub tuned_gates: Vec<TunedGate>,
-    /// Smallest speedup across the floored (`avx2_fma` static) rows —
+    /// Smallest speedup across the floored (unfused `avx2_fma`) rows —
     /// the number CI floors. Falls back to the overall minimum on
     /// hosts without AVX2.
     pub min_speedup: f64,
@@ -151,17 +126,15 @@ fn main() {
     );
 
     let mut shapes = Vec::new();
-    let mut tuned_gates = Vec::new();
     for &n in &[16usize, 64, 256] {
         let b: Matrix = dense_rhs(k, n, ValueDist::Uniform, 7);
         let oracle = execute_fast(&spmm.format, &b);
         let fast_ms = best_of(3, || execute_fast(&spmm.format, &b));
-        let mut best_static = f64::NEG_INFINITY;
         for &kind in &variants {
             let opts = ExecOptions::from(KernelPolicy::Forced(kind));
             // Parity first: the bench never times a wrong kernel. The
-            // scalar variant is bit-exact; fused and reordered
-            // variants are held to the kernel_parity tolerances.
+            // scalar variant is bit-exact; fused variants are held to
+            // the kernel_parity tolerances.
             let c = kernel.execute_opts(&b, &opts);
             if kind.bit_exact() {
                 assert_eq!(c, oracle, "{} parity", kind.name());
@@ -171,7 +144,6 @@ fn main() {
             }
             let compiled_ms = best_of(5, || kernel.execute_opts(&b, &opts));
             let speedup = fast_ms / compiled_ms;
-            best_static = best_static.max(speedup);
             println!(
                 "N={n:4}  {:<13} fast {fast_ms:9.2} ms   compiled {compiled_ms:8.2} ms   speedup {speedup:.2}x",
                 kind.name()
@@ -184,7 +156,6 @@ fn main() {
                 v,
                 nnz: a.nnz(),
                 variant: kind.name().to_string(),
-                selection: "static".to_string(),
                 fusion: "off".to_string(),
                 fast_ms,
                 compiled_ms,
@@ -235,60 +206,20 @@ fn main() {
                 v,
                 nnz: a.nnz(),
                 variant: kind.name().to_string(),
-                selection: "static".to_string(),
                 fusion: "on".to_string(),
                 fast_ms,
                 compiled_ms,
                 speedup,
             });
         }
-
-        // Tuned selection over the same shape. The first execution
-        // seeds the cost table (one-shot deterministic calibration);
-        // measurement then times steady-state tuned dispatch, and the
-        // row records which variant the table actually picked.
-        let opts = ExecOptions::tuned();
-        let c = kernel.execute_opts(&b, &opts);
-        let err = max_relative_error(&c, &oracle);
-        assert!(err < 1e-4, "tuned parity, err {err}");
-        let compiled_ms = best_of(5, || kernel.execute_opts(&b, &opts));
-        let picked = dispatch::selected_kind_shaped(&opts, Some(kernel.workload(n)));
-        let speedup = fast_ms / compiled_ms;
-        let ratio = speedup / best_static;
-        println!(
-            "N={n:4}  tuned→{:<7} fast {fast_ms:9.2} ms   compiled {compiled_ms:8.2} ms   speedup {speedup:.2}x ({:.0}% of best static)",
-            picked.name(),
-            ratio * 100.0
-        );
-        shapes.push(ShapeResult {
-            m,
-            k,
-            n,
-            sparsity,
-            v,
-            nnz: a.nnz(),
-            variant: picked.name().to_string(),
-            selection: "tuned".to_string(),
-            fusion: "off".to_string(),
-            fast_ms,
-            compiled_ms,
-            speedup,
-        });
-        tuned_gates.push(TunedGate {
-            n,
-            tuned_variant: picked.name().to_string(),
-            tuned_speedup: speedup,
-            best_static_speedup: best_static,
-            ratio,
-        });
     }
 
-    // CI floors the static avx2_fma rows only (the one ISA every
+    // CI floors the unfused avx2_fma rows only (the one ISA every
     // gating host has); other variants gate relative to their own
     // baseline rows.
     let gated: Vec<f64> = shapes
         .iter()
-        .filter(|s| s.variant == "avx2_fma" && s.selection == "static" && s.fusion == "off")
+        .filter(|s| s.variant == "avx2_fma" && s.fusion == "off")
         .map(|s| s.speedup)
         .collect();
     let min_speedup = if gated.is_empty() {
@@ -301,7 +232,6 @@ fn main() {
     };
     let result = ExecBench {
         shapes,
-        tuned_gates,
         min_speedup,
         compile_ms,
         required_speedup: 2.0,
@@ -314,25 +244,8 @@ fn main() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("failed to write bench export: {e}"),
     }
-    let mut failed = false;
     if min_speedup < result.required_speedup {
         eprintln!("FAIL: compiled kernel below the required speedup floor");
-        failed = true;
-    }
-    for gate in &result.tuned_gates {
-        if gate.ratio < 0.75 {
-            eprintln!(
-                "FAIL: tuned selection at N={} reached only {:.0}% of the best \
-                 static variant ({:.2}x vs {:.2}x)",
-                gate.n,
-                gate.ratio * 100.0,
-                gate.tuned_speedup,
-                gate.best_static_speedup
-            );
-            failed = true;
-        }
-    }
-    if failed {
         std::process::exit(1);
     }
 }

@@ -98,13 +98,12 @@ pub fn check_bench_text(text: &str) -> Result<String, String> {
     }
     if experiment == "exec" {
         // Exec exports carry one row per (shape, N, microkernel
-        // variant, selection). Every row needs the perf-gate keys; the
-        // `variant` and `selection` columns are optional (legacy docs
-        // predate the dispatch and tuning layers) but when present
-        // must name a registry variant / a known selection mode, and a
-        // per-variant doc must include the portable `narrow_n` variant
-        // — it has no ISA gate, so its absence means the bench sweep
-        // silently shrank.
+        // variant, fusion). Every row needs the perf-gate keys; the
+        // `variant` column is optional (legacy docs predate the
+        // dispatch layer) but when present must name a registry
+        // variant, and a per-variant doc must include the portable
+        // `narrow_n` variant — it has no ISA gate, so its absence
+        // means the bench sweep silently shrank.
         let rows = doc
             .get("data")
             .and_then(|d| d.get("shapes"))
@@ -128,16 +127,6 @@ pub fn check_bench_text(text: &str) -> Result<String, String> {
                 }
                 saw_variant = true;
                 saw_narrow |= name == "narrow_n";
-            }
-            if let Some(selection) = row.get("selection") {
-                let mode = selection
-                    .as_str()
-                    .ok_or_else(|| "exec: selection must be a string".to_string())?;
-                if mode != "static" && mode != "tuned" {
-                    return Err(format!(
-                        "exec: unknown selection mode {mode:?}, expected \"static\" or \"tuned\""
-                    ));
-                }
             }
             if let Some(fusion) = row.get("fusion") {
                 let mode = fusion
@@ -335,18 +324,15 @@ pub fn check_bench_text(text: &str) -> Result<String, String> {
 /// wall times are deliberately not compared. Every baseline row gates
 /// against its matching candidate row:
 ///
-/// * rows match on `(m, k, n, variant, selection, fusion)`, where a
-///   missing `variant` column (legacy single-variant docs) reads as
-///   `avx2_fma`, a missing `selection` reads as `static`, and a
-///   missing `fusion` reads as `off`; `selection=tuned` rows match on
-///   `(m, k, n)` alone, because the cost table is free to pick a
-///   different winning variant on a different host,
+/// * rows match on `(m, k, n, variant, fusion)`, where a missing
+///   `variant` column (legacy single-variant docs) reads as
+///   `avx2_fma` and a missing `fusion` reads as `off`,
 /// * a baseline row whose variant's ISA the gating host lacks (e.g. an
 ///   `avx512f` row from an exotic baseline host) is skipped with a
 ///   note, never an error — baselines regenerated on wide hosts do
 ///   not move the bar for narrow ones,
 /// * each matched candidate speedup must be at least `(1 - tolerance)`
-///   × its baseline row's, and the unfused `avx2_fma` static rows must
+///   × its baseline row's, and the unfused `avx2_fma` rows must
 ///   additionally clear the baseline's committed
 ///   `data.required_speedup` absolute floor (the one ISA every gating
 ///   host has; the portable variants have no absolute floor because
@@ -374,25 +360,14 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
     if base_exp == "serving" {
         return check_perf_serving(baseline, candidate, tolerance);
     }
-    // `(m, k, n, variant-or-tuned, selection, fusion)` identity of one
-    // row.
-    type RowKey = (u64, u64, u64, String, String, String);
+    // `(m, k, n, variant, fusion)` identity of one row.
+    type RowKey = (u64, u64, u64, String, String);
     let key = |row: &Json| -> Option<RowKey> {
-        let selection = row
-            .get("selection")
-            .and_then(|s| s.as_str())
-            .unwrap_or("static")
+        let variant = row
+            .get("variant")
+            .and_then(|v| v.as_str())
+            .unwrap_or("avx2_fma")
             .to_string();
-        let variant = if selection == "tuned" {
-            // Tuned rows are matched by selection mode, not by the
-            // variant the table happened to pick.
-            "tuned".to_string()
-        } else {
-            row.get("variant")
-                .and_then(|v| v.as_str())
-                .unwrap_or("avx2_fma")
-                .to_string()
-        };
         let fusion = row
             .get("fusion")
             .and_then(|f| f.as_str())
@@ -403,7 +378,6 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
             row.get("k")?.as_u64()?,
             row.get("n")?.as_u64()?,
             variant,
-            selection,
             fusion,
         ))
     };
@@ -430,46 +404,37 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
     let mut report = Vec::new();
     let mut gated_any = false;
     for base in &base_shapes {
-        let (m, k, n, variant, selection, fusion) =
-            key(base).ok_or("baseline: shape missing m/k/n")?;
+        let (m, k, n, variant, fusion) = key(base).ok_or("baseline: shape missing m/k/n")?;
         let base_speedup = base
             .get("speedup")
             .and_then(|s| s.as_f64())
             .ok_or("baseline: shape missing speedup")?;
-        if variant != "tuned" {
-            let kind = jigsaw_core::KernelKind::parse(&variant)
-                .ok_or_else(|| format!("baseline: unknown variant {variant:?}"))?;
-            if !kind.available() {
-                report.push(format!("{variant} N={n}: SKIP (ISA not on this host)"));
-                continue;
-            }
+        let kind = jigsaw_core::KernelKind::parse(&variant)
+            .ok_or_else(|| format!("baseline: unknown variant {variant:?}"))?;
+        if !kind.available() {
+            report.push(format!("{variant} N={n}: SKIP (ISA not on this host)"));
+            continue;
         }
         let cand = cand_shapes
             .iter()
-            .find(|c| {
-                key(c).as_ref()
-                    == Some(&(m, k, n, variant.clone(), selection.clone(), fusion.clone()))
-            })
+            .find(|c| key(c).as_ref() == Some(&(m, k, n, variant.clone(), fusion.clone())))
             .ok_or_else(|| {
-                format!(
-                    "candidate: {variant} ({selection}, fusion {fusion}) row at \
-                     {m}x{k} N={n} missing"
-                )
+                format!("candidate: {variant} (fusion {fusion}) row at {m}x{k} N={n} missing")
             })?;
         let cand_speedup = cand
             .get("speedup")
             .and_then(|s| s.as_f64())
             .ok_or("candidate: shape missing speedup")?;
-        let floored = variant == "avx2_fma" && selection == "static" && fusion == "off";
+        let floored = variant == "avx2_fma" && fusion == "off";
         let mut min_ok = base_speedup * (1.0 - tolerance);
         if floored {
             min_ok = min_ok.max(floor);
         }
         gated_any = true;
         let label = if fusion == "on" {
-            format!("{variant} ({selection}, fused)")
+            format!("{variant} (fused)")
         } else {
-            format!("{variant} ({selection})")
+            variant.clone()
         };
         if cand_speedup < min_ok {
             return Err(format!(
@@ -1288,88 +1253,26 @@ mod tests {
             (64, "narrow_n", 2.5),
         ]);
         assert!(check_perf_text(&vbase, &scalar_drift, 0.10).is_ok());
-        // A candidate missing the gated row is an error, not a pass.
-        let no_avx2 = exec_doc_variants(&[(64, "neon", 3.0), (64, "narrow_n", 2.5)]);
-        let err = check_perf_text(&base, &no_avx2, 0.10).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
-    }
-
-    #[derive(Serialize)]
-    struct FullShape {
-        m: usize,
-        k: usize,
-        n: usize,
-        variant: String,
-        selection: String,
-        speedup: f64,
-    }
-
-    #[derive(Serialize)]
-    struct ToyExec3 {
-        shapes: Vec<FullShape>,
-        required_speedup: f64,
-    }
-
-    fn exec_doc_full(rows: &[(usize, &str, &str, f64)]) -> String {
-        let shapes = rows
-            .iter()
-            .map(|&(n, variant, selection, speedup)| FullShape {
-                m: 64,
-                k: 64,
-                n,
-                variant: variant.to_string(),
-                selection: selection.to_string(),
-                speedup,
-            })
-            .collect();
-        bench_doc(
-            "exec",
-            &ToyExec3 {
-                shapes,
-                required_speedup: 2.0,
-            },
-        )
-        .to_string()
-    }
-
-    #[test]
-    fn perf_gate_skips_absent_isas_and_matches_tuned_rows_by_mode() {
-        use jigsaw_core::KernelKind;
-        // An ISA no single host has alongside the others: x86-64 lacks
-        // NEON, aarch64 lacks AVX-512F.
-        let absent = if KernelKind::Neon.available() {
+        // A baseline row for an ISA this host lacks (x86-64 has no
+        // NEON, aarch64 no AVX-512F) is skipped with a note, not
+        // demanded of the candidate.
+        let absent = if jigsaw_core::KernelKind::Neon.available() {
             "avx512f"
         } else {
             "neon"
         };
-        let base = exec_doc_full(&[
-            (64, "avx2_fma", "static", 3.0),
-            (64, "narrow_n", "static", 2.5),
-            (64, absent, "static", 9.0),
-            (64, "avx2_fma", "tuned", 3.0),
+        let wide_base = exec_doc_variants(&[
+            (64, "scalar", 2.1),
+            (64, "avx2_fma", 3.0),
+            (64, "narrow_n", 2.5),
+            (64, absent, 9.0),
         ]);
-        let cand = exec_doc_full(&[
-            (64, "avx2_fma", "static", 3.0),
-            (64, "narrow_n", "static", 2.5),
-            // The tuned run picked a different winner here — still
-            // matched, because tuned rows match on mode, not variant.
-            (64, "narrow_n", "tuned", 2.9),
-        ]);
-        let report = check_perf_text(&base, &cand, 0.10).unwrap();
+        let report = check_perf_text(&wide_base, &cand, 0.10).unwrap();
         assert!(report.contains("SKIP"), "{report}");
-        assert!(report.contains("tuned"), "{report}");
-        // A tuned regression is caught like any other row.
-        let slow_tuned = exec_doc_full(&[
-            (64, "avx2_fma", "static", 3.0),
-            (64, "narrow_n", "static", 2.5),
-            (64, "scalar", "tuned", 1.5),
-        ]);
-        let err = check_perf_text(&base, &slow_tuned, 0.10).unwrap_err();
-        assert!(err.contains("tuned"), "{err}");
-        // An unknown selection mode is a schema error.
-        let bad_mode = exec_doc_full(&[(64, "narrow_n", "oracle", 2.5)]);
-        let err = check_bench_text(&bad_mode).unwrap_err();
-        assert!(err.contains("oracle"), "{err}");
+        // A candidate missing the gated row is an error, not a pass.
+        let no_avx2 = exec_doc_variants(&[(64, "neon", 3.0), (64, "narrow_n", 2.5)]);
+        let err = check_perf_text(&base, &no_avx2, 0.10).unwrap_err();
+        assert!(err.contains("missing"), "{err}");
     }
 
     #[test]

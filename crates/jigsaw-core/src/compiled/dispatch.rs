@@ -3,41 +3,24 @@
 //! per-variant poisoning for the resilience ladder.
 //!
 //! [`CompiledKernel::execute_into_opts`](super::CompiledKernel::execute_into_opts)
-//! resolves one [`Selection`] per execution through [`select_shaped`].
-//! Selection is governed by a single typed [`KernelPolicy`] on
-//! [`ExecOptions`] (built via the validating [`ExecOptions::builder`]),
-//! with exactly one documented override layer between it and the
-//! hardware:
+//! resolves one [`Selection`] per execution through [`select`].
+//! Selection is governed by the single typed [`KernelPolicy`] on
+//! [`ExecOptions`]:
 //!
-//! 1. [`KernelPolicy::Forced`] — an explicit per-call/per-model pin.
-//!    Beats everything, including the environment.
-//! 2. the `JIGSAW_KERNEL` environment variable
-//!    (`scalar|avx2|avx512|neon|narrow|sorted`) — the operator
-//!    override for `Auto`/`Tuned` policies, re-read per execution so
-//!    test harnesses can flip it,
-//! 3. [`KernelPolicy::Tuned`] — the cheapest measured, available,
-//!    un-poisoned variant for the execution's shape/sparsity bucket
-//!    from the [`tune`](super::tune) cost table (never the
-//!    accumulation-order-changing sorted variant, never a poisoned
-//!    one); an unmeasured bucket falls through to the auto ladder,
-//! 4. [`ExecOptions::sorted_stream`] opting into the sorted variant
-//!    (valid with `Auto` only — the builder rejects the rest),
-//! 5. auto: the widest available, un-poisoned ISA
+//! 1. [`KernelPolicy::Forced`] — an explicit per-call/per-model pin,
+//! 2. [`KernelPolicy::Auto`] — the widest available, un-poisoned ISA
 //!    (avx512f → avx2_fma → neon → scalar).
 //!
 //! A forced variant whose ISA is absent (or which has been poisoned)
 //! **falls back cleanly** to the auto ladder — never a panic, always a
 //! correct product — and bumps `kernel.forced_fallbacks`. Poisoning a
 //! variant ([`poison`], used by the serve degradation ladder after a
-//! caught panic) removes it from auto *and* tuned selection
-//! process-wide and bumps `degrade.kernel.<name>`; the scalar floor
-//! can never be poisoned.
+//! caught panic) removes it from selection process-wide and bumps
+//! `degrade.kernel.<name>`; the scalar floor can never be poisoned.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use super::kernels_scalar::{axpy_panel_narrow_portable, axpy_panel_scalar};
-use super::tune::{self, Workload};
-use crate::errors::OptionsError;
 
 /// Per-row microkernel signature: one row's nonzero stream against one
 /// converted B panel (`slab`, panel-major `k × w` f32), accumulating
@@ -63,24 +46,17 @@ pub enum KernelKind {
     /// AVX2+FMA register-block where available and a portable fused
     /// block everywhere else — always runnable, like the scalar floor.
     NarrowN,
-    /// Per-row column-sorted stream for sequential DRAM-resident
-    /// B-panel access, executed by the widest available fused axpy.
-    /// Changes accumulation order — opt-in only, excluded from the
-    /// bit-exact contract.
-    SortedStream,
 }
 
 /// Every variant the registry knows, in auto-selection preference
-/// order for the ISA kernels ([`KernelKind::SortedStream`] is never
-/// auto-selected; [`KernelKind::NarrowN`] is picked by measurement or
+/// order for the ISA kernels ([`KernelKind::NarrowN`] is picked by
 /// force, not by the static ladder; [`KernelKind::Scalar`] is the
 /// floor).
-pub const ALL_KERNELS: [KernelKind; 6] = [
+pub const ALL_KERNELS: [KernelKind; 5] = [
     KernelKind::Avx512f,
     KernelKind::Avx2Fma,
     KernelKind::Neon,
     KernelKind::NarrowN,
-    KernelKind::SortedStream,
     KernelKind::Scalar,
 ];
 
@@ -93,37 +69,28 @@ impl KernelKind {
             KernelKind::Avx512f => "avx512f",
             KernelKind::Neon => "neon",
             KernelKind::NarrowN => "narrow_n",
-            KernelKind::SortedStream => "sorted_stream",
         }
     }
 
-    /// Parses a registry or `JIGSAW_KERNEL` short name.
+    /// The variant whose [`KernelKind::name`] is `s` (bench rows name
+    /// variants this way).
     pub fn parse(s: &str) -> Option<KernelKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(KernelKind::Scalar),
-            "avx2" | "avx2_fma" => Some(KernelKind::Avx2Fma),
-            "avx512" | "avx512f" => Some(KernelKind::Avx512f),
-            "neon" => Some(KernelKind::Neon),
-            "narrow" | "narrow_n" => Some(KernelKind::NarrowN),
-            "sorted" | "sorted_stream" => Some(KernelKind::SortedStream),
-            _ => None,
-        }
+        ALL_KERNELS.into_iter().find(|kind| kind.name() == s)
     }
 
     /// True when this variant's result is bit-identical to
-    /// `execute_fast` on every input. Fused and reordered variants are
-    /// only ULP-bounded relative to the scalar oracle (DESIGN.md §13).
+    /// `execute_fast` on every input. Fused variants are only
+    /// ULP-bounded relative to the scalar oracle (DESIGN.md §13).
     pub fn bit_exact(self) -> bool {
         matches!(self, KernelKind::Scalar)
     }
 
     /// True when the running host can execute this variant right now.
-    /// [`KernelKind::SortedStream`] is a stream-order transform on top
-    /// of whatever axpy is available, and [`KernelKind::NarrowN`]
-    /// carries its own portable fallback, so both are always runnable.
+    /// [`KernelKind::NarrowN`] carries its own portable fallback, so it
+    /// is always runnable.
     pub fn available(self) -> bool {
         match self {
-            KernelKind::Scalar | KernelKind::SortedStream | KernelKind::NarrowN => true,
+            KernelKind::Scalar | KernelKind::NarrowN => true,
             KernelKind::Avx2Fma => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -163,8 +130,7 @@ impl KernelKind {
             KernelKind::Avx2Fma => 1,
             KernelKind::Avx512f => 2,
             KernelKind::Neon => 3,
-            KernelKind::SortedStream => 4,
-            KernelKind::NarrowN => 5,
+            KernelKind::NarrowN => 4,
         }
     }
 
@@ -180,8 +146,8 @@ impl KernelKind {
             KernelKind::Avx512f => super::kernels_x86::axpy_panel_avx512,
             #[cfg(target_arch = "aarch64")]
             KernelKind::Neon => super::kernels_aarch64::axpy_panel_neon,
-            // Cross-compiled-out ISAs and the sorted transform resolve
-            // through the auto ladder, never through this arm.
+            // Cross-compiled-out ISAs resolve through the auto ladder,
+            // never through this arm.
             #[allow(unreachable_patterns)]
             _ => axpy_panel_scalar,
         }
@@ -206,20 +172,11 @@ fn axpy_panel_narrow(c_row: &mut [f32], vals: &[f32], cols: &[u32], slab: &[f32]
     axpy_panel_narrow_portable(c_row, vals, cols, slab, w)
 }
 
-/// The raw axpy behind a variant, for the calibration micro-bench
-/// (which times kernels directly, outside the selection ladder).
-pub(crate) fn calibration_axpy(kind: KernelKind) -> AxpyFn {
-    kind.axpy()
-}
-
-/// How [`select_shaped`] picks the variant that executes — the single
-/// typed replacement for the old trio of ad-hoc mechanisms (ISA
-/// ladder, `ExecOptions` field force, env string). See the module docs
-/// for the full precedence including the `JIGSAW_KERNEL` override
-/// layer.
+/// How [`select`] picks the variant that executes (see the module docs
+/// for the precedence).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelPolicy {
-    /// Static widest-ISA ladder (the pre-tuning default).
+    /// Static widest-ISA ladder.
     #[default]
     Auto,
     /// Pin one named variant. An unavailable or poisoned pin falls
@@ -227,60 +184,31 @@ pub enum KernelPolicy {
     /// `kernel.forced_fallbacks`) — except [`KernelKind::Scalar`],
     /// which is always honored.
     Forced(KernelKind),
-    /// Measured-feedback selection from the [`tune`](super::tune) cost
-    /// table: cheapest available un-poisoned variant for the
-    /// execution's (shape, sparsity) bucket. Never picks the
-    /// accumulation-order-changing sorted variant; an unmeasured
-    /// bucket degrades to `Auto`.
-    Tuned,
 }
 
 /// Execution options threaded from the public API ([`crate::JigsawSpmm`],
-/// the serve registry's per-model configuration) down to
-/// [`select_shaped`]. Construct through [`ExecOptions::builder`] (or
-/// the [`ExecOptions::auto`] / [`ExecOptions::tuned`] /
-/// [`ExecOptions::scalar`] shorthands); the fields are private so
-/// every combination in circulation has passed validation.
+/// the serve registry's per-model configuration) down to [`select`]:
+/// the selection policy plus the fused-assembly opt-in. Build with
+/// `ExecOptions::from(policy)` and
+/// [`ExecOptions::with_fused_assembly`]; every combination is valid.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecOptions {
     policy: KernelPolicy,
-    sorted_stream: bool,
     fused_assembly: bool,
 }
 
 impl ExecOptions {
-    /// A validating builder — the one way to combine a policy with the
-    /// sorted-stream and fused-assembly opt-ins.
-    pub fn builder() -> ExecOptionsBuilder {
-        ExecOptionsBuilder {
-            policy: KernelPolicy::Auto,
-            sorted_stream: false,
-            fused_assembly: false,
-        }
-    }
-
-    /// The default static-ladder options ([`KernelPolicy::Auto`]).
-    pub fn auto() -> ExecOptions {
-        ExecOptions::default()
-    }
-
-    /// Measured-feedback selection ([`KernelPolicy::Tuned`]).
-    pub fn tuned() -> ExecOptions {
-        ExecOptions {
-            policy: KernelPolicy::Tuned,
-            sorted_stream: false,
-            fused_assembly: false,
-        }
-    }
-
     /// The forced-scalar options of the degradation ladder's middle
     /// rung: bit-identical to `execute_fast`, never falls back.
     pub fn scalar() -> ExecOptions {
-        ExecOptions {
-            policy: KernelPolicy::Forced(KernelKind::Scalar),
-            sorted_stream: false,
-            fused_assembly: false,
-        }
+        ExecOptions::from(KernelPolicy::Forced(KernelKind::Scalar))
+    }
+
+    /// These options with fused batched-B assembly switched on or off
+    /// (see [`ExecOptions::fused_assembly`]).
+    pub fn with_fused_assembly(mut self, on: bool) -> ExecOptions {
+        self.fused_assembly = on;
+        self
     }
 
     /// The selection policy these options carry.
@@ -292,14 +220,8 @@ impl ExecOptions {
     pub fn forced_kernel(&self) -> Option<KernelKind> {
         match self.policy {
             KernelPolicy::Forced(kind) => Some(kind),
-            _ => None,
+            KernelPolicy::Auto => None,
         }
-    }
-
-    /// True when these options opt into the accumulation-order-changing
-    /// sorted-stream variant.
-    pub fn sorted_stream(&self) -> bool {
-        self.sorted_stream
     }
 
     /// True when these options opt into fused batched-B assembly: the
@@ -308,86 +230,23 @@ impl ExecOptions {
     /// `CompiledKernel::execute_prepaneled_into_opts`, skipping both
     /// the concatenated `Matrix` copy and execute phase 1. Bit-exact
     /// with the two-touch path; a fused-assembly failure degrades to it
-    /// at runtime.
+    /// at runtime. Kernel selection is unaffected.
     pub fn fused_assembly(&self) -> bool {
         self.fused_assembly
     }
 }
 
-/// Any policy is valid on its own; the builder only rejects
-/// combinations.
 impl From<KernelPolicy> for ExecOptions {
     fn from(policy: KernelPolicy) -> ExecOptions {
         ExecOptions {
             policy,
-            sorted_stream: policy == KernelPolicy::Forced(KernelKind::SortedStream),
             fused_assembly: false,
         }
     }
 }
 
-/// Builder for [`ExecOptions`]; [`ExecOptionsBuilder::build`] rejects
-/// contradictory combinations with a typed [`OptionsError`].
-#[derive(Clone, Copy, Debug)]
-pub struct ExecOptionsBuilder {
-    policy: KernelPolicy,
-    sorted_stream: bool,
-    fused_assembly: bool,
-}
-
-impl ExecOptionsBuilder {
-    /// Sets the selection policy (default [`KernelPolicy::Auto`]).
-    pub fn policy(mut self, policy: KernelPolicy) -> ExecOptionsBuilder {
-        self.policy = policy;
-        self
-    }
-
-    /// Shorthand for `policy(KernelPolicy::Forced(kind))`.
-    pub fn force(self, kind: KernelKind) -> ExecOptionsBuilder {
-        self.policy(KernelPolicy::Forced(kind))
-    }
-
-    /// Opts into the sorted-stream variant. Only meaningful with
-    /// [`KernelPolicy::Auto`] (or a redundant
-    /// `Forced(SortedStream)`) — [`ExecOptionsBuilder::build`] rejects
-    /// it on `Tuned` and on any other force, where it could never take
-    /// effect.
-    pub fn sorted_stream(mut self, on: bool) -> ExecOptionsBuilder {
-        self.sorted_stream = on;
-        self
-    }
-
-    /// Opts into fused batched-B assembly on the serve hot path (see
-    /// [`ExecOptions::fused_assembly`]). Orthogonal to the policy and
-    /// sorted-stream axes — kernel selection is unchanged, only how the
-    /// dense operand reaches panel-major scratch — so any combination
-    /// is valid.
-    pub fn fused_assembly(mut self, on: bool) -> ExecOptionsBuilder {
-        self.fused_assembly = on;
-        self
-    }
-
-    /// Validates and produces the options.
-    pub fn build(self) -> Result<ExecOptions, OptionsError> {
-        if self.sorted_stream {
-            match self.policy {
-                KernelPolicy::Auto | KernelPolicy::Forced(KernelKind::SortedStream) => {}
-                policy => return Err(OptionsError::SortedStreamConflict { policy }),
-            }
-        }
-        let sorted_stream =
-            self.sorted_stream || self.policy == KernelPolicy::Forced(KernelKind::SortedStream);
-        Ok(ExecOptions {
-            policy: self.policy,
-            sorted_stream,
-            fused_assembly: self.fused_assembly,
-        })
-    }
-}
-
 /// Process-wide per-variant poison flags (index = `poison_slot`).
-static POISONED: [AtomicBool; 6] = [
-    AtomicBool::new(false),
+static POISONED: [AtomicBool; 5] = [
     AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
@@ -411,7 +270,6 @@ pub fn poison(kind: KernelKind) {
             KernelKind::Avx512f => "degrade.kernel.avx512f",
             KernelKind::Neon => "degrade.kernel.neon",
             KernelKind::NarrowN => "degrade.kernel.narrow_n",
-            KernelKind::SortedStream => "degrade.kernel.sorted_stream",
             KernelKind::Scalar => unreachable!("scalar is never poisoned"),
         })
         .inc();
@@ -436,14 +294,12 @@ pub fn available_kernels() -> Vec<KernelKind> {
     ALL_KERNELS.into_iter().filter(|k| k.available()).collect()
 }
 
-/// One resolved selection: which variant runs, whether the stream is
-/// the column-sorted copy, and the axpy that executes it.
+/// One resolved selection: which variant runs and the axpy that
+/// executes it.
 #[derive(Clone, Copy, Debug)]
 pub struct Selection {
     /// The variant that will run (after any fallback).
     pub kind: KernelKind,
-    /// True when the per-row column-sorted stream feeds the axpy.
-    pub sorted: bool,
     pub(crate) axpy: AxpyFn,
 }
 
@@ -458,38 +314,14 @@ fn auto_kind() -> KernelKind {
     KernelKind::Scalar
 }
 
-fn usable(kind: KernelKind) -> bool {
-    kind.available() && !is_poisoned(kind)
-}
-
-/// Shape-blind selection: [`select_shaped`] with no workload. A
-/// `Tuned` policy degrades to the auto ladder here — callers that know
-/// their shape (the compiled execute path, the serve ladder) pass it.
+/// Resolves `opts` to the microkernel that will execute, falling back
+/// cleanly when a forced variant is absent or poisoned.
 pub fn select(opts: &ExecOptions) -> Selection {
-    select_shaped(opts, None)
-}
-
-/// Resolves `opts` (plus the `JIGSAW_KERNEL` environment override) to
-/// the microkernel that will execute, falling back cleanly when a
-/// forced variant is absent or poisoned. `workload` feeds
-/// [`KernelPolicy::Tuned`]; the first tuned selection runs the
-/// one-shot calibration pass unless a persisted table was already
-/// loaded.
-pub fn select_shaped(opts: &ExecOptions, workload: Option<Workload>) -> Selection {
-    let env_force = || {
-        std::env::var("JIGSAW_KERNEL")
-            .ok()
-            .as_deref()
-            .and_then(KernelKind::parse)
-    };
-    let forced = match opts.policy {
-        KernelPolicy::Forced(kind) => Some(kind),
-        KernelPolicy::Auto | KernelPolicy::Tuned => env_force(),
-    };
-    let kind = match forced {
-        Some(KernelKind::Scalar) => KernelKind::Scalar,
-        Some(k) if usable(k) => k,
-        Some(_) => {
+    let kind = match opts.policy {
+        KernelPolicy::Auto => auto_kind(),
+        KernelPolicy::Forced(KernelKind::Scalar) => KernelKind::Scalar,
+        KernelPolicy::Forced(k) if k.available() && !is_poisoned(k) => k,
+        KernelPolicy::Forced(_) => {
             // Absent ISA or poisoned variant: fall back, never fail.
             if jigsaw_obs::enabled() {
                 jigsaw_obs::global()
@@ -498,43 +330,17 @@ pub fn select_shaped(opts: &ExecOptions, workload: Option<Workload>) -> Selectio
             }
             auto_kind()
         }
-        None => match opts.policy {
-            KernelPolicy::Tuned => {
-                let tuned = workload.and_then(|wl| {
-                    let table = tune::table();
-                    table.ensure_seeded();
-                    table.best(wl)
-                });
-                // best() only returns available, un-poisoned variants;
-                // an unmeasured bucket degrades to the static ladder.
-                tuned.unwrap_or_else(auto_kind)
-            }
-            _ if opts.sorted_stream && usable(KernelKind::SortedStream) => KernelKind::SortedStream,
-            _ => auto_kind(),
-        },
     };
-    let sorted = kind == KernelKind::SortedStream;
-    // The sorted transform reorders the stream; the arithmetic runs on
-    // the widest un-poisoned ISA kernel available.
-    let axpy = if sorted {
-        auto_kind().axpy()
-    } else {
-        kind.axpy()
-    };
-    Selection { kind, sorted, axpy }
+    Selection {
+        kind,
+        axpy: kind.axpy(),
+    }
 }
 
 /// The variant [`select`] would run for `opts` — what the serve ladder
-/// poisons after catching a panic out of a shape-blind execution.
+/// poisons after catching a panic out of an execution.
 pub fn selected_kind(opts: &ExecOptions) -> KernelKind {
     select(opts).kind
-}
-
-/// Shape-aware [`selected_kind`]: what a tuned execution of `workload`
-/// would run right now. The serve ladder uses this so a panic out of a
-/// tuned pick poisons the variant that actually executed.
-pub fn selected_kind_shaped(opts: &ExecOptions, workload: Option<Workload>) -> KernelKind {
-    select_shaped(opts, workload).kind
 }
 
 #[cfg(test)]
@@ -545,15 +351,10 @@ mod tests {
     static POISON_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
-    fn names_round_trip_and_short_forms_parse() {
+    fn names_round_trip() {
         for kind in ALL_KERNELS {
             assert_eq!(KernelKind::parse(kind.name()), Some(kind));
         }
-        assert_eq!(KernelKind::parse("avx2"), Some(KernelKind::Avx2Fma));
-        assert_eq!(KernelKind::parse("avx512"), Some(KernelKind::Avx512f));
-        assert_eq!(KernelKind::parse("narrow"), Some(KernelKind::NarrowN));
-        assert_eq!(KernelKind::parse("sorted"), Some(KernelKind::SortedStream));
-        assert_eq!(KernelKind::parse("AVX2 "), Some(KernelKind::Avx2Fma));
         assert_eq!(KernelKind::parse("mma.sp"), None);
     }
 
@@ -566,7 +367,6 @@ mod tests {
             KernelKind::Avx512f,
             KernelKind::Neon,
             KernelKind::NarrowN,
-            KernelKind::SortedStream,
         ] {
             assert!(!kind.bit_exact(), "{kind:?} must not claim bit-exactness");
         }
@@ -578,84 +378,24 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_and_shorthands_agree() {
-        assert_eq!(ExecOptions::auto().policy(), KernelPolicy::Auto);
-        assert_eq!(ExecOptions::tuned().policy(), KernelPolicy::Tuned);
+    fn fused_assembly_is_orthogonal_to_policy() {
+        assert!(!ExecOptions::default().fused_assembly());
         assert_eq!(
             ExecOptions::scalar().forced_kernel(),
             Some(KernelKind::Scalar)
         );
-        let forced = ExecOptions::builder()
-            .force(KernelKind::NarrowN)
-            .build()
-            .unwrap();
-        assert_eq!(forced.forced_kernel(), Some(KernelKind::NarrowN));
-        assert_eq!(
-            forced,
-            ExecOptions::from(KernelPolicy::Forced(KernelKind::NarrowN))
-        );
-
-        // sorted_stream composes with Auto and Forced(SortedStream)…
-        let sorted = ExecOptions::builder().sorted_stream(true).build().unwrap();
-        assert!(sorted.sorted_stream());
-        let forced_sorted = ExecOptions::builder()
-            .force(KernelKind::SortedStream)
-            .sorted_stream(true)
-            .build()
-            .unwrap();
-        assert!(forced_sorted.sorted_stream());
-        // …and Forced(SortedStream) implies the sorted stream on its own.
-        assert!(ExecOptions::from(KernelPolicy::Forced(KernelKind::SortedStream)).sorted_stream());
-
-        // …but is rejected where it could never take effect.
-        for policy in [
-            KernelPolicy::Tuned,
-            KernelPolicy::Forced(KernelKind::Avx2Fma),
-            KernelPolicy::Forced(KernelKind::Scalar),
-        ] {
-            let err = ExecOptions::builder()
-                .policy(policy)
-                .sorted_stream(true)
-                .build()
-                .unwrap_err();
-            assert!(matches!(err, OptionsError::SortedStreamConflict { .. }));
-            assert!(!err.to_string().is_empty());
-        }
-    }
-
-    #[test]
-    fn fused_assembly_is_orthogonal_to_policy_and_sorting() {
-        // Off by default on every shorthand.
-        for opts in [
-            ExecOptions::default(),
-            ExecOptions::auto(),
-            ExecOptions::tuned(),
-            ExecOptions::scalar(),
-            ExecOptions::from(KernelPolicy::Forced(KernelKind::Avx2Fma)),
-        ] {
-            assert!(!opts.fused_assembly());
-        }
-        // Composes with every policy (and with the sorted opt-in where
-        // that opt-in is itself valid) — never a validation conflict.
         for policy in [
             KernelPolicy::Auto,
-            KernelPolicy::Tuned,
             KernelPolicy::Forced(KernelKind::Scalar),
+            KernelPolicy::Forced(KernelKind::NarrowN),
         ] {
-            let opts = ExecOptions::builder()
-                .policy(policy)
-                .fused_assembly(true)
-                .build()
-                .unwrap();
-            assert!(opts.fused_assembly());
-            assert_eq!(opts.policy(), policy);
+            let plain = ExecOptions::from(policy);
+            assert!(!plain.fused_assembly());
+            let fused = plain.with_fused_assembly(true);
+            assert!(fused.fused_assembly());
+            assert_eq!(fused.policy(), policy);
+            assert_eq!(fused.with_fused_assembly(false), plain);
         }
-        let both = ExecOptions::builder()
-            .sorted_stream(true)
-            .fused_assembly(true)
-            .build()
-            .unwrap();
-        assert!(both.sorted_stream() && both.fused_assembly());
     }
 
     #[test]
@@ -691,61 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_stream_is_opt_in_only() {
-        let _g = POISON_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        unpoison_all();
-        assert_ne!(
-            select(&ExecOptions::default()).kind,
-            KernelKind::SortedStream,
-            "auto never picks the accumulation-order-changing variant"
-        );
-        let sel = select(&ExecOptions::builder().sorted_stream(true).build().unwrap());
-        assert_eq!(sel.kind, KernelKind::SortedStream);
-        assert!(sel.sorted);
-        let forced = select(&ExecOptions::from(KernelPolicy::Forced(
-            KernelKind::SortedStream,
-        )));
-        assert!(forced.sorted);
-    }
-
-    #[test]
     fn forced_scalar_is_always_honored() {
-        let sel = select(&ExecOptions::scalar());
-        assert_eq!(sel.kind, KernelKind::Scalar);
-        assert!(!sel.sorted);
-    }
-
-    #[test]
-    fn tuned_policy_follows_the_table_and_skips_poisoned_winners() {
-        let _g = POISON_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        unpoison_all();
-        let table = tune::table();
-        // An out-of-the-way bucket (huge N, near-dense) that no other
-        // concurrent test's executions will land in.
-        let wl = Workload {
-            n: 100_000,
-            density: 0.99,
-        };
-        let opts = ExecOptions::tuned();
-        // Seed so ensure_seeded() inside selection never recalibrates,
-        // then pin this bucket's ranking: narrow_n cheap, scalar next.
-        // Both costs sit far below any real measurement (~1e-3 ns/unit
-        // and up), so a stray online record from a concurrently running
-        // test can never outrank them.
-        table.seed_cell(KernelKind::Scalar, wl, 2e-9);
-        table.seed_cell(KernelKind::NarrowN, wl, 1e-9);
-        assert_eq!(select_shaped(&opts, Some(wl)).kind, KernelKind::NarrowN);
-        assert_eq!(selected_kind_shaped(&opts, Some(wl)), KernelKind::NarrowN);
-
-        // Poisoning the measured winner falls back to the
-        // next-cheapest un-poisoned cell, not to the poisoned pick.
-        poison(KernelKind::NarrowN);
-        assert_eq!(select_shaped(&opts, Some(wl)).kind, KernelKind::Scalar);
-        unpoison_all();
-
-        // No workload → shape-blind → static ladder, never a panic.
-        let blind = select(&opts).kind;
-        assert_ne!(blind, KernelKind::SortedStream);
-        assert!(blind.available());
+        assert_eq!(select(&ExecOptions::scalar()).kind, KernelKind::Scalar);
     }
 }

@@ -18,13 +18,9 @@
 //!    or dense strip no longer serializes the whole multiply,
 //! 3. a **k-unrolled axpy microkernel**, resolved per execution by the
 //!    [`dispatch`] layer: a registry of named variants (`scalar`,
-//!    `avx2_fma`, `avx512f`, `neon`, `narrow_n`, `sorted_stream`) with
-//!    runtime ISA detection, a typed [`dispatch::KernelPolicy`]
-//!    (`Auto` | `Forced` | `Tuned`), the `JIGSAW_KERNEL` override
-//!    layer, and per-variant poisoning for the resilience ladder.
-//!    Every execution's axpy phase is timed and folded into the
-//!    [`tune`] cost table, which `Tuned` selection reads back —
-//!    measured feedback closing the select→execute→measure loop.
+//!    `avx2_fma`, `avx512f`, `neon`, `narrow_n`) with runtime ISA
+//!    detection, a typed [`dispatch::KernelPolicy`] (`Auto` |
+//!    `Forced`), and per-variant poisoning for the resilience ladder.
 //!
 //! The stream preserves `execute_fast`'s per-row accumulation order
 //! and its zero/padding skip rules. The scalar microkernel applies
@@ -32,19 +28,14 @@
 //! `execute_fast` (which stays around as the differential-testing
 //! oracle). The fused SIMD variants keep the stream order and differ
 //! only by per-step rounding (exact on integer-valued data, ≤ 1 ulp
-//! per step otherwise). The opt-in [`stream::SortedStream`] variant
-//! additionally re-sorts each row's nonzeros by source column —
-//! accumulation-order-changing, so it is excluded from the bit-exact
-//! contract and gated behind [`ExecOptions`] (DESIGN.md §13).
+//! per step otherwise; DESIGN.md §13).
 
 pub mod dispatch;
 mod kernels_aarch64;
 mod kernels_scalar;
 mod kernels_x86;
-pub mod stream;
-pub mod tune;
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dlmc::Matrix;
@@ -57,9 +48,7 @@ use crate::fault::{self, points};
 use crate::format::{format_source_column, JigsawFormat};
 use crate::pool::{PoolBuf, WorkspacePool};
 
-pub use dispatch::{ExecOptions, ExecOptionsBuilder, KernelKind, KernelPolicy, Selection};
-pub use stream::SortedStream;
-pub use tune::Workload;
+pub use dispatch::{ExecOptions, KernelKind, KernelPolicy, Selection};
 
 /// Rows of C per task of the 2-D execution grid.
 const ROW_BLOCK: usize = 128;
@@ -94,9 +83,6 @@ pub struct CompiledKernel {
     vals: Vec<f32>,
     /// Source column of each nonzero (the B row it multiplies).
     cols: Vec<u32>,
-    /// Lazily built column-sorted copy of the stream, shared by every
-    /// sorted execution of this kernel (built at most once).
-    sorted: OnceLock<SortedStream>,
 }
 
 impl CompiledKernel {
@@ -177,7 +163,6 @@ impl CompiledKernel {
             row_ptr,
             vals,
             cols,
-            sorted: OnceLock::new(),
         };
         let elapsed = started.elapsed().as_nanos() as u64;
         if jigsaw_obs::enabled() {
@@ -198,14 +183,9 @@ impl CompiledKernel {
         self.vals.len()
     }
 
-    /// Bytes held by the compiled stream (values + columns + offsets;
-    /// doubled once the sorted copy has been materialized).
+    /// Bytes held by the compiled stream (values + columns + offsets).
     pub fn stream_bytes(&self) -> usize {
-        let base = self.vals.len() * 4 + self.cols.len() * 4 + self.row_ptr.len() * 4;
-        match self.sorted.get() {
-            Some(s) => base + s.vals.len() * 4 + s.cols.len() * 4,
-            None => base,
-        }
+        self.vals.len() * 4 + self.cols.len() * 4 + self.row_ptr.len() * 4
     }
 
     /// The compiled nonzero stream of output row `row`:
@@ -217,12 +197,6 @@ impl CompiledKernel {
             .iter()
             .zip(&self.cols[lo..hi])
             .map(|(&v, &c)| (v, c as usize))
-    }
-
-    /// The column-sorted copy of the stream, built on first use.
-    fn sorted_stream(&self) -> &SortedStream {
-        self.sorted
-            .get_or_init(|| stream::build_sorted(&self.row_ptr, &self.vals, &self.cols))
     }
 
     /// Computes `C = A × B`, allocating the output and scratch.
@@ -278,20 +252,10 @@ impl CompiledKernel {
         self.execute_opts(b, &ExecOptions::scalar())
     }
 
-    /// The tuning-relevant shape of executing this kernel at output
-    /// width `n` — what [`dispatch::select_shaped`] buckets a
-    /// [`KernelPolicy::Tuned`] selection by.
-    pub fn workload(&self, n: usize) -> tune::Workload {
-        tune::Workload::new(n, self.m, self.k, self.nnz())
-    }
-
     /// The core: resolves `opts` through the [`dispatch`] registry
-    /// shape-aware (tuned selection reads the cost table for this
-    /// workload's bucket; forced selection falls back cleanly when the
-    /// ISA is absent or poisoned), then panels B and runs the 2-D grid
-    /// with the chosen axpy over the chosen stream order. The axpy
-    /// phase is timed and folded back into the [`tune`] cost table —
-    /// every execution refines future tuned selections.
+    /// (forced selection falls back cleanly when the ISA is absent or
+    /// poisoned), then panels B and runs the 2-D grid with the chosen
+    /// axpy.
     ///
     /// Infallible convenience over
     /// [`CompiledKernel::try_execute_into_opts`] — panics on the
@@ -338,8 +302,7 @@ impl CompiledKernel {
                 got: scratch.len(),
             });
         }
-        let workload = self.workload(n);
-        let sel = dispatch::select_shaped(opts, Some(workload));
+        let sel = dispatch::select(opts);
         if sel.kind != KernelKind::Scalar {
             // Only the full-speed paths carry the injection point: the
             // degraded scalar path must stay fault-free so the ladder
@@ -352,7 +315,7 @@ impl CompiledKernel {
         // Phase 1: convert B F16→f32 once per panel, panel-major.
         panelize_into(b, scratch)?;
         // Phase 2: the shared grid over the freshly panelized scratch.
-        self.run_grid(&scratch[..self.k * n], n, c, sel, workload);
+        self.run_grid(&scratch[..self.k * n], n, c, sel);
         Ok(())
     }
 
@@ -390,8 +353,7 @@ impl CompiledKernel {
                 got: c.len(),
             });
         }
-        let workload = self.workload(n);
-        let sel = dispatch::select_shaped(opts, Some(workload));
+        let sel = dispatch::select(opts);
         if sel.kind != KernelKind::Scalar {
             fault::trip(points::EXECUTE);
         }
@@ -401,31 +363,16 @@ impl CompiledKernel {
         if n == 0 || self.m == 0 {
             return Ok(());
         }
-        self.run_grid(b.data(), n, c, sel, workload);
+        self.run_grid(b.data(), n, c, sel);
         Ok(())
     }
 
     /// Phase 2, shared by the two-phase and prepaneled entry points:
     /// the 2-D `(row block × panel)` grid over a panel-major `k × n`
-    /// f32 image of B, plus the axpy timing, tune-table feedback, and
-    /// observability counters. `scratch` must hold at least `k * n`
-    /// elements laid out by [`panelize_into`]'s contract.
-    fn run_grid(
-        &self,
-        scratch: &[f32],
-        n: usize,
-        c: &mut [f32],
-        sel: Selection,
-        workload: tune::Workload,
-    ) {
-        // Accumulation-order-changing stream copy only when the opt-in
-        // sorted variant was selected.
-        let (vals, cols): (&[f32], &[u32]) = if sel.sorted {
-            let s = self.sorted_stream();
-            (&s.vals, &s.cols)
-        } else {
-            (&self.vals, &self.cols)
-        };
+    /// f32 image of B, plus the axpy timing and observability counters.
+    /// `scratch` must hold at least `k * n` elements laid out by
+    /// [`panelize_into`]'s contract.
+    fn run_grid(&self, scratch: &[f32], n: usize, c: &mut [f32], sel: Selection) {
         let panels = panel_cuts(self.k, n);
 
         // Tasks own disjoint `(row block, panel)` rectangles of C, so
@@ -439,7 +386,7 @@ impl CompiledKernel {
         let axpy = sel.axpy;
         let c_ptr = SendPtr(c.as_mut_ptr());
         let c_ptr = &c_ptr;
-        let axpy_started = Instant::now();
+        let axpy_started = jigsaw_obs::enabled().then(Instant::now);
         tasks.into_par_iter().for_each(|(pb, rb)| {
             let (col0, w) = panels[pb];
             // Panel offsets are uniform (`pw` wide) except the last.
@@ -458,28 +405,22 @@ impl CompiledKernel {
                 // one task.
                 let c_row =
                     unsafe { std::slice::from_raw_parts_mut(c_ptr.0.add(row * n + col0), w) };
-                axpy(c_row, &vals[lo..hi], &cols[lo..hi], slab, w);
+                axpy(c_row, &self.vals[lo..hi], &self.cols[lo..hi], slab, w);
             }
         });
 
-        // Measured feedback: the axpy phase's wall time, normalized by
-        // the work it did (`nnz × n`), refines this (shape, sparsity,
-        // variant) cell of the cost table for future tuned selections.
-        let axpy_ns = axpy_started.elapsed().as_nanos() as u64;
-        tune::table().record(sel.kind, workload, (self.nnz() * n) as u64, axpy_ns);
-
-        if jigsaw_obs::enabled() {
+        if let Some(started) = axpy_started {
             let reg = jigsaw_obs::global();
             reg.counter("exec.compiled_runs").inc();
             reg.counter("exec.panels").add(panels.len() as u64);
-            reg.counter("exec.axpy_ns").add(axpy_ns);
+            reg.counter("exec.axpy_ns")
+                .add(started.elapsed().as_nanos() as u64);
             reg.counter(match sel.kind {
                 KernelKind::Scalar => "kernel.runs.scalar",
                 KernelKind::Avx2Fma => "kernel.runs.avx2_fma",
                 KernelKind::Avx512f => "kernel.runs.avx512f",
                 KernelKind::Neon => "kernel.runs.neon",
                 KernelKind::NarrowN => "kernel.runs.narrow_n",
-                KernelKind::SortedStream => "kernel.runs.sorted_stream",
             })
             .inc();
         }
@@ -807,63 +748,6 @@ mod tests {
             // exact, so every variant agrees bit-for-bit.
             assert_eq!(got, expect, "variant {}", kind.name());
         }
-    }
-
-    #[test]
-    fn tuned_execution_is_correct_and_feeds_the_cost_table() {
-        let (a, f) = setup(64, 96, 0.9, 4, 32, true, 5);
-        let b = dense_rhs(96, 24, ValueDist::SmallInt, 6);
-        let kernel = CompiledKernel::compile(&f);
-        let wl = kernel.workload(b.cols);
-        // Pre-seed this bucket (at a cost no real measurement can
-        // undercut) so tuned selection resolves deterministically to
-        // narrow_n and ensure_seeded never runs a live calibration
-        // inside the test process.
-        tune::table().seed_cell(KernelKind::NarrowN, wl, 1e-9);
-        let got = kernel.execute_opts(&b, &ExecOptions::tuned());
-        assert_eq!(
-            got,
-            a.matmul_reference(&b),
-            "tuned pick computes the product"
-        );
-        // The execution's measured axpy phase refined the cell it ran.
-        assert!(tune::table().cost(KernelKind::NarrowN, wl).is_some());
-    }
-
-    #[test]
-    fn sorted_stream_orders_columns_and_stays_within_tolerance() {
-        let a = VectorSparseSpec {
-            rows: 64,
-            cols: 128,
-            sparsity: 0.85,
-            v: 4,
-            dist: ValueDist::Uniform,
-            seed: 29,
-        }
-        .generate();
-        let b = dense_rhs(128, 24, ValueDist::Uniform, 30);
-        let plan = ReorderPlan::build(&a, &JigsawConfig::v4(32));
-        let f = JigsawFormat::build(&a, &plan, true);
-        let kernel = CompiledKernel::compile(&f);
-        let oracle = kernel.execute_scalar(&b);
-        let sorted = kernel.execute_opts(
-            &b,
-            &ExecOptions::from(KernelPolicy::Forced(KernelKind::SortedStream)),
-        );
-        let err = crate::exec::max_relative_error(&sorted, &oracle);
-        assert!(err < 1e-4, "sorted stream within tolerance, err {err}");
-        // The sorted copy is column-monotone within every row.
-        let s = kernel.sorted_stream();
-        for row in 0..kernel.m {
-            let lo = kernel.row_ptr[row] as usize;
-            let hi = kernel.row_ptr[row + 1] as usize;
-            assert!(
-                s.cols[lo..hi].windows(2).all(|w| w[0] <= w[1]),
-                "row {row} sorted"
-            );
-        }
-        // Built once, reported in the stream footprint.
-        assert!(kernel.stream_bytes() > kernel.nnz() * 8);
     }
 
     #[test]

@@ -120,34 +120,6 @@ impl From<FaultError> for PlanError {
     }
 }
 
-/// Why an [`crate::ExecOptions`] combination is invalid — returned by
-/// the validating `ExecOptions::builder()` so no contradictory option
-/// set ever reaches kernel selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OptionsError {
-    /// The sorted-stream opt-in was combined with a policy that can
-    /// never run the sorted variant (`Tuned`, or a force pinning a
-    /// different kernel) — the flag would be silently dead.
-    SortedStreamConflict {
-        /// The conflicting selection policy.
-        policy: crate::compiled::KernelPolicy,
-    },
-}
-
-impl fmt::Display for OptionsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OptionsError::SortedStreamConflict { policy } => write!(
-                f,
-                "sorted_stream opt-in conflicts with kernel policy {policy:?}: \
-                 only Auto (or Forced(SortedStream)) can run the sorted variant"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for OptionsError {}
-
 /// Why a compiled-kernel execution could not run over the buffers it
 /// was handed — the typed edges of
 /// `CompiledKernel::try_execute_into_opts`,

@@ -53,10 +53,10 @@ pub mod sync;
 pub use analysis::{forecast, jigsaw_expected_win, strip_census, ReorderForecast, StripCensus};
 pub use compiled::{
     panel_cuts, panel_width, panelize_into, panelize_parts_into, CompiledKernel, ExecOptions,
-    ExecOptionsBuilder, KernelKind, KernelPolicy, PanelizedB, Workload, PANEL_TARGET_BYTES,
+    KernelKind, KernelPolicy, PanelizedB, PANEL_TARGET_BYTES,
 };
 pub use config::{ConfigBuilder, JigsawConfig, MMA_N, MMA_TILE};
-pub use errors::{CompileError, ConfigError, ExecError, OptionsError, PlanError};
+pub use errors::{CompileError, ConfigError, ExecError, PlanError};
 pub use exec::{execute_fast, execute_via_fragments, max_relative_error};
 pub use fault::{FaultError, FaultKind, FaultSpec};
 pub use format::{format_source_column, JigsawFormat};

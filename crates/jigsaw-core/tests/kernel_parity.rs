@@ -11,11 +11,9 @@
 //!   rounding: bit-exact on integer-valued data, within the stated
 //!   tolerance (floored relative error ≤ 1e-5, ≈ 84 ulps at unit
 //!   scale) on arbitrary data,
-//! * the opt-in `sorted_stream` variant changes accumulation order and
-//!   is held to ≤ 1e-4,
-//! * forced selection works by name through the `JIGSAW_KERNEL`
-//!   environment variable, and a forced-but-absent ISA falls back
-//!   cleanly to a correct product — never a panic.
+//! * `KernelPolicy::Forced(kind)` selects each runnable variant, and a
+//!   forced-but-absent ISA falls back cleanly to a correct product —
+//!   never a panic.
 //!
 //! Variants whose ISA the host lacks are **skipped with a log line**
 //! (not silently passed) so CI output shows exactly what ran.
@@ -28,10 +26,6 @@ use jigsaw_core::{
     execute_fast, max_relative_error, CompiledKernel, ExecOptions, JigsawConfig, JigsawFormat,
     KernelKind, KernelPolicy, ReorderPlan,
 };
-
-/// Serializes tests that read or write the process-global
-/// `JIGSAW_KERNEL` environment variable.
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Options pinning one variant through the typed policy API.
 fn forced(kind: KernelKind) -> ExecOptions {
@@ -101,8 +95,7 @@ fn arb_matrix(dist: ValueDist) -> impl Strategy<Value = Matrix> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The scalar variant — forced explicitly, so immune to any
-    /// `JIGSAW_KERNEL` value — is bit-identical to `execute_fast` on
+    /// The forced scalar variant is bit-identical to `execute_fast` on
     /// arbitrary (non-integer) values, layouts, and odd N.
     #[test]
     fn scalar_is_bit_identical_to_execute_fast(
@@ -119,9 +112,8 @@ proptest! {
     }
 
     /// On integer-valued data every product and partial sum is exactly
-    /// representable, so fused rounding and reordered accumulation
-    /// both vanish: every runnable variant must be bit-identical to
-    /// the oracle.
+    /// representable, so fused rounding vanishes: every runnable
+    /// variant must be bit-identical to the oracle.
     #[test]
     fn all_variants_are_bit_exact_on_integer_data(
         a in arb_matrix(ValueDist::SmallInt),
@@ -169,8 +161,7 @@ proptest! {
     }
 
     /// On arbitrary values the fused same-order variants stay within
-    /// 1e-5 floored relative error of the scalar oracle; the
-    /// order-changing sorted stream stays within 1e-4.
+    /// 1e-5 floored relative error of the scalar oracle.
     #[test]
     fn fused_variants_stay_within_stated_tolerance(
         a in arb_matrix(ValueDist::Uniform),
@@ -182,15 +173,8 @@ proptest! {
         let oracle = kernel.execute_opts(&b, &ExecOptions::scalar());
         for &kind in available_for_proptest() {
             let got = kernel.execute_opts(&b, &forced(kind));
-            let bound = if kind == KernelKind::SortedStream { 1e-4 } else { 1e-5 };
             let err = max_relative_error(&got, &oracle);
-            prop_assert!(
-                err <= bound,
-                "variant {} err {} exceeds {}",
-                kind.name(),
-                err,
-                bound
-            );
+            prop_assert!(err <= 1e-5, "variant {} err {} exceeds 1e-5", kind.name(), err);
         }
     }
 }
@@ -205,7 +189,10 @@ fn available_for_proptest() -> &'static [KernelKind] {
 
 /// Fixed config exercising the edge shapes the proptest strategies
 /// only sometimes reach: an entirely empty strip, an empty leading
-/// strip, and N not divisible by any lane width.
+/// strip, and N not divisible by any lane width. Each variant is
+/// pinned through `KernelPolicy::Forced`, which must select it; the
+/// inputs include an ISA this host lacks, whose force must fall back
+/// to a runnable kernel — never a panic. Every product is bit-exact.
 #[test]
 fn every_variant_handles_empty_strips_and_odd_n() {
     // Rows 16..32 (the second of three strips) are all zero.
@@ -223,7 +210,13 @@ fn every_variant_handles_empty_strips_and_odd_n() {
         let (format, kernel) = compile(&a, true);
         let oracle = execute_fast(&format, &b);
         assert_eq!(oracle, a.matmul_reference(&b), "oracle sanity, n={n}");
-        for kind in runnable_variants() {
+        for kind in runnable_variants().into_iter().chain([absent_kind()]) {
+            let picked = dispatch::selected_kind(&forced(kind));
+            if kind.available() {
+                assert_eq!(picked, kind, "Forced({kind:?}) selects it");
+            } else {
+                assert!(picked.available(), "absent {kind:?} falls back");
+            }
             assert_eq!(
                 kernel.execute_opts(&b, &forced(kind)),
                 oracle,
@@ -232,86 +225,4 @@ fn every_variant_handles_empty_strips_and_odd_n() {
             );
         }
     }
-}
-
-/// `JIGSAW_KERNEL=<name>` forces each runnable variant by name (both
-/// full and short spellings), and the forced run still computes the
-/// right product.
-#[test]
-fn env_var_forces_each_available_variant_by_name() {
-    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    dispatch::unpoison_all();
-    let a = VectorSparseSpec {
-        rows: 32,
-        cols: 64,
-        sparsity: 0.9,
-        v: 4,
-        dist: ValueDist::SmallInt,
-        seed: 41,
-    }
-    .generate();
-    let b = dense_rhs(64, 9, ValueDist::SmallInt, 42);
-    let (format, kernel) = compile(&a, true);
-    let oracle = execute_fast(&format, &b);
-    for kind in runnable_variants() {
-        for name in [kind.name().to_string(), kind.name().to_uppercase()] {
-            std::env::set_var("JIGSAW_KERNEL", &name);
-            assert_eq!(
-                dispatch::selected_kind(&ExecOptions::default()),
-                kind,
-                "JIGSAW_KERNEL={name} selects {kind:?}"
-            );
-            assert_eq!(
-                kernel.execute_opts(&b, &ExecOptions::default()),
-                oracle,
-                "JIGSAW_KERNEL={name} computes the product"
-            );
-        }
-    }
-    std::env::remove_var("JIGSAW_KERNEL");
-}
-
-/// Forcing an ISA the host lacks — by env var or by options — never
-/// panics: selection falls back to a runnable kernel and the product
-/// is still bit-exact on integer data.
-#[test]
-fn forcing_an_absent_isa_falls_back_to_a_correct_product() {
-    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    dispatch::unpoison_all();
-    let absent = absent_kind();
-    assert!(!absent.available(), "picked a truly absent ISA");
-    let a = VectorSparseSpec {
-        rows: 48,
-        cols: 80,
-        sparsity: 0.85,
-        v: 2,
-        dist: ValueDist::SmallInt,
-        seed: 51,
-    }
-    .generate();
-    let b = dense_rhs(80, 11, ValueDist::SmallInt, 52);
-    let (format, kernel) = compile(&a, false);
-    let oracle = execute_fast(&format, &b);
-
-    let sel = dispatch::selected_kind(&forced(absent));
-    assert_ne!(sel, absent, "absent force resolves elsewhere");
-    assert!(sel.available(), "fallback is runnable");
-    assert_eq!(kernel.execute_opts(&b, &forced(absent)), oracle);
-
-    std::env::set_var("JIGSAW_KERNEL", absent.name());
-    assert_eq!(kernel.execute_opts(&b, &ExecOptions::default()), oracle);
-    std::env::remove_var("JIGSAW_KERNEL");
-}
-
-/// An unparseable `JIGSAW_KERNEL` value is ignored (auto selection),
-/// not an error.
-#[test]
-fn garbage_env_value_is_ignored() {
-    let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    dispatch::unpoison_all();
-    std::env::set_var("JIGSAW_KERNEL", "warp-specialized");
-    let kind = dispatch::selected_kind(&ExecOptions::default());
-    std::env::remove_var("JIGSAW_KERNEL");
-    assert!(kind.available());
-    assert_ne!(kind, KernelKind::SortedStream, "auto never picks sorted");
 }

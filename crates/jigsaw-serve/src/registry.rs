@@ -11,12 +11,6 @@
 //!
 //! Every fetch is classified hit / planned / disk-loaded and counted,
 //! which is what the serving experiment's warm-vs-cold axis reads.
-//!
-//! The disk tier also carries the process-global kernel-tuning cost
-//! table (`tune_table.jgtn`): [`ModelRegistry::new`] reloads a
-//! persisted table bit-exactly, so a warm restart resumes with its
-//! measured kernel rankings and skips recalibration, and
-//! [`ModelRegistry::persist_tuning`] writes the current table back.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -30,7 +24,6 @@ use std::time::{Duration, Instant};
 use dlmc::Matrix;
 use gpu_sim::{GpuSpec, KernelStats};
 use jigsaw_core::compiled::dispatch;
-use jigsaw_core::compiled::tune;
 use jigsaw_core::fault::{self, points, FaultKind};
 use jigsaw_core::serialize;
 use jigsaw_core::{
@@ -46,14 +39,6 @@ use crate::batch::{assemble_panels, concat_columns, BatchError};
 /// transient fault either clears immediately or is not transient.
 const ARTIFACT_LOAD_ATTEMPTS: u32 = 3;
 const ARTIFACT_RETRY_BASE: Duration = Duration::from_micros(100);
-
-/// File name of the persisted kernel-tuning cost table inside the
-/// artifact directory.
-const TUNE_TABLE_FILE: &str = "tune_table.jgtn";
-
-/// Where a tune table that failed to parse is renamed aside: kept for
-/// debugging, never re-read on later restarts.
-const TUNE_TABLE_QUARANTINE_FILE: &str = "tune_table.jgtn.corrupt";
 
 /// Registry configuration.
 #[derive(Clone, Debug)]
@@ -166,17 +151,10 @@ impl PlannedModel {
     /// Marks this model's full-speed rung unusable and poisons the
     /// dispatch variant that was executing, so the resilience ladder
     /// retires a single bad microkernel process-wide while this model
-    /// drops to its bit-exact scalar rung. Shape-aware: a tuned
-    /// selection resolves through the cost table for the panicking
-    /// execution's workload, so the variant that actually ran is the
-    /// one that gets poisoned.
-    fn poison_after_panic(&self, simd_poisoned: &AtomicBool, n: usize) {
+    /// drops to its bit-exact scalar rung.
+    fn poison_after_panic(&self, simd_poisoned: &AtomicBool) {
         simd_poisoned.store(true, Ordering::Relaxed);
-        let workload = match &self.exec {
-            ExecPlan::Compiled { kernel, .. } => Some(kernel.workload(n)),
-            ExecPlan::FormatFallback => None,
-        };
-        dispatch::poison(dispatch::selected_kind_shaped(&self.exec_options, workload));
+        dispatch::poison(dispatch::selected_kind(&self.exec_options));
         count_degrade("degrade.exec");
     }
 
@@ -193,7 +171,7 @@ impl PlannedModel {
                     }));
                     match run {
                         Ok(c) => return c,
-                        Err(_) => self.poison_after_panic(simd_poisoned, b.cols),
+                        Err(_) => self.poison_after_panic(simd_poisoned),
                     }
                 }
                 kernel.execute_scalar(b)
@@ -221,7 +199,7 @@ impl PlannedModel {
                     match ran {
                         Ok(()) => return c,
                         Err(_) => {
-                            self.poison_after_panic(simd_poisoned, b.cols);
+                            self.poison_after_panic(simd_poisoned);
                             c.fill(0.0);
                         }
                     }
@@ -289,7 +267,7 @@ impl PlannedModel {
                         Err(_) => {
                             jigsaw_obs::global().counter("batch.fused_fallbacks").inc();
                             if assembled {
-                                self.poison_after_panic(simd_poisoned, total_n);
+                                self.poison_after_panic(simd_poisoned);
                             }
                         }
                     }
@@ -530,40 +508,9 @@ pub struct ModelRegistry {
 
 impl ModelRegistry {
     /// Creates a registry (and the artifact directory, if configured).
-    ///
-    /// When the artifact directory holds a persisted kernel-tuning
-    /// cost table (written by [`ModelRegistry::persist_tuning`] on a
-    /// previous run), it is reloaded bit-exactly into the
-    /// process-global table — the warm restart resumes with its
-    /// measured kernel rankings and tuned selection skips the
-    /// calibration pass. A corrupt table is **quarantined**, never an
-    /// error: the bytes are counted on `tune.table_load_errors`, the
-    /// file is renamed aside to `tune_table.jgtn.corrupt` (counted on
-    /// `tune.table_quarantined`) so the next restart doesn't re-parse
-    /// known-bad bytes — and the poisoned evidence survives for
-    /// debugging instead of being overwritten by the next
-    /// [`persist_tuning`](ModelRegistry::persist_tuning). Tuning
-    /// regrows from calibration, and models still serve. The read
-    /// crosses the `registry.artifact_load` fault point, so chaos
-    /// harnesses can corrupt it in flight.
     pub fn new(cfg: RegistryConfig) -> io::Result<ModelRegistry> {
         if let Some(dir) = &cfg.artifact_dir {
             std::fs::create_dir_all(dir)?;
-            let table_path = dir.join(TUNE_TABLE_FILE);
-            // The existence probe keeps registries without a persisted
-            // table from consuming a fault-point hit on construction.
-            if table_path.exists() {
-                if let Ok(bytes) = read_artifact_once(&table_path) {
-                    if tune::table().load_bytes(&bytes).is_err() {
-                        jigsaw_obs::global().counter("tune.table_load_errors").inc();
-                        if std::fs::rename(&table_path, dir.join(TUNE_TABLE_QUARANTINE_FILE))
-                            .is_ok()
-                        {
-                            jigsaw_obs::global().counter("tune.table_quarantined").inc();
-                        }
-                    }
-                }
-            }
         }
         Ok(ModelRegistry {
             cfg,
@@ -743,18 +690,6 @@ impl ModelRegistry {
         Ok(cold)
     }
 
-    /// Persists the process-global kernel-tuning cost table into the
-    /// artifact directory (bit-exact serialization), so the next
-    /// registry constructed over the same directory resumes tuned.
-    /// Returns `false` when no artifact directory is configured.
-    pub fn persist_tuning(&self) -> io::Result<bool> {
-        let Some(dir) = &self.cfg.artifact_dir else {
-            return Ok(false);
-        };
-        std::fs::write(dir.join(TUNE_TABLE_FILE), tune::table().to_bytes())?;
-        Ok(true)
-    }
-
     /// Drops every resident plan (artifacts remain on disk), as if the
     /// server restarted with a cold cache.
     pub fn drop_resident(&self) {
@@ -890,70 +825,6 @@ mod tests {
         let z = &default_zoo(40)[0];
         reg.register(&z.name, z.weights(), z.config);
         assert!(reg.get("attention-small").unwrap().sim_memo.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The acceptance check for tuned warm restarts: a cost table
-    /// persisted through the registry's artifact directory is reloaded
-    /// bit-exactly by the next registry over the same directory, and
-    /// the reloaded table counts as seeded — `ensure_seeded` skips the
-    /// calibration pass instead of overwriting the measurements.
-    #[test]
-    fn tune_table_persists_through_artifacts_and_warm_restart_skips_recalibration() {
-        use jigsaw_core::KernelKind;
-        let dir = std::env::temp_dir().join("jigsaw-serve-tune-persist-test");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Seed the global table with a sentinel cell no online record
-        // can produce on this host: Neon is unavailable on x86 (and
-        // the cost is distinctive either way).
-        let wl = tune::Workload {
-            n: 70_000,
-            density: 0.77,
-        };
-        let table = tune::table();
-        table.seed_cell(KernelKind::Neon, wl, 0.123_456_789);
-        let expected = table.cost(KernelKind::Neon, wl).unwrap();
-
-        let reg = registry_with_zoo(usize::MAX, Some(dir.clone()));
-        assert!(reg.persist_tuning().unwrap(), "artifact dir configured");
-        assert!(dir.join(TUNE_TABLE_FILE).exists());
-
-        // Simulate a restart: wipe the in-process table, then build a
-        // fresh registry over the same artifact directory.
-        table.clear();
-        assert!(!table.is_seeded());
-        let _warm = registry_with_zoo(usize::MAX, Some(dir.clone()));
-        assert!(table.is_seeded(), "reload marks the table seeded");
-        let reloaded = table.cost(KernelKind::Neon, wl).unwrap();
-        assert_eq!(
-            reloaded.to_bits(),
-            expected.to_bits(),
-            "persisted cost survives the restart bit-exactly"
-        );
-        // Seeded tables skip calibration entirely on first tuned use.
-        let before = table.len();
-        table.ensure_seeded();
-        assert_eq!(table.len(), before, "no recalibration after reload");
-
-        // A registry without a tuning artifact is unaffected, and a
-        // corrupt artifact is quarantined without failing construction:
-        // renamed aside so the next restart doesn't re-parse known-bad
-        // bytes, and kept on disk as debugging evidence.
-        assert!(!registry_with_zoo(usize::MAX, None)
-            .persist_tuning()
-            .unwrap());
-        std::fs::write(dir.join(TUNE_TABLE_FILE), b"JGTNgarbage").unwrap();
-        let _still_ok = registry_with_zoo(usize::MAX, Some(dir.clone()));
-        assert!(
-            !dir.join(TUNE_TABLE_FILE).exists(),
-            "corrupt table moved out of the load path"
-        );
-        assert_eq!(
-            std::fs::read(dir.join(TUNE_TABLE_QUARANTINE_FILE)).unwrap(),
-            b"JGTNgarbage",
-            "quarantine preserves the poisoned bytes verbatim"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

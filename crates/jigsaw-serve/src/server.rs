@@ -458,18 +458,13 @@ impl Server {
     }
 
     /// Stops admission, drains every queued request, joins the
-    /// workers, and returns the final metrics. Before returning, the
-    /// kernel-tuning cost table is persisted into the registry's
-    /// artifact directory (when one is configured) so the next server
-    /// over the same directory restarts warm — best-effort, a write
-    /// failure never fails shutdown.
+    /// workers, and returns the final metrics.
     pub fn shutdown(mut self) -> ServeMetrics {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        let _ = self.registry.persist_tuning();
         let metrics = self.metrics();
         debug_assert_eq!(
             lock_recover(&self.shared.queues).depth,
@@ -1025,10 +1020,7 @@ mod tests {
     /// the batches really did run fused (`batch.fused_runs` advanced).
     #[test]
     fn steady_state_stays_zero_alloc_with_fused_assembly() {
-        let fused = jigsaw_core::ExecOptions::builder()
-            .fused_assembly(true)
-            .build()
-            .unwrap();
+        let fused = jigsaw_core::ExecOptions::default().with_fused_assembly(true);
         let reg = ModelRegistry::new(RegistryConfig {
             exec_options: fused,
             ..RegistryConfig::default()

@@ -19,8 +19,9 @@ use std::time::Duration;
 
 use dlmc::{dense_rhs, ValueDist};
 use gpu_sim::GpuSpec;
+use jigsaw_core::compiled::dispatch::{self, ALL_KERNELS};
 use jigsaw_core::fault::{self, points, FaultKind, FaultSpec};
-use jigsaw_core::{execute_fast, CompiledKernel};
+use jigsaw_core::{execute_fast, CompiledKernel, ExecOptions, KernelKind, KernelPolicy};
 use jigsaw_serve::{
     default_zoo, generate_zipf_schedule, scaled_zoo, simulate_schedule, simulate_sharded,
     AdmitError, BreakerConfig, BreakerState, HealthConfig, HedgeConfig, ModelRegistry,
@@ -138,10 +139,7 @@ fn killed_worker_mid_batch_fails_all_waiters_and_respawns() {
 #[test]
 fn assembly_fault_degrades_to_unfused_path_without_hangs() {
     let _g = guard();
-    let fused_opts = jigsaw_core::ExecOptions::builder()
-        .fused_assembly(true)
-        .build()
-        .unwrap();
+    let fused_opts = ExecOptions::default().with_fused_assembly(true);
     let reg = ModelRegistry::new(RegistryConfig {
         exec_options: fused_opts,
         ..RegistryConfig::default()
@@ -406,67 +404,6 @@ fn persistent_artifact_corruption_is_a_typed_error_then_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A kernel-tuning table corrupted in flight (CorruptBytes at the
-/// artifact-load fault point) must not fail registry construction: the
-/// poisoned file is quarantined aside as `tune_table.jgtn.corrupt`,
-/// counted, and the registry serves normally — tuning regrows from
-/// calibration.
-#[test]
-fn corrupt_tune_table_is_quarantined_not_fatal() {
-    let _g = guard();
-    let dir = std::env::temp_dir().join(format!("jigsaw-chaos-tune-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    // Persist a valid table into the artifact dir.
-    let reg = ModelRegistry::new(RegistryConfig {
-        artifact_dir: Some(dir.clone()),
-        ..RegistryConfig::default()
-    })
-    .unwrap();
-    assert!(reg.persist_tuning().unwrap(), "artifact dir configured");
-    drop(reg);
-    assert!(dir.join("tune_table.jgtn").exists());
-
-    let quarantined_before = jigsaw_obs::global().counter("tune.table_quarantined").get();
-    fault::set_seed(chaos_seed(0xC0FFEE));
-    fault::inject(FaultSpec::once(
-        points::ARTIFACT_LOAD,
-        FaultKind::CorruptBytes,
-    ));
-    // Construction survives the scrambled read.
-    let reg = ModelRegistry::new(RegistryConfig {
-        artifact_dir: Some(dir.clone()),
-        ..RegistryConfig::default()
-    })
-    .expect("corrupt tune table never fails construction");
-    fault::reset();
-    assert!(
-        jigsaw_obs::global().counter("tune.table_quarantined").get() > quarantined_before,
-        "quarantine was counted"
-    );
-    assert!(
-        !dir.join("tune_table.jgtn").exists(),
-        "poisoned table moved out of the load path"
-    );
-    assert!(
-        dir.join("tune_table.jgtn.corrupt").exists(),
-        "poisoned bytes kept for debugging"
-    );
-    // The registry still serves.
-    for m in default_zoo(77).into_iter().take(1) {
-        reg.register(&m.name, m.weights(), m.config);
-    }
-    let name = reg.model_names().remove(0);
-    reg.get(&name).expect("registry serves after quarantine");
-    // The next restart sees no table file at all — nothing re-parses
-    // the known-bad bytes.
-    let _clean = ModelRegistry::new(RegistryConfig {
-        artifact_dir: Some(dir.clone()),
-        ..RegistryConfig::default()
-    })
-    .unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // ---------------------------------------------------------------------
 // Graceful degradation: compile failure and SIMD poisoning
 // ---------------------------------------------------------------------
@@ -507,68 +444,50 @@ fn compile_failure_degrades_with_bit_identical_results() {
 }
 
 /// A SIMD-path panic poisons that rung in place; the scalar rung
-/// recomputes the same batch and every later one.
+/// recomputes the same batch and every later one. Under the auto
+/// ladder and under a pinned non-auto variant alike, the panic poisons
+/// exactly the variant that ran, process-wide, and no other.
 #[test]
 fn simd_panic_poisons_to_scalar_with_correct_results() {
     let _g = guard();
-    let reg = registry(1);
-    let name = reg.model_names().remove(0);
-    let model = reg.get(&name).unwrap();
-    assert!(!model.is_degraded());
-    let b = dense_rhs(model.k(), 8, ValueDist::SmallInt, 7);
-    let expect = execute_fast(&model.format, &b);
-    fault::inject(FaultSpec::once(points::EXECUTE, FaultKind::Panic));
-    assert_eq!(
-        model.execute(&b),
-        expect,
-        "panicked run recomputed on scalar"
-    );
-    fault::reset();
-    assert!(model.is_degraded(), "SIMD rung is sticky-poisoned");
-    assert_eq!(model.execute(&b), expect, "later runs stay correct");
-}
-
-/// Tuned selection under chaos: a panic out of the cost table's
-/// measured winner poisons exactly that variant (shape-aware
-/// poisoning), and the next execution slides to the next-cheapest
-/// *unpoisoned* candidate — serving stays correct throughout, and the
-/// poisoned winner never resurrects.
-#[test]
-fn tuned_winner_panic_falls_back_to_next_cheapest_unpoisoned_variant() {
-    use jigsaw_core::compiled::{dispatch, tune};
-    use jigsaw_core::{ExecOptions, KernelKind};
-
-    let _g = guard();
-    dispatch::unpoison_all();
-    let reg = ModelRegistry::new(RegistryConfig::default()).unwrap();
-    let m = &default_zoo(78)[0];
-    reg.register_with_options("tuned-model", m.weights(), m.config, ExecOptions::tuned());
-    let model = reg.get("tuned-model").unwrap();
-    let b = dense_rhs(model.k(), 8, ValueDist::SmallInt, 9);
-    let expect = execute_fast(&model.format, &b);
-
-    // Rank the portable candidates for this model's exact workload
-    // bucket at costs no real measurement can beat: narrow_n wins,
-    // scalar is the runner-up.
-    let wl = CompiledKernel::compile(&model.format).workload(8);
-    let table = tune::table();
-    table.seed_cell(KernelKind::NarrowN, wl, 1e-12);
-    table.seed_cell(KernelKind::Scalar, wl, 2e-12);
-    assert_eq!(
-        dispatch::selected_kind_shaped(&ExecOptions::tuned(), Some(wl)),
-        KernelKind::NarrowN,
-        "cost table ranks the seeded winner first"
-    );
-
-    // The winner panics mid-execution: the run recomputes on the
-    // degrade ladder and exactly the tuned pick is poisoned.
-    fault::inject(FaultSpec::once(points::EXECUTE, FaultKind::Panic));
-    assert_eq!(model.execute(&b), expect, "panicked run still answers");
-    fault::reset();
-    assert!(model.is_degraded(), "tuned winner is sticky-poisoned");
-    let next = dispatch::selected_kind_shaped(&ExecOptions::tuned(), Some(wl));
-    assert_ne!(next, KernelKind::NarrowN, "poisoned winner is skipped");
-    assert_eq!(model.execute(&b), expect, "fallback keeps serving");
+    let m = &default_zoo(77)[0];
+    for policy in [
+        KernelPolicy::Auto,
+        KernelPolicy::Forced(KernelKind::NarrowN),
+    ] {
+        dispatch::unpoison_all();
+        let opts = ExecOptions::from(policy);
+        let ran = dispatch::selected_kind(&opts);
+        let reg = ModelRegistry::new(RegistryConfig::default()).unwrap();
+        reg.register_with_options(&m.name, m.weights(), m.config, opts);
+        let model = reg.get(&m.name).unwrap();
+        assert!(!model.is_degraded());
+        let b = dense_rhs(model.k(), 8, ValueDist::SmallInt, 7);
+        let expect = execute_fast(&model.format, &b);
+        fault::inject(FaultSpec::once(points::EXECUTE, FaultKind::Panic));
+        assert_eq!(
+            model.execute(&b),
+            expect,
+            "{policy:?}: panicked run recomputed on scalar"
+        );
+        fault::reset();
+        assert!(
+            model.is_degraded(),
+            "{policy:?}: SIMD rung is sticky-poisoned"
+        );
+        for kind in ALL_KERNELS.into_iter().filter(|&k| k != KernelKind::Scalar) {
+            assert_eq!(
+                dispatch::is_poisoned(kind),
+                kind == ran,
+                "{policy:?}: only {ran:?} is poisoned, not {kind:?}"
+            );
+        }
+        assert_eq!(
+            model.execute(&b),
+            expect,
+            "{policy:?}: later runs stay correct"
+        );
+    }
     dispatch::unpoison_all();
 }
 

@@ -117,7 +117,7 @@ fn registry_fused_batch_matches_unfused_bit_exactly() {
         seed: 11,
     }
     .generate();
-    let fused_opts = ExecOptions::builder().fused_assembly(true).build().unwrap();
+    let fused_opts = ExecOptions::default().with_fused_assembly(true);
     let reg = ModelRegistry::new(RegistryConfig::default()).unwrap();
     reg.register_with_options("fused", weights.clone(), JigsawConfig::v4(32), fused_opts);
     reg.register("unfused", weights, JigsawConfig::v4(32));
