@@ -5,10 +5,13 @@
 //! For every N, one row is emitted per variant the host can run
 //! (`jigsaw_core::compiled::dispatch`), each pinned through
 //! `KernelPolicy::Forced`, so the export shows the ISA ladder side by
-//! side: `scalar` is the portable floor, `avx2_fma` is the row CI
-//! floors, `narrow_n` is the FlashSparse-style register-blocked variant
-//! for skinny N, and `avx512f`/`neon` ride along where the host
-//! supports them.
+//! side. Every variant runs once per vector-row group (at v=4, one
+//! call covers four rows that share a column stream): `avx2_fma` (the
+//! row CI floors) and `avx512f` hold the group's rows in register
+//! blocks, so each B vector they load feeds all four rows; `scalar`
+//! (the portable floor), `neon` and `narrow_n` (the FlashSparse-style
+//! register-blocked row kernel for skinny N) apply the group row by
+//! row.
 //!
 //! Each variant row also gets a `fusion=on` twin that times
 //! `execute_prepaneled_into_opts` over a prebuilt panel image — the
@@ -20,8 +23,9 @@
 //! Emits `results/BENCH_exec.json`, the committed perf baseline that
 //! `check_bench --perf` gates CI against. The gated quantity is the
 //! *speedup ratio* (variant over fast, both measured in the same
-//! process on the same machine), which is stable across host speeds in
-//! a way absolute wall times are not; every row gates against its own
+//! process on the same machine, their repetitions alternated so host
+//! drift during the run hits both), which is stable across host speeds
+//! in a way absolute wall times are not; every row gates against its own
 //! `(shape, variant, fusion)` baseline row, with the absolute
 //! `required_speedup` floor applied to the `avx2_fma` rows only, so
 //! baselines regenerated on exotic hosts do not move the bar.
@@ -54,9 +58,10 @@ pub struct ShapeResult {
     /// the serve fused hot path, where panelization already happened
     /// at batch assembly.
     pub fusion: String,
-    /// Best-of-k wall time of `execute_fast`, milliseconds.
+    /// Best wall time of `execute_fast`, milliseconds, timed in
+    /// alternation with this row's compiled variant.
     pub fast_ms: f64,
-    /// Best-of-k wall time of the compiled variant, milliseconds.
+    /// Best wall time of the compiled variant, milliseconds.
     pub compiled_ms: f64,
     /// Machine-neutral ratio: `fast_ms / compiled_ms`.
     pub speedup: f64,
@@ -77,14 +82,40 @@ pub struct ExecBench {
     pub required_speedup: f64,
 }
 
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+fn time_ms<R>(f: &mut impl FnMut() -> R) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Fewest alternated repetitions [`paired_best_of`] times.
+const MIN_PAIRS: usize = 7;
+
+/// Shortest wall time [`paired_best_of`] spends per row, seconds: at
+/// small N the compiled kernel runs in under 2 ms, and a minimum over
+/// a handful of reps is still at the mercy of neighbours on a shared
+/// host.
+const MIN_PAIRED_SECS: f64 = 1.0;
+
+/// Best wall times, in milliseconds, of `execute_fast` (`fast`) and
+/// one compiled variant (`compiled`), timed in alternation for at least
+/// [`MIN_PAIRS`] pairs and [`MIN_PAIRED_SECS`]. Host speed drifts over
+/// seconds on shared machines; pairing every compiled rep with a fast
+/// rep lets the drift hit both sides of the speedup ratio alike instead
+/// of only one.
+fn paired_best_of<R, S>(
+    mut fast: impl FnMut() -> R,
+    mut compiled: impl FnMut() -> S,
+) -> (f64, f64) {
+    let started = Instant::now();
+    let (mut best_fast, mut best_compiled) = (f64::INFINITY, f64::INFINITY);
+    let mut pairs = 0;
+    while pairs < MIN_PAIRS || started.elapsed().as_secs_f64() < MIN_PAIRED_SECS {
+        best_fast = best_fast.min(time_ms(&mut fast));
+        best_compiled = best_compiled.min(time_ms(&mut compiled));
+        pairs += 1;
     }
-    best
+    (best_fast, best_compiled)
 }
 
 fn main() {
@@ -129,7 +160,7 @@ fn main() {
     for &n in &[16usize, 64, 256] {
         let b: Matrix = dense_rhs(k, n, ValueDist::Uniform, 7);
         let oracle = execute_fast(&spmm.format, &b);
-        let fast_ms = best_of(3, || execute_fast(&spmm.format, &b));
+        let fast = || execute_fast(&spmm.format, &b);
         for &kind in &variants {
             let opts = ExecOptions::from(KernelPolicy::Forced(kind));
             // Parity first: the bench never times a wrong kernel. The
@@ -142,7 +173,7 @@ fn main() {
                 let err = max_relative_error(&c, &oracle);
                 assert!(err < 1e-4, "{} parity, err {err}", kind.name());
             }
-            let compiled_ms = best_of(5, || kernel.execute_opts(&b, &opts));
+            let (fast_ms, compiled_ms) = paired_best_of(fast, || kernel.execute_opts(&b, &opts));
             let speedup = fast_ms / compiled_ms;
             println!(
                 "N={n:4}  {:<13} fast {fast_ms:9.2} ms   compiled {compiled_ms:8.2} ms   speedup {speedup:.2}x",
@@ -188,7 +219,7 @@ fn main() {
                 let err = max_relative_error(&c_buf, &oracle);
                 assert!(err < 1e-4, "{} prepaneled parity, err {err}", kind.name());
             }
-            let compiled_ms = best_of(5, || {
+            let (fast_ms, compiled_ms) = paired_best_of(fast, || {
                 kernel
                     .execute_prepaneled_into_opts(&prepaneled, &mut c_buf, &opts)
                     .expect("prepaneled execute")

@@ -18,14 +18,105 @@
 //! caught panic) removes it from selection process-wide and bumps
 //! `degrade.kernel.<name>`; the scalar floor can never be poisoned.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use super::kernels_scalar::{axpy_panel_narrow_portable, axpy_panel_scalar};
+use super::kernels_scalar::{axpy_group_narrow_portable, axpy_group_scalar};
+use super::GROUP_ROWS;
 
-/// Per-row microkernel signature: one row's nonzero stream against one
-/// converted B panel (`slab`, panel-major `k × w` f32), accumulating
-/// into the row's C segment of width `w`.
-pub type AxpyFn = fn(&mut [f32], &[f32], &[u32], &[f32], usize);
+/// Microkernel signature: one vector-row group's shared nonzero stream
+/// against one converted B panel (`slab`, panel-major `k × w` f32),
+/// accumulating into the group's `h` C rows ([`GroupC`]). `vals` holds
+/// the `h` rows' values interleaved per nonzero (`vals[i * h + r]` is
+/// row `r`'s value at `cols[i]`).
+pub(crate) type AxpyFn = fn(GroupC<'_>, &[f32], &[u32], &[f32]);
+
+/// The C side of one microkernel call: the `h` rows of one vector-row
+/// group, cut down to one B panel's `w` columns. Row `r` is the `w`
+/// floats starting `r · ldc` past the base pointer, so consecutive
+/// rows never overlap (`w <= ldc`). Only the execution grid builds
+/// one, from the `(row block × panel)` rectangle of C its task owns.
+#[derive(Debug)]
+pub(crate) struct GroupC<'a> {
+    base: *mut f32,
+    ldc: usize,
+    h: usize,
+    w: usize,
+    _rows: PhantomData<&'a mut [f32]>,
+}
+
+impl<'a> GroupC<'a> {
+    /// The `h × w` rectangle whose row `r` is `c[offset + r·ldc ..][..w]`
+    /// of the `c_len`-float buffer at `c`. Asserts `1 <= h <=
+    /// GROUP_ROWS`, non-overlapping rows, and that the extent
+    /// `offset + (h−1)·ldc + w` stays inside the buffer.
+    ///
+    /// # Safety
+    ///
+    /// `c` must be valid for reads and writes of `c_len` floats for
+    /// `'a`, and nothing else may access the rectangle's elements
+    /// during `'a`.
+    pub(crate) unsafe fn from_raw(
+        c: *mut f32,
+        c_len: usize,
+        offset: usize,
+        ldc: usize,
+        h: usize,
+        w: usize,
+    ) -> GroupC<'a> {
+        assert!((1..=GROUP_ROWS).contains(&h), "group height {h}");
+        assert!(h == 1 || w <= ldc, "group rows overlap");
+        assert!(offset + (h - 1) * ldc + w <= c_len, "group extent in C");
+        GroupC {
+            base: c.add(offset),
+            ldc,
+            h,
+            w,
+            _rows: PhantomData,
+        }
+    }
+
+    /// Rows in the group (`h`).
+    pub(crate) fn rows(&self) -> usize {
+        self.h
+    }
+
+    /// Columns per row (`w`, the B panel width).
+    pub(crate) fn width(&self) -> usize {
+        self.w
+    }
+
+    /// Row `r` as an exclusive slice, for kernels that apply the group
+    /// row by row.
+    pub(crate) fn row(&mut self, r: usize) -> &mut [f32] {
+        assert!(r < self.h);
+        // SAFETY: the constructor proved row `r` lies inside the
+        // caller-owned rectangle; `&mut self` makes the slice unique.
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(r * self.ldc), self.w) }
+    }
+
+    /// Raw pointer to column `start` of row `r`, for the
+    /// register-blocked kernels (which stay inside `w` columns).
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn row_ptr(&mut self, r: usize, start: usize) -> *mut f32 {
+        assert!(r < self.h && start <= self.w);
+        // SAFETY: in bounds of row `r` per the constructor's extent check.
+        unsafe { self.base.add(r * self.ldc + start) }
+    }
+}
+
+/// The entry assertions every variant's safe wrapper makes once per
+/// group call: `h` values per shared column, and every column a row of
+/// the `w`-wide slab. With [`GroupC`]'s own extent check these are all
+/// the raw-pointer kernels rely on.
+pub(crate) fn assert_group_args(c: &GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
+    assert_eq!(vals.len(), c.h * cols.len(), "h values per column");
+    let rows = slab.len() / c.w.max(1);
+    assert!(
+        cols.iter().all(|&col| (col as usize) < rows),
+        "B row in slab"
+    );
+}
 
 /// The named microkernel variants of the dispatch registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -33,18 +124,23 @@ pub enum KernelKind {
     /// Sequential f32 adds, bit-identical to `execute_fast` — the
     /// semantic reference and the un-poisonable floor.
     Scalar,
-    /// 8-lane AVX2 with fused multiply-adds (x86-64).
+    /// 8-lane AVX2 with fused multiply-adds (x86-64): each group's
+    /// rows held in a register block of `⌈8 / h⌉` YMM per row (12 for
+    /// a single row).
     Avx2Fma,
-    /// 16-lane AVX-512F with fused multiply-adds (x86-64).
+    /// 16-lane AVX-512F with fused multiply-adds (x86-64): each group's
+    /// rows held in a register block of `16 / h` ZMM per row.
     Avx512f,
-    /// 4×f32x4 NEON with fused multiply-adds (aarch64).
+    /// 4×f32x4 NEON with fused multiply-adds (aarch64), row by row.
     Neon,
     /// FlashSparse-style narrow-N kernel: holds the whole C row in
-    /// registers across the row's entire nonzero stream (≤64-column
-    /// blocks), so narrow outputs stop round-tripping C through memory
-    /// once per nonzero and tails stop wasting vector lanes. Runs an
-    /// AVX2+FMA register-block where available and a portable fused
-    /// block everywhere else — always runnable, like the scalar floor.
+    /// registers across the row's entire nonzero stream, one row of
+    /// the group at a time, so narrow outputs stop round-tripping C
+    /// through memory once per nonzero and tails stop wasting vector
+    /// lanes. Runs the single-row case of the `avx2_fma` group kernel
+    /// where AVX2+FMA is available and a portable fused block (≤64
+    /// columns) everywhere else — always runnable, like the scalar
+    /// floor.
     NarrowN,
 }
 
@@ -138,18 +234,18 @@ impl KernelKind {
     /// [`KernelKind::available`]; the scalar floor backs the rest).
     fn axpy(self) -> AxpyFn {
         match self {
-            KernelKind::Scalar => axpy_panel_scalar,
-            KernelKind::NarrowN => axpy_panel_narrow,
+            KernelKind::Scalar => axpy_group_scalar,
+            KernelKind::NarrowN => axpy_group_narrow,
             #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx2Fma => super::kernels_x86::axpy_panel_avx2,
+            KernelKind::Avx2Fma => super::kernels_x86::axpy_group_avx2,
             #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx512f => super::kernels_x86::axpy_panel_avx512,
+            KernelKind::Avx512f => super::kernels_x86::axpy_group_avx512,
             #[cfg(target_arch = "aarch64")]
-            KernelKind::Neon => super::kernels_aarch64::axpy_panel_neon,
+            KernelKind::Neon => super::kernels_aarch64::axpy_group_neon,
             // Cross-compiled-out ISAs resolve through the auto ladder,
             // never through this arm.
             #[allow(unreachable_patterns)]
-            _ => axpy_panel_scalar,
+            _ => axpy_group_scalar,
         }
     }
 }
@@ -158,7 +254,7 @@ impl KernelKind {
 /// register-block when the host has it, portable fused block
 /// otherwise. Detection is cached — the per-call cost is one relaxed
 /// load.
-fn axpy_panel_narrow(c_row: &mut [f32], vals: &[f32], cols: &[u32], slab: &[f32], w: usize) {
+fn axpy_group_narrow(c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::OnceLock;
@@ -166,10 +262,10 @@ fn axpy_panel_narrow(c_row: &mut [f32], vals: &[f32], cols: &[u32], slab: &[f32]
         let has = *HAS_AVX2
             .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"));
         if has {
-            return super::kernels_x86::axpy_panel_narrow_avx2(c_row, vals, cols, slab, w);
+            return super::kernels_x86::axpy_group_narrow_avx2(c, vals, cols, slab);
         }
     }
-    axpy_panel_narrow_portable(c_row, vals, cols, slab, w)
+    axpy_group_narrow_portable(c, vals, cols, slab)
 }
 
 /// How [`select`] picks the variant that executes (see the module docs

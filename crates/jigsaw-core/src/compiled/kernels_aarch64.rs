@@ -1,48 +1,51 @@
 //! aarch64 NEON microkernel of the dispatch registry: 4×f32x4 (16
 //! floats per pass over the C segment), fused multiply-adds via
-//! `vfmaq_n_f32`. Keeps the per-row `(window, slot)` accumulation
-//! order of the scalar reference; only per-step rounding changes
-//! (exact on integer-valued data, ≤ 1 ulp per step otherwise).
+//! `vfmaq_n_f32`, applying a vector-row group row by row. Keeps the
+//! per-row `(window, slot)` accumulation order of the scalar
+//! reference; only per-step rounding changes (exact on integer-valued
+//! data, ≤ 1 ulp per step otherwise).
 #![cfg(target_arch = "aarch64")]
+
+use super::dispatch::{assert_group_args, GroupC};
 
 /// NEON microkernel: safe wrapper around the `target_feature` inner
 /// function — the dispatch layer only returns it after runtime
 /// feature detection ([`super::dispatch::KernelKind::available`]).
-pub fn axpy_panel_neon(c_row: &mut [f32], vals: &[f32], cols: &[u32], slab: &[f32], w: usize) {
-    // SAFETY: neon was verified by the dispatch layer; the slice
-    // invariants the inner kernel relies on are asserted there.
-    unsafe { axpy_panel_neon_inner(c_row, vals, cols, slab, w) }
+pub fn axpy_group_neon(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
+    assert_group_args(&c, vals, cols, slab);
+    let h = c.rows();
+    for r in 0..h {
+        // SAFETY: neon was verified by the dispatch layer; the slice
+        // invariants the inner kernel relies on are asserted above.
+        unsafe { axpy_row_neon(c.row(r), vals, cols, slab, h, r) }
+    }
 }
 
-/// Four f32x4 vectors per pass (16 lanes), one nonzero broadcast per
-/// `vfmaq_n_f32`, scalar `mul_add` cleanup under 4 lanes.
+/// Row `r` of an `h`-row group: four f32x4 vectors per pass (16
+/// lanes), one nonzero broadcast per `vfmaq_n_f32`, scalar `mul_add`
+/// cleanup under 4 lanes.
 ///
 /// # Safety
 ///
-/// Requires neon. Slice invariants (`c_row.len() == w`, every
-/// `cols[i] as usize * w + w <= slab.len()`, `vals.len() ==
-/// cols.len()`) are asserted on entry, so callers only owe the ISA
-/// guarantee.
+/// Requires neon. The caller has asserted `vals.len() == h ·
+/// cols.len()` and every `cols[i] as usize * w + w <= slab.len()`,
+/// with `w == c_row.len()`.
 #[target_feature(enable = "neon")]
-unsafe fn axpy_panel_neon_inner(
+unsafe fn axpy_row_neon(
     c_row: &mut [f32],
     vals: &[f32],
     cols: &[u32],
     slab: &[f32],
-    w: usize,
+    h: usize,
+    r: usize,
 ) {
     use std::arch::aarch64::*;
-    assert_eq!(c_row.len(), w);
-    assert_eq!(vals.len(), cols.len());
-    let rows = slab.len() / w.max(1);
-    assert!(cols.iter().all(|&c| (c as usize) < rows), "B row in slab");
-
-    let nnz = vals.len();
+    let w = c_row.len();
     let c_ptr = c_row.as_mut_ptr();
     let slab_ptr = slab.as_ptr();
-    for i in 0..nnz {
-        let bi = slab_ptr.add(cols[i] as usize * w);
-        let v = vals[i];
+    for (vs, &col) in vals.chunks_exact(h).zip(cols) {
+        let bi = slab_ptr.add(col as usize * w);
+        let v = vs[r];
         let mut j = 0;
         // 4×f32x4: four independent accumulator vectors per pass keep
         // the FMA pipeline full without reassociating across lanes.

@@ -1,77 +1,80 @@
 //! The scalar microkernel — the semantic reference every other variant
 //! in the dispatch registry is measured against — and the portable
-//! half of the narrow-N register-blocked kernel.
+//! half of the narrow-N register-blocked kernel. Both apply a
+//! vector-row group row by row, each row in its own stream order.
 
-/// Scalar microkernel: four nonzeros per pass over the C segment
-/// (quartering C traffic), products applied as sequential f32 adds so
-/// the result is bit-identical to the one-at-a-time order — and
+use super::dispatch::{assert_group_args, GroupC};
+
+/// Scalar microkernel: row by row, four nonzeros per pass over the C
+/// segment (quartering C traffic), products applied as sequential f32
+/// adds so each row is bit-identical to the one-at-a-time order — and
 /// therefore to `execute_fast`, the differential oracle.
-pub fn axpy_panel_scalar(c_row: &mut [f32], vals: &[f32], cols: &[u32], slab: &[f32], w: usize) {
-    let nnz = vals.len();
-    let mut i = 0;
-    while i + 4 <= nnz {
-        let b0 = &slab[cols[i] as usize * w..][..w];
-        let b1 = &slab[cols[i + 1] as usize * w..][..w];
-        let b2 = &slab[cols[i + 2] as usize * w..][..w];
-        let b3 = &slab[cols[i + 3] as usize * w..][..w];
-        let (v0, v1, v2, v3) = (vals[i], vals[i + 1], vals[i + 2], vals[i + 3]);
-        for (j, cj) in c_row.iter_mut().enumerate() {
-            let mut acc = *cj;
-            acc += v0 * b0[j];
-            acc += v1 * b1[j];
-            acc += v2 * b2[j];
-            acc += v3 * b3[j];
-            *cj = acc;
+pub fn axpy_group_scalar(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
+    assert_group_args(&c, vals, cols, slab);
+    let (h, w) = (c.rows(), c.width());
+    let nnz = cols.len();
+    for r in 0..h {
+        let c_row = c.row(r);
+        let v = |i: usize| vals[i * h + r];
+        let mut i = 0;
+        while i + 4 <= nnz {
+            let b0 = &slab[cols[i] as usize * w..][..w];
+            let b1 = &slab[cols[i + 1] as usize * w..][..w];
+            let b2 = &slab[cols[i + 2] as usize * w..][..w];
+            let b3 = &slab[cols[i + 3] as usize * w..][..w];
+            let (v0, v1, v2, v3) = (v(i), v(i + 1), v(i + 2), v(i + 3));
+            for (j, cj) in c_row.iter_mut().enumerate() {
+                let mut acc = *cj;
+                acc += v0 * b0[j];
+                acc += v1 * b1[j];
+                acc += v2 * b2[j];
+                acc += v3 * b3[j];
+                *cj = acc;
+            }
+            i += 4;
         }
-        i += 4;
-    }
-    while i < nnz {
-        let bi = &slab[cols[i] as usize * w..][..w];
-        let v = vals[i];
-        for (cj, &bj) in c_row.iter_mut().zip(bi) {
-            *cj += v * bj;
+        while i < nnz {
+            let bi = &slab[cols[i] as usize * w..][..w];
+            let vi = v(i);
+            for (cj, &bj) in c_row.iter_mut().zip(bi) {
+                *cj += vi * bj;
+            }
+            i += 1;
         }
-        i += 1;
     }
 }
 
-/// How many C columns the narrow-N kernels hold in accumulators at
-/// once (the AVX2 half maps this to 8 YMM registers).
-pub const NARROW_BLOCK: usize = 64;
+/// How many C columns the portable narrow-N kernel holds in
+/// accumulators at once.
+const NARROW_BLOCK: usize = 64;
 
-/// Portable half of the FlashSparse-style narrow-N microkernel: the C
-/// row is staged into a ≤[`NARROW_BLOCK`]-wide accumulator block that
-/// lives across the row's **entire** nonzero stream, so C is loaded
-/// and stored once per block instead of once per nonzero — the traffic
-/// that dominates when `w` is small. Per element the products are
-/// applied in stream order with `mul_add`, the exact sequence the AVX2
-/// half fuses in hardware: the two halves are bit-identical to each
-/// other, exact on integer-valued data, and ≤ 1 ulp per step from the
-/// scalar reference otherwise.
-pub fn axpy_panel_narrow_portable(
-    c_row: &mut [f32],
-    vals: &[f32],
-    cols: &[u32],
-    slab: &[f32],
-    w: usize,
-) {
-    assert_eq!(c_row.len(), w);
-    assert_eq!(vals.len(), cols.len());
-    let rows = slab.len() / w.max(1);
-    assert!(cols.iter().all(|&c| (c as usize) < rows), "B row in slab");
-
-    let mut start = 0;
-    while start < w {
-        let bw = (w - start).min(NARROW_BLOCK);
-        let mut acc = [0.0f32; NARROW_BLOCK];
-        acc[..bw].copy_from_slice(&c_row[start..start + bw]);
-        for (&v, &col) in vals.iter().zip(cols) {
-            let b = &slab[col as usize * w + start..][..bw];
-            for (a, &bj) in acc[..bw].iter_mut().zip(b) {
-                *a = v.mul_add(bj, *a);
+/// Portable half of the FlashSparse-style narrow-N microkernel: each
+/// row of the group is staged into a ≤[`NARROW_BLOCK`]-wide accumulator
+/// block that lives across the row's **entire** nonzero stream, so C is
+/// loaded and stored once per block instead of once per nonzero — the
+/// traffic that dominates when `w` is small. Per element the products
+/// are applied in stream order with `mul_add`, the exact sequence the
+/// AVX2 half fuses in hardware: the two halves are bit-identical to
+/// each other, exact on integer-valued data, and ≤ 1 ulp per step from
+/// the scalar reference otherwise.
+pub fn axpy_group_narrow_portable(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
+    assert_group_args(&c, vals, cols, slab);
+    let (h, w) = (c.rows(), c.width());
+    for r in 0..h {
+        let c_row = c.row(r);
+        let mut start = 0;
+        while start < w {
+            let bw = (w - start).min(NARROW_BLOCK);
+            let mut acc = [0.0f32; NARROW_BLOCK];
+            acc[..bw].copy_from_slice(&c_row[start..start + bw]);
+            for (vs, &col) in vals.chunks_exact(h).zip(cols) {
+                let b = &slab[col as usize * w + start..][..bw];
+                for (a, &bj) in acc[..bw].iter_mut().zip(b) {
+                    *a = vs[r].mul_add(bj, *a);
+                }
             }
+            c_row[start..start + bw].copy_from_slice(&acc[..bw]);
+            start += bw;
         }
-        c_row[start..start + bw].copy_from_slice(&acc[..bw]);
-        start += bw;
     }
 }

@@ -1,187 +1,313 @@
-//! x86-64 microkernels of the dispatch registry: 8-lane AVX2+FMA,
-//! 16-lane AVX-512F, and the AVX2 half of the narrow-N register-blocked
-//! kernel. All keep the per-row `(window, slot)` accumulation order of
-//! the scalar reference; only the rounding of each step changes (fused
-//! multiply-adds — exact on integer-valued data, ≤ 1 ulp per step
-//! otherwise).
+//! x86-64 microkernels of the dispatch registry: the register-blocked
+//! vector-row group kernels (16-lane AVX-512F and 8-lane AVX2+FMA) and
+//! the AVX2 half of the narrow-N kernel, which is the AVX2 group kernel
+//! applied one row at a time. The group kernels hold a block of every
+//! row of the group in accumulators across the group's whole shared
+//! stream, so each B vector loaded feeds `h` fused multiply-adds and C
+//! is loaded and stored once per block. Block widths are sized by the
+//! group height so a block runs at least eight independent FMA chains
+//! wherever the panel is that wide. All keep the per-row `(window,
+//! slot)` accumulation order of the scalar reference; only the rounding
+//! of each step changes (fused multiply-adds — exact on integer-valued
+//! data, ≤ 1 ulp per step otherwise).
 #![cfg(target_arch = "x86_64")]
 
-use super::kernels_scalar::NARROW_BLOCK;
+use std::arch::x86_64::*;
 
-/// AVX2+FMA microkernel: safe wrapper around the `target_feature`
-/// inner function — the dispatch layer only returns it after runtime
-/// feature detection ([`super::dispatch::KernelKind::available`]).
-pub fn axpy_panel_avx2(c_row: &mut [f32], vals: &[f32], cols: &[u32], slab: &[f32], w: usize) {
-    // SAFETY: avx2+fma were verified by the dispatch layer; the slice
-    // invariants the inner kernel relies on are asserted there.
-    unsafe { axpy_panel_avx2_inner(c_row, vals, cols, slab, w) }
+use super::dispatch::{assert_group_args, GroupC};
+
+/// ZMM accumulators per row of an AVX-512 register block for an
+/// `h`-row group: `16 / h` (16, 8, 5, 4), so every block runs 15 or 16
+/// FMA chains and, with its B vectors and the value broadcast, stays
+/// inside the 32 ZMM registers.
+fn vecs_per_row_512(h: usize) -> usize {
+    16 / h
 }
 
-/// Eight lanes per vector, four nonzeros per pass, fused
-/// multiply-adds.
-///
-/// # Safety
-///
-/// Requires avx2 and fma. Slice invariants (`c_row.len() == w`, every
-/// `cols[i] as usize * w + w <= slab.len()`, `vals.len() ==
-/// cols.len()`) are asserted on entry, so callers only owe the ISA
-/// guarantee.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_panel_avx2_inner(
-    c_row: &mut [f32],
-    vals: &[f32],
-    cols: &[u32],
-    slab: &[f32],
-    w: usize,
-) {
-    use std::arch::x86_64::*;
-    assert_eq!(c_row.len(), w);
-    assert_eq!(vals.len(), cols.len());
-    let rows = slab.len() / w.max(1);
-    assert!(cols.iter().all(|&c| (c as usize) < rows), "B row in slab");
-
-    let nnz = vals.len();
-    let c_ptr = c_row.as_mut_ptr();
-    let slab_ptr = slab.as_ptr();
-    let mut i = 0;
-    while i + 4 <= nnz {
-        let b0 = slab_ptr.add(cols[i] as usize * w);
-        let b1 = slab_ptr.add(cols[i + 1] as usize * w);
-        let b2 = slab_ptr.add(cols[i + 2] as usize * w);
-        let b3 = slab_ptr.add(cols[i + 3] as usize * w);
-        let (v0, v1, v2, v3) = (vals[i], vals[i + 1], vals[i + 2], vals[i + 3]);
-        let (s0, s1) = (_mm256_set1_ps(v0), _mm256_set1_ps(v1));
-        let (s2, s3) = (_mm256_set1_ps(v2), _mm256_set1_ps(v3));
-        let mut j = 0;
-        while j + 8 <= w {
-            let mut acc = _mm256_loadu_ps(c_ptr.add(j));
-            acc = _mm256_fmadd_ps(s0, _mm256_loadu_ps(b0.add(j)), acc);
-            acc = _mm256_fmadd_ps(s1, _mm256_loadu_ps(b1.add(j)), acc);
-            acc = _mm256_fmadd_ps(s2, _mm256_loadu_ps(b2.add(j)), acc);
-            acc = _mm256_fmadd_ps(s3, _mm256_loadu_ps(b3.add(j)), acc);
-            _mm256_storeu_ps(c_ptr.add(j), acc);
-            j += 8;
-        }
-        while j < w {
-            let mut acc = *c_ptr.add(j);
-            acc = v0.mul_add(*b0.add(j), acc);
-            acc = v1.mul_add(*b1.add(j), acc);
-            acc = v2.mul_add(*b2.add(j), acc);
-            acc = v3.mul_add(*b3.add(j), acc);
-            *c_ptr.add(j) = acc;
-            j += 1;
-        }
-        i += 4;
-    }
-    while i < nnz {
-        let bi = slab_ptr.add(cols[i] as usize * w);
-        let v = vals[i];
-        let s = _mm256_set1_ps(v);
-        let mut j = 0;
-        while j + 8 <= w {
-            let acc = _mm256_fmadd_ps(s, _mm256_loadu_ps(bi.add(j)), _mm256_loadu_ps(c_ptr.add(j)));
-            _mm256_storeu_ps(c_ptr.add(j), acc);
-            j += 8;
-        }
-        while j < w {
-            *c_ptr.add(j) = v.mul_add(*bi.add(j), *c_ptr.add(j));
-            j += 1;
-        }
-        i += 1;
+/// YMM accumulators per row of an AVX2 register block for an `h`-row
+/// group: 12 for a single row (whose B loads fold into the FMAs as
+/// memory operands), else `⌈8 / h⌉` (4, 3, 2) — 8 to 12 FMA chains per
+/// block, with the block's B vectors and the value broadcast inside the
+/// 16 YMM registers.
+fn vecs_per_row_avx2(h: usize) -> usize {
+    if h == 1 {
+        12
+    } else {
+        8usize.div_ceil(h)
     }
 }
 
-/// AVX-512F microkernel: safe wrapper around the `target_feature`
-/// inner function — dispatched only after runtime detection.
-pub fn axpy_panel_avx512(c_row: &mut [f32], vals: &[f32], cols: &[u32], slab: &[f32], w: usize) {
+/// AVX-512F group microkernel: safe wrapper around the
+/// `target_feature` inner function — the dispatch layer only returns it
+/// after runtime feature detection
+/// ([`super::dispatch::KernelKind::available`]).
+pub fn axpy_group_avx512(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
+    assert_group_args(&c, vals, cols, slab);
     // SAFETY: avx512f was verified by the dispatch layer; the slice
-    // invariants the inner kernel relies on are asserted there.
-    unsafe { axpy_panel_avx512_inner(c_row, vals, cols, slab, w) }
+    // invariants are asserted above and the C extent by `GroupC`.
+    // Monomorphizing on the group height keeps the accumulator array
+    // in registers instead of spilling behind a runtime index.
+    unsafe {
+        match c.rows() {
+            1 => rows_avx512::<1>(row_ptrs(&mut c), vals, cols, slab, c.width()),
+            2 => rows_avx512::<2>(row_ptrs(&mut c), vals, cols, slab, c.width()),
+            3 => rows_avx512::<3>(row_ptrs(&mut c), vals, cols, slab, c.width()),
+            4 => rows_avx512::<4>(row_ptrs(&mut c), vals, cols, slab, c.width()),
+            _ => unreachable!("GroupC holds 1..=GROUP_ROWS rows"),
+        }
+    }
 }
 
-/// Sixteen lanes per vector, four nonzeros per pass, fused
-/// multiply-adds; the sub-16 tail falls through the masked AVX-512
-/// load/store so no scalar cleanup loop is needed.
+/// Column 0 of each of the group's `H` rows (`H == c.rows()`).
+fn row_ptrs<const H: usize>(c: &mut GroupC<'_>) -> [*mut f32; H] {
+    std::array::from_fn(|r| c.row_ptr(r, 0))
+}
+
+/// Walks the group's `w` columns in register blocks of
+/// [`vecs_per_row_512`] vectors; the sub-16 tail rides in the last
+/// vector's AVX-512 mask, so no scalar cleanup loop is needed.
 ///
 /// # Safety
 ///
-/// Requires avx512f. Slice invariants (`c_row.len() == w`, every
-/// `cols[i] as usize * w + w <= slab.len()`, `vals.len() ==
-/// cols.len()`) are asserted on entry, so callers only owe the ISA
-/// guarantee.
+/// Requires avx512f and the entry assertions of [`axpy_group_avx512`];
+/// `rows` are the group's `H` rows, each `w` floats wide.
 #[target_feature(enable = "avx512f")]
-unsafe fn axpy_panel_avx512_inner(
-    c_row: &mut [f32],
+unsafe fn rows_avx512<const H: usize>(
+    rows: [*mut f32; H],
     vals: &[f32],
     cols: &[u32],
     slab: &[f32],
     w: usize,
 ) {
-    use std::arch::x86_64::*;
-    assert_eq!(c_row.len(), w);
-    assert_eq!(vals.len(), cols.len());
-    let rows = slab.len() / w.max(1);
-    assert!(cols.iter().all(|&c| (c as usize) < rows), "B row in slab");
-
-    let nnz = vals.len();
-    let c_ptr = c_row.as_mut_ptr();
-    let slab_ptr = slab.as_ptr();
-    let full = w & !15;
-    let tail_mask: __mmask16 = (1u16 << (w - full)).wrapping_sub(1);
-    let mut i = 0;
-    while i + 4 <= nnz {
-        let b0 = slab_ptr.add(cols[i] as usize * w);
-        let b1 = slab_ptr.add(cols[i + 1] as usize * w);
-        let b2 = slab_ptr.add(cols[i + 2] as usize * w);
-        let b3 = slab_ptr.add(cols[i + 3] as usize * w);
-        let s0 = _mm512_set1_ps(vals[i]);
-        let s1 = _mm512_set1_ps(vals[i + 1]);
-        let s2 = _mm512_set1_ps(vals[i + 2]);
-        let s3 = _mm512_set1_ps(vals[i + 3]);
-        let mut j = 0;
-        while j + 16 <= w {
-            let mut acc = _mm512_loadu_ps(c_ptr.add(j));
-            acc = _mm512_fmadd_ps(s0, _mm512_loadu_ps(b0.add(j)), acc);
-            acc = _mm512_fmadd_ps(s1, _mm512_loadu_ps(b1.add(j)), acc);
-            acc = _mm512_fmadd_ps(s2, _mm512_loadu_ps(b2.add(j)), acc);
-            acc = _mm512_fmadd_ps(s3, _mm512_loadu_ps(b3.add(j)), acc);
-            _mm512_storeu_ps(c_ptr.add(j), acc);
-            j += 16;
+    let block = 16 * vecs_per_row_512(H);
+    let mut start = 0;
+    while start < w {
+        let bw = (w - start).min(block);
+        let vecs = bw.div_ceil(16);
+        let lanes = bw - 16 * (vecs - 1);
+        let mask = (u32::MAX >> (32 - lanes)) as __mmask16;
+        match vecs {
+            1 => block_avx512::<H, 1>(rows, vals, cols, slab, w, start, mask),
+            2 => block_avx512::<H, 2>(rows, vals, cols, slab, w, start, mask),
+            3 => block_avx512::<H, 3>(rows, vals, cols, slab, w, start, mask),
+            4 => block_avx512::<H, 4>(rows, vals, cols, slab, w, start, mask),
+            5 => block_avx512::<H, 5>(rows, vals, cols, slab, w, start, mask),
+            6 => block_avx512::<H, 6>(rows, vals, cols, slab, w, start, mask),
+            7 => block_avx512::<H, 7>(rows, vals, cols, slab, w, start, mask),
+            8 => block_avx512::<H, 8>(rows, vals, cols, slab, w, start, mask),
+            9 => block_avx512::<H, 9>(rows, vals, cols, slab, w, start, mask),
+            10 => block_avx512::<H, 10>(rows, vals, cols, slab, w, start, mask),
+            11 => block_avx512::<H, 11>(rows, vals, cols, slab, w, start, mask),
+            12 => block_avx512::<H, 12>(rows, vals, cols, slab, w, start, mask),
+            13 => block_avx512::<H, 13>(rows, vals, cols, slab, w, start, mask),
+            14 => block_avx512::<H, 14>(rows, vals, cols, slab, w, start, mask),
+            15 => block_avx512::<H, 15>(rows, vals, cols, slab, w, start, mask),
+            16 => block_avx512::<H, 16>(rows, vals, cols, slab, w, start, mask),
+            _ => unreachable!("AVX-512 blocks are at most 16 vectors wide"),
         }
-        if tail_mask != 0 {
-            let mut acc = _mm512_maskz_loadu_ps(tail_mask, c_ptr.add(j));
-            acc = _mm512_fmadd_ps(s0, _mm512_maskz_loadu_ps(tail_mask, b0.add(j)), acc);
-            acc = _mm512_fmadd_ps(s1, _mm512_maskz_loadu_ps(tail_mask, b1.add(j)), acc);
-            acc = _mm512_fmadd_ps(s2, _mm512_maskz_loadu_ps(tail_mask, b2.add(j)), acc);
-            acc = _mm512_fmadd_ps(s3, _mm512_maskz_loadu_ps(tail_mask, b3.add(j)), acc);
-            _mm512_mask_storeu_ps(c_ptr.add(j), tail_mask, acc);
-        }
-        i += 4;
+        start += bw;
     }
-    while i < nnz {
-        let bi = slab_ptr.add(cols[i] as usize * w);
-        let s = _mm512_set1_ps(vals[i]);
-        let mut j = 0;
-        while j + 16 <= w {
-            let acc = _mm512_fmadd_ps(s, _mm512_loadu_ps(bi.add(j)), _mm512_loadu_ps(c_ptr.add(j)));
-            _mm512_storeu_ps(c_ptr.add(j), acc);
-            j += 16;
+}
+
+/// One register block: `H` rows × `V` ZMM accumulators over columns
+/// `start .. start + 16·(V−1) + lanes`, loaded from C once, fed by the
+/// group's entire stream (one B load per vector per nonzero, reused by
+/// all `H` rows), stored once. The last vector is masked (`mask` is
+/// all-set when it is full); masked-off lanes are never stored.
+///
+/// # Safety
+///
+/// Requires avx512f; `rows` are the group's rows, and the block
+/// geometry stays inside `w` columns.
+#[target_feature(enable = "avx512f")]
+unsafe fn block_avx512<const H: usize, const V: usize>(
+    rows: [*mut f32; H],
+    vals: &[f32],
+    cols: &[u32],
+    slab: &[f32],
+    w: usize,
+    start: usize,
+    mask: __mmask16,
+) {
+    let lane_mask = |t: usize| if t == V - 1 { mask } else { !0 };
+    let mut acc = [[_mm512_setzero_ps(); V]; H];
+    for (a, &row) in acc.iter_mut().zip(&rows) {
+        for (t, at) in a.iter_mut().enumerate() {
+            *at = _mm512_maskz_loadu_ps(lane_mask(t), row.add(start + 16 * t));
         }
-        if tail_mask != 0 {
-            let acc = _mm512_fmadd_ps(
-                s,
-                _mm512_maskz_loadu_ps(tail_mask, bi.add(j)),
-                _mm512_maskz_loadu_ps(tail_mask, c_ptr.add(j)),
-            );
-            _mm512_mask_storeu_ps(c_ptr.add(j), tail_mask, acc);
+    }
+    let slab_ptr = slab.as_ptr();
+    for (vs, &col) in vals.chunks_exact(H).zip(cols) {
+        let b_ptr = slab_ptr.add(col as usize * w + start);
+        let mut b = [_mm512_setzero_ps(); V];
+        for (t, bt) in b.iter_mut().enumerate() {
+            *bt = _mm512_maskz_loadu_ps(lane_mask(t), b_ptr.add(16 * t));
         }
-        i += 1;
+        for (a, &v) in acc.iter_mut().zip(vs) {
+            let s = _mm512_set1_ps(v);
+            for (at, &bt) in a.iter_mut().zip(&b) {
+                *at = _mm512_fmadd_ps(s, bt, *at);
+            }
+        }
+    }
+    for (a, &row) in acc.iter().zip(&rows) {
+        for (t, &at) in a.iter().enumerate() {
+            _mm512_mask_storeu_ps(row.add(start + 16 * t), lane_mask(t), at);
+        }
+    }
+}
+
+/// AVX2+FMA group microkernel: safe wrapper around the
+/// `target_feature` inner function — the dispatch layer only returns it
+/// after runtime feature detection.
+pub fn axpy_group_avx2(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
+    assert_group_args(&c, vals, cols, slab);
+    let (h, w, vals) = (c.rows(), c.width(), vals.as_ptr());
+    // SAFETY: avx2+fma were verified by the dispatch layer; the slice
+    // invariants are asserted above (row `r`'s values are `vals[i·h +
+    // r]`) and the C extent by `GroupC`.
+    unsafe {
+        match h {
+            1 => rows_avx2::<1>(row_ptrs(&mut c), vals, h, cols, slab, w),
+            2 => rows_avx2::<2>(row_ptrs(&mut c), vals, h, cols, slab, w),
+            3 => rows_avx2::<3>(row_ptrs(&mut c), vals, h, cols, slab, w),
+            4 => rows_avx2::<4>(row_ptrs(&mut c), vals, h, cols, slab, w),
+            _ => unreachable!("GroupC holds 1..=GROUP_ROWS rows"),
+        }
+    }
+}
+
+/// AVX2 half of the FlashSparse-style narrow-N microkernel: the
+/// single-row case of the AVX2 group kernel, applied to each row of the
+/// group in turn (one 12-YMM register block per 96 columns, held
+/// across the row's **entire** stream). Per element this fuses the exact
+/// stream-order sequence of the portable half
+/// ([`super::kernels_scalar::axpy_group_narrow_portable`]), so the two
+/// halves are bit-identical to each other.
+pub fn axpy_group_narrow_avx2(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
+    assert_group_args(&c, vals, cols, slab);
+    let (h, w) = (c.rows(), c.width());
+    for r in 0..h {
+        // SAFETY: avx2+fma were verified by the dispatch layer; the
+        // slice invariants are asserted above, and row `r`'s values
+        // `vals[i·h + r]` stay inside `vals` for every `i < cols.len()`
+        // (the only offsets read; `wrapping_add` keeps an empty
+        // stream's pointer arithmetic defined).
+        let row_vals = vals.as_ptr().wrapping_add(r);
+        unsafe {
+            rows_avx2::<1>([c.row_ptr(r, 0)], row_vals, h, cols, slab, w);
+        }
+    }
+}
+
+/// Walks `w` columns of `H` rows in register blocks of
+/// [`vecs_per_row_avx2`] vectors; the last vector of each block is
+/// masked, so the sub-8 tail needs no scalar cleanup loop.
+///
+/// # Safety
+///
+/// Requires avx2 and fma. `rows` are `H` disjoint rows of `w` writable
+/// floats; every `cols[i] as usize * w + w <= slab.len()`; and row
+/// `r`'s value for nonzero `i`, `*vals.add(i·stride + r)`, is readable
+/// for every `i < cols.len()` and `r < H`.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn rows_avx2<const H: usize>(
+    rows: [*mut f32; H],
+    vals: *const f32,
+    stride: usize,
+    cols: &[u32],
+    slab: &[f32],
+    w: usize,
+) {
+    let block = 8 * vecs_per_row_avx2(H);
+    let mut start = 0;
+    while start < w {
+        let bw = (w - start).min(block);
+        let vecs = bw.div_ceil(8);
+        let lanes = bw - 8 * (vecs - 1);
+        let geom = (w, start, lanes);
+        match vecs {
+            1 => block_avx2::<H, 1>(rows, vals, stride, cols, slab, geom),
+            2 => block_avx2::<H, 2>(rows, vals, stride, cols, slab, geom),
+            3 => block_avx2::<H, 3>(rows, vals, stride, cols, slab, geom),
+            4 => block_avx2::<H, 4>(rows, vals, stride, cols, slab, geom),
+            5 => block_avx2::<H, 5>(rows, vals, stride, cols, slab, geom),
+            6 => block_avx2::<H, 6>(rows, vals, stride, cols, slab, geom),
+            7 => block_avx2::<H, 7>(rows, vals, stride, cols, slab, geom),
+            8 => block_avx2::<H, 8>(rows, vals, stride, cols, slab, geom),
+            9 => block_avx2::<H, 9>(rows, vals, stride, cols, slab, geom),
+            10 => block_avx2::<H, 10>(rows, vals, stride, cols, slab, geom),
+            11 => block_avx2::<H, 11>(rows, vals, stride, cols, slab, geom),
+            12 => block_avx2::<H, 12>(rows, vals, stride, cols, slab, geom),
+            _ => unreachable!("AVX2 blocks are at most 12 vectors wide"),
+        }
+        start += bw;
+    }
+}
+
+/// One register block: `H` rows × `V` YMM accumulators over columns
+/// `start .. start + 8·(V−1) + lanes` (`geom = (w, start, lanes)`),
+/// loaded from C once, fed by the stream (each B vector reused by all
+/// `H` rows), stored once. The last vector always goes through AVX2
+/// masked load/store (a full one selects the all-set mask).
+///
+/// # Safety
+///
+/// As [`rows_avx2`], with the block inside `w` columns.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn block_avx2<const H: usize, const V: usize>(
+    rows: [*mut f32; H],
+    vals: *const f32,
+    stride: usize,
+    cols: &[u32],
+    slab: &[f32],
+    (w, start, lanes): (usize, usize, usize),
+) {
+    let last = V - 1;
+    let mask = _mm256_loadu_si256(TAIL_MASKS[lanes].as_ptr() as *const __m256i);
+    let load = |p: *const f32, t: usize| {
+        if t == last {
+            _mm256_maskload_ps(p, mask)
+        } else {
+            _mm256_loadu_ps(p)
+        }
+    };
+    let mut acc = [[_mm256_setzero_ps(); V]; H];
+    for (a, &row) in acc.iter_mut().zip(&rows) {
+        for (t, at) in a.iter_mut().enumerate() {
+            *at = load(row.add(start + 8 * t), t);
+        }
+    }
+    let slab_ptr = slab.as_ptr();
+    for (i, &col) in cols.iter().enumerate() {
+        let b_ptr = slab_ptr.add(col as usize * w + start);
+        let mut b = [_mm256_setzero_ps(); V];
+        for (t, bt) in b.iter_mut().enumerate() {
+            *bt = load(b_ptr.add(8 * t), t);
+        }
+        let vs = vals.add(i * stride);
+        for (r, a) in acc.iter_mut().enumerate() {
+            let s = _mm256_set1_ps(*vs.add(r));
+            for (at, &bt) in a.iter_mut().zip(&b) {
+                *at = _mm256_fmadd_ps(s, bt, *at);
+            }
+        }
+    }
+    for (a, &row) in acc.iter().zip(&rows) {
+        for (t, &at) in a.iter().enumerate() {
+            let p = row.add(start + 8 * t);
+            if t == last {
+                _mm256_maskstore_ps(p, mask, at);
+            } else {
+                _mm256_storeu_ps(p, at);
+            }
+        }
     }
 }
 
 /// Per-lane-count AVX2 mask rows for `_mm256_maskload_ps` /
 /// `_mm256_maskstore_ps`: row `l` activates the first `l` lanes.
-static NARROW_TAIL_MASKS: [[i32; 8]; 9] = [
+static TAIL_MASKS: [[i32; 8]; 9] = [
     [0, 0, 0, 0, 0, 0, 0, 0],
     [-1, 0, 0, 0, 0, 0, 0, 0],
     [-1, -1, 0, 0, 0, 0, 0, 0],
@@ -192,117 +318,3 @@ static NARROW_TAIL_MASKS: [[i32; 8]; 9] = [
     [-1, -1, -1, -1, -1, -1, -1, 0],
     [-1, -1, -1, -1, -1, -1, -1, -1],
 ];
-
-/// AVX2 half of the FlashSparse-style narrow-N microkernel: safe
-/// wrapper around the `target_feature` inner function — the dispatch
-/// layer only calls it after runtime feature detection.
-pub fn axpy_panel_narrow_avx2(
-    c_row: &mut [f32],
-    vals: &[f32],
-    cols: &[u32],
-    slab: &[f32],
-    w: usize,
-) {
-    // SAFETY: avx2+fma were verified by the dispatch layer; the slice
-    // invariants the inner kernels rely on are asserted there.
-    unsafe { axpy_panel_narrow_avx2_inner(c_row, vals, cols, slab, w) }
-}
-
-/// Register-resident C row: each ≤[`NARROW_BLOCK`]-column block of C is
-/// held in up to 8 YMM accumulators across the row's **entire** nonzero
-/// stream (one load and one store per block, versus one round trip per
-/// nonzero in [`axpy_panel_avx2`]), and the sub-8 tail runs through
-/// AVX2 masked load/store so short widths never waste lanes on a
-/// scalar cleanup loop. Per element this fuses the exact stream-order
-/// sequence of the portable half
-/// ([`super::kernels_scalar::axpy_panel_narrow_portable`]), so the two
-/// halves are bit-identical to each other.
-///
-/// # Safety
-///
-/// Requires avx2 and fma. Slice invariants (`c_row.len() == w`, every
-/// `cols[i] as usize * w + w <= slab.len()`, `vals.len() ==
-/// cols.len()`) are asserted on entry, so callers only owe the ISA
-/// guarantee.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_panel_narrow_avx2_inner(
-    c_row: &mut [f32],
-    vals: &[f32],
-    cols: &[u32],
-    slab: &[f32],
-    w: usize,
-) {
-    assert_eq!(c_row.len(), w);
-    assert_eq!(vals.len(), cols.len());
-    let rows = slab.len() / w.max(1);
-    assert!(cols.iter().all(|&c| (c as usize) < rows), "B row in slab");
-
-    let mut start = 0;
-    while start < w {
-        let bw = (w - start).min(NARROW_BLOCK);
-        let vecs = bw.div_ceil(8);
-        let lanes = bw - 8 * (vecs - 1);
-        // Monomorphize on the accumulator count so the block array
-        // stays in registers instead of spilling behind a runtime
-        // index.
-        match vecs {
-            1 => narrow_block_avx2::<1>(c_row, vals, cols, slab, w, start, lanes),
-            2 => narrow_block_avx2::<2>(c_row, vals, cols, slab, w, start, lanes),
-            3 => narrow_block_avx2::<3>(c_row, vals, cols, slab, w, start, lanes),
-            4 => narrow_block_avx2::<4>(c_row, vals, cols, slab, w, start, lanes),
-            5 => narrow_block_avx2::<5>(c_row, vals, cols, slab, w, start, lanes),
-            6 => narrow_block_avx2::<6>(c_row, vals, cols, slab, w, start, lanes),
-            7 => narrow_block_avx2::<7>(c_row, vals, cols, slab, w, start, lanes),
-            8 => narrow_block_avx2::<8>(c_row, vals, cols, slab, w, start, lanes),
-            _ => unreachable!("NARROW_BLOCK is 8 vectors wide"),
-        }
-        start += bw;
-    }
-}
-
-/// One register-resident block: `V` YMM accumulators over columns
-/// `start .. start + 8·(V−1) + lanes`; the last vector is always
-/// masked (`lanes == 8` selects the all-set mask, which loads and
-/// stores the full vector).
-///
-/// # Safety
-///
-/// Requires avx2+fma; the caller has asserted the slice invariants and
-/// guarantees the block geometry (`start + 8·(V−1) + lanes <= w`,
-/// `1 <= lanes <= 8`).
-#[target_feature(enable = "avx2,fma")]
-unsafe fn narrow_block_avx2<const V: usize>(
-    c_row: &mut [f32],
-    vals: &[f32],
-    cols: &[u32],
-    slab: &[f32],
-    w: usize,
-    start: usize,
-    lanes: usize,
-) {
-    use std::arch::x86_64::*;
-    let mask = _mm256_loadu_si256(NARROW_TAIL_MASKS[lanes].as_ptr() as *const __m256i);
-    let c_ptr = c_row.as_mut_ptr().add(start);
-    let slab_ptr = slab.as_ptr();
-    let last = V - 1;
-
-    let mut acc = [_mm256_setzero_ps(); V];
-    for (t, a) in acc.iter_mut().enumerate().take(last) {
-        *a = _mm256_loadu_ps(c_ptr.add(8 * t));
-    }
-    acc[last] = _mm256_maskload_ps(c_ptr.add(8 * last), mask);
-
-    for (&v, &col) in vals.iter().zip(cols) {
-        let b = slab_ptr.add(col as usize * w + start);
-        let s = _mm256_set1_ps(v);
-        for (t, a) in acc.iter_mut().enumerate().take(last) {
-            *a = _mm256_fmadd_ps(s, _mm256_loadu_ps(b.add(8 * t)), *a);
-        }
-        acc[last] = _mm256_fmadd_ps(s, _mm256_maskload_ps(b.add(8 * last), mask), acc[last]);
-    }
-
-    for (t, a) in acc.iter().enumerate().take(last) {
-        _mm256_storeu_ps(c_ptr.add(8 * t), *a);
-    }
-    _mm256_maskstore_ps(c_ptr.add(8 * last), mask, acc[last]);
-}

@@ -7,28 +7,38 @@
 //! whatever column order the reorder produced. All of that is a pure
 //! function of the stationary [`JigsawFormat`] — so a
 //! [`CompiledKernel`] resolves it **once**, ahead of time, into a flat
-//! CSR-style nonzero stream per output row (`(value, source column)`
-//! with metadata already applied). Execution is then:
+//! nonzero stream (`(value, source column)` with metadata already
+//! applied) per **vector-row group**: a run of up to `GROUP_ROWS` (4)
+//! consecutive rows, inside one row block, whose streams share one
+//! column sequence. Vector sparsity makes the `v` rows of a vector
+//! share their columns, so the group stores its columns once and its
+//! rows' values interleaved per nonzero (DESIGN.md §20). Execution is
+//! then:
 //!
 //! 1. **N-panel blocking** — B is converted F16→f32 once per
 //!    cache-sized column panel into pooled scratch (the legacy path
 //!    converted per call at best, per nonzero at worst),
 //! 2. a **2-D `(row block × N panel)` rayon grid** — finer-grained
 //!    than the strip-only parallelism of `execute_fast`, so one tall
-//!    or dense strip no longer serializes the whole multiply,
-//! 3. a **k-unrolled axpy microkernel**, resolved per execution by the
+//!    or dense strip no longer serializes the whole multiply, making
+//!    one microkernel call per group,
+//! 3. a **group microkernel**, resolved per execution by the
 //!    [`dispatch`] layer: a registry of named variants (`scalar`,
 //!    `avx2_fma`, `avx512f`, `neon`, `narrow_n`) with runtime ISA
 //!    detection, a typed [`dispatch::KernelPolicy`] (`Auto` |
 //!    `Forced`), and per-variant poisoning for the resilience ladder.
+//!    The x86 variants hold all the group's rows in registers, so each
+//!    B vector they load feeds every row of the group.
 //!
-//! The stream preserves `execute_fast`'s per-row accumulation order
-//! and its zero/padding skip rules. The scalar microkernel applies
-//! products with sequential f32 adds and is **bit-identical** to
-//! `execute_fast` (which stays around as the differential-testing
+//! Each row's stream preserves `execute_fast`'s per-row accumulation
+//! order and its zero/padding skip rules. The scalar microkernel
+//! applies products with sequential f32 adds and is **bit-identical**
+//! to `execute_fast` (which stays around as the differential-testing
 //! oracle). The fused SIMD variants keep the stream order and differ
 //! only by per-step rounding (exact on integer-valued data, ≤ 1 ulp
-//! per step otherwise; DESIGN.md §13).
+//! per step otherwise; DESIGN.md §13). Grouping changes no bit: each
+//! output element still sees its own row's chain, in order, from the
+//! same starting C.
 
 pub mod dispatch;
 mod kernels_aarch64;
@@ -48,6 +58,7 @@ use crate::fault::{self, points};
 use crate::format::{format_source_column, JigsawFormat};
 use crate::pool::{PoolBuf, WorkspacePool};
 
+use dispatch::GroupC;
 pub use dispatch::{ExecOptions, KernelKind, KernelPolicy, Selection};
 
 /// Rows of C per task of the 2-D execution grid.
@@ -64,6 +75,11 @@ const ROW_BLOCK: usize = 128;
 /// [`panel_width`], so the two can never drift apart.
 pub const PANEL_TARGET_BYTES: usize = 2 << 20;
 
+/// Most rows one vector-row group holds: a group is cut at this height
+/// (a v=8 run becomes two groups of 4), sized so a 4-row register
+/// block of accumulators fits the x86 register files (DESIGN.md §20).
+pub(crate) const GROUP_ROWS: usize = 4;
+
 /// The ahead-of-time-resolved execution plan of one [`JigsawFormat`].
 ///
 /// Build once per format with [`CompiledKernel::compile`] (cached by
@@ -76,18 +92,43 @@ pub struct CompiledKernel {
     pub m: usize,
     /// Reduction dimension (required B height).
     pub k: usize,
-    /// CSR row offsets into `vals`/`cols` (`m + 1` entries).
-    row_ptr: Vec<u32>,
-    /// Nonzero values, decompressed to f32, in `execute_fast`'s
-    /// per-row accumulation order.
+    /// One entry per vector-row group plus an end sentinel `{m,
+    /// cols.len(), vals.len()}`: group `g` covers rows
+    /// `groups[g].row..groups[g + 1].row` and the matching ranges of
+    /// `cols` and `vals`.
+    groups: Vec<GroupPtr>,
+    /// Nonzero values, decompressed to f32, interleaved per group: the
+    /// group's `h` rows' values for its `i`-th column sit at
+    /// `vals[val + i·h .. val + (i+1)·h]`. Each row's values are in
+    /// `execute_fast`'s per-row accumulation order.
     vals: Vec<f32>,
-    /// Source column of each nonzero (the B row it multiplies).
+    /// Source column of each group nonzero (the B row it multiplies),
+    /// stored once for all the group's rows.
     cols: Vec<u32>,
+}
+
+/// Where one vector-row group starts: its first row and the offsets of
+/// its shared column stream and interleaved values.
+#[derive(Clone, Copy, Debug)]
+struct GroupPtr {
+    row: u32,
+    col: u32,
+    val: u32,
+}
+
+/// One group being assembled during compilation: the shared column
+/// stream and, row after row, each row's values.
+#[derive(Default)]
+struct PendingGroup {
+    row: usize,
+    h: usize,
+    cols: Vec<u32>,
+    vals: Vec<f32>,
 }
 
 impl CompiledKernel {
     /// Resolves every `(strip, window, tile_row, row, slot)` of the
-    /// format into the flat per-row nonzero stream.
+    /// format into the grouped nonzero stream.
     ///
     /// Infallible convenience over [`CompiledKernel::try_compile`] —
     /// panics on the (pathological) error cases. Resilient callers
@@ -117,10 +158,17 @@ impl CompiledKernel {
         fault::hit(points::COMPILE)?;
         let started = Instant::now();
         let span = parent.child("exec.compile");
-        let mut row_ptr: Vec<u32> = Vec::with_capacity(format.m + 1);
-        row_ptr.push(0);
-        let mut vals: Vec<f32> = Vec::new();
-        let mut cols: Vec<u32> = Vec::new();
+        let mut kernel = CompiledKernel {
+            m: format.m,
+            k: format.k,
+            groups: Vec::new(),
+            vals: Vec::new(),
+            cols: Vec::new(),
+        };
+        let mut pending = PendingGroup::default();
+        let mut row_vals: Vec<f32> = Vec::new();
+        let mut row_cols: Vec<u32> = Vec::new();
+        let mut row = 0usize;
         for (si, strip) in format.strips.iter().enumerate() {
             let tile_rows = strip.height / MMA_TILE;
             let pairs = strip.windows.div_ceil(2);
@@ -133,6 +181,8 @@ impl CompiledKernel {
                 // word array, so indexing (not iteration) is the shape.
                 #[allow(clippy::needless_range_loop)]
                 for r in 0..MMA_TILE {
+                    row_vals.clear();
+                    row_cols.clear();
                     for w in 0..strip.windows {
                         let idx = unpack_row_metadata(words[w / 2][r]);
                         let off = (w % 2) * 8;
@@ -145,25 +195,35 @@ impl CompiledKernel {
                             let Some(col) = format_source_column(format, si, w, tr, pos) else {
                                 continue;
                             };
-                            vals.push(v.to_f32());
-                            cols.push(col as u32);
+                            row_vals.push(v.to_f32());
+                            row_cols.push(col as u32);
                         }
                     }
-                    if vals.len() >= u32::MAX as usize {
-                        return Err(CompileError::StreamOverflow { nnz: vals.len() });
+                    let joins = pending.h > 0
+                        && pending.h < GROUP_ROWS
+                        && !row.is_multiple_of(ROW_BLOCK)
+                        && pending.cols == row_cols;
+                    if joins {
+                        pending.vals.extend_from_slice(&row_vals);
+                        pending.h += 1;
+                    } else {
+                        kernel.push_group(&pending)?;
+                        pending.row = row;
+                        pending.h = 1;
+                        std::mem::swap(&mut pending.cols, &mut row_cols);
+                        std::mem::swap(&mut pending.vals, &mut row_vals);
                     }
-                    row_ptr.push(vals.len() as u32);
+                    row += 1;
                 }
             }
         }
-        debug_assert_eq!(row_ptr.len(), format.m + 1, "strips cover every row");
-        let kernel = CompiledKernel {
-            m: format.m,
-            k: format.k,
-            row_ptr,
-            vals,
-            cols,
-        };
+        kernel.push_group(&pending)?;
+        debug_assert_eq!(row, format.m, "strips cover every row");
+        kernel.groups.push(GroupPtr {
+            row: format.m as u32,
+            col: kernel.cols.len() as u32,
+            val: kernel.vals.len() as u32,
+        });
         let elapsed = started.elapsed().as_nanos() as u64;
         if jigsaw_obs::enabled() {
             let reg = jigsaw_obs::global();
@@ -173,9 +233,60 @@ impl CompiledKernel {
         if span.is_recording() {
             span.attr("rows", kernel.m);
             span.attr("nnz", kernel.nnz());
+            span.attr("groups", kernel.groups.len() - 1);
         }
         span.finish();
         Ok(kernel)
+    }
+
+    /// Appends `g` (when it holds any rows) as the next group, its
+    /// per-row values interleaved `h` per column.
+    fn push_group(&mut self, g: &PendingGroup) -> Result<(), CompileError> {
+        if g.h == 0 {
+            return Ok(());
+        }
+        let nnz = self.vals.len() + g.vals.len();
+        if nnz >= u32::MAX as usize {
+            return Err(CompileError::StreamOverflow { nnz });
+        }
+        self.groups.push(GroupPtr {
+            row: g.row as u32,
+            col: self.cols.len() as u32,
+            val: self.vals.len() as u32,
+        });
+        self.cols.extend_from_slice(&g.cols);
+        let base = self.vals.len();
+        self.vals.resize(nnz, 0.0);
+        // Row `r`'s values land at stride `h` from `base + r`.
+        let interleaved = &mut self.vals[base..];
+        for (r, row) in g.vals.chunks(g.cols.len().max(1)).enumerate() {
+            for (dst, &v) in interleaved[r..].iter_mut().step_by(g.h).zip(row) {
+                *dst = v;
+            }
+        }
+        Ok(())
+    }
+
+    /// The groups `g` whose rows start in `rows` (every group lies
+    /// inside one `ROW_BLOCK`, so for a row block these are exactly the
+    /// groups covering it).
+    fn groups_in(&self, rows: std::ops::Range<usize>) -> std::ops::Range<usize> {
+        let starts = &self.groups[..self.groups.len() - 1];
+        let first = starts.partition_point(|g| (g.row as usize) < rows.start);
+        let end = starts.partition_point(|g| (g.row as usize) < rows.end);
+        first..end
+    }
+
+    /// Group `g`'s first row, height, shared columns and interleaved
+    /// values.
+    fn group(&self, g: usize) -> (usize, usize, &[u32], &[f32]) {
+        let (lo, hi) = (self.groups[g], self.groups[g + 1]);
+        (
+            lo.row as usize,
+            (hi.row - lo.row) as usize,
+            &self.cols[lo.col as usize..hi.col as usize],
+            &self.vals[lo.val as usize..hi.val as usize],
+        )
     }
 
     /// Nonzeros in the compiled stream.
@@ -183,19 +294,24 @@ impl CompiledKernel {
         self.vals.len()
     }
 
-    /// Bytes held by the compiled stream (values + columns + offsets).
+    /// Bytes held by the compiled stream (values + shared columns +
+    /// group offsets).
     pub fn stream_bytes(&self) -> usize {
-        self.vals.len() * 4 + self.cols.len() * 4 + self.row_ptr.len() * 4
+        self.vals.len() * 4
+            + self.cols.len() * 4
+            + self.groups.len() * std::mem::size_of::<GroupPtr>()
     }
 
     /// The compiled nonzero stream of output row `row`:
     /// `(value, source column)` pairs in accumulation order.
     pub fn row_stream(&self, row: usize) -> impl Iterator<Item = (f32, usize)> + '_ {
-        let lo = self.row_ptr[row] as usize;
-        let hi = self.row_ptr[row + 1] as usize;
-        self.vals[lo..hi]
+        assert!(row < self.m, "row {row} out of {}", self.m);
+        let g = self.groups.partition_point(|g| g.row as usize <= row) - 1;
+        let (first, h, cols, vals) = self.group(g);
+        vals[row - first..]
             .iter()
-            .zip(&self.cols[lo..hi])
+            .step_by(h)
+            .zip(cols)
             .map(|(&v, &c)| (v, c as usize))
     }
 
@@ -384,6 +500,7 @@ impl CompiledKernel {
             .flat_map(|pb| (0..row_blocks).map(move |rb| (pb, rb)))
             .collect();
         let axpy = sel.axpy;
+        let c_len = c.len();
         let c_ptr = SendPtr(c.as_mut_ptr());
         let c_ptr = &c_ptr;
         let axpy_started = jigsaw_obs::enabled().then(Instant::now);
@@ -393,19 +510,23 @@ impl CompiledKernel {
             let slab = &scratch[self.k * col0..self.k * col0 + self.k * w];
             let r0 = rb * ROW_BLOCK;
             let r1 = (r0 + ROW_BLOCK).min(self.m);
-            for row in r0..r1 {
-                let lo = self.row_ptr[row] as usize;
-                let hi = self.row_ptr[row + 1] as usize;
-                if lo == hi {
+            for g in self.groups_in(r0..r1) {
+                let (row, h, cols, vals) = self.group(g);
+                if cols.is_empty() {
                     continue;
                 }
                 // SAFETY: tasks partition C into disjoint rectangles
-                // (`rb` ranges over disjoint rows, `pb` over disjoint
-                // column panels); this row segment belongs to exactly
-                // one task.
-                let c_row =
-                    unsafe { std::slice::from_raw_parts_mut(c_ptr.0.add(row * n + col0), w) };
-                axpy(c_row, &self.vals[lo..hi], &self.cols[lo..hi], slab, w);
+                // (`rb` ranges over disjoint row blocks, `pb` over
+                // disjoint column panels). Compilation never lets a
+                // group cross a `ROW_BLOCK` boundary, so the group's
+                // rows `row..row + h` lie in `r0..r1`; each row's `w`
+                // floats at `row·n + col0` lie in the panel's columns
+                // `col0..col0 + w` (stride `n` between rows, `w <= n`).
+                // The `h × w` write is therefore inside this task's
+                // rectangle, which no other task touches; `GroupC`
+                // re-checks the extent against `c_len`.
+                let out = unsafe { GroupC::from_raw(c_ptr.0, c_len, row * n + col0, n, h, w) };
+                axpy(out, vals, cols, slab);
             }
         });
 
@@ -837,6 +958,95 @@ mod tests {
             }
         }
         assert_eq!(total, kernel.nnz());
+    }
+
+    /// `(first row, height)` of every group, after checking the
+    /// grouping rule: groups tile the rows in order, hold 1..=4 rows,
+    /// never cross a `ROW_BLOCK` boundary, and their rows share one
+    /// column stream.
+    fn checked_groups(kernel: &CompiledKernel) -> Vec<(usize, usize)> {
+        let cols_of =
+            |row: usize| -> Vec<usize> { kernel.row_stream(row).map(|(_, c)| c).collect() };
+        let mut out = Vec::new();
+        let mut next = 0;
+        for g in 0..kernel.groups.len() - 1 {
+            let (row, h, cols, vals) = kernel.group(g);
+            assert_eq!(row, next, "groups tile the rows in order");
+            assert!((1..=GROUP_ROWS).contains(&h), "group at {row} has {h} rows");
+            assert_eq!(
+                row / ROW_BLOCK,
+                (row + h - 1) / ROW_BLOCK,
+                "group at {row} crosses a row block"
+            );
+            assert_eq!(vals.len(), h * cols.len());
+            for r in row..row + h {
+                assert_eq!(
+                    cols_of(r),
+                    cols_of(row),
+                    "rows {row} and {r} share one stream"
+                );
+            }
+            out.push((row, h));
+            next = row + h;
+        }
+        assert_eq!(next, kernel.m, "groups cover every row");
+        out
+    }
+
+    #[test]
+    fn rows_group_by_shared_column_stream() {
+        // v=1: every row has its own pattern, so every group is one row.
+        let (_, f) = setup(64, 96, 0.8, 1, 32, true, 41);
+        let kernel = CompiledKernel::compile(&f);
+        assert!(checked_groups(&kernel).iter().all(|&(_, h)| h == 1));
+
+        // v=8: each aligned 8-row run shares its stream and splits 4+4;
+        // `cols` is stored once per group.
+        let (_, f) = setup(64, 96, 0.9, 8, 32, true, 43);
+        let kernel = CompiledKernel::compile(&f);
+        let groups = checked_groups(&kernel);
+        assert_eq!(
+            groups,
+            (0..64).step_by(4).map(|r| (r, 4)).collect::<Vec<_>>()
+        );
+        assert_eq!(kernel.cols.len() * 4, kernel.nnz());
+
+        // Hand-built patterns: every row uses columns 0..8 except rows 1
+        // and 11..14 (their own patterns). Rows 2..11 are a 9-row run
+        // that ends in a short group; the run from row 14 on is off the
+        // 4-row grid, so its group at row 126 is cut short at the row
+        // block boundary 128.
+        let (m, k) = (144, 32);
+        let mut data = vec![0.0f32; m * k];
+        for r in 0..m {
+            let cols: Vec<usize> = match r {
+                1 => vec![3, 20],
+                11..=13 => vec![r, r + 16],
+                _ => (0..8).collect(),
+            };
+            for c in cols {
+                data[r * k + c] = ((r + c) % 5 + 1) as f32;
+            }
+        }
+        let a = Matrix::from_f32(m, k, &data);
+        let plan = ReorderPlan::build(&a, &JigsawConfig::v4(16));
+        let kernel = CompiledKernel::compile(&JigsawFormat::build(&a, &plan, true));
+        let groups = checked_groups(&kernel);
+        assert_eq!(&groups[..5], &[(0, 1), (1, 1), (2, 4), (6, 4), (10, 1)]);
+        let same = |r: usize| {
+            kernel
+                .row_stream(r)
+                .map(|(_, c)| c)
+                .eq(kernel.row_stream(126).map(|(_, c)| c))
+        };
+        assert!(
+            (120..136).all(same),
+            "precondition: rows 120..136 share a stream"
+        );
+        assert!(
+            groups.contains(&(126, 2)) && groups.contains(&(128, 4)),
+            "cut at the row block: {groups:?}"
+        );
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //!   rounding: bit-exact on integer-valued data, within the stated
 //!   tolerance (floored relative error ≤ 1e-5, ≈ 84 ulps at unit
 //!   scale) on arbitrary data,
+//! * every variant computes, per output element, exactly the per-row
+//!   chain — fused `mul_add`s (or, for `scalar`, sequential adds) over
+//!   `row_stream(row)` in order, starting from zero — whether the
+//!   compiled stream groups the row with its vector-row neighbours or
+//!   not (DESIGN.md §20),
 //! * `KernelPolicy::Forced(kind)` selects each runnable variant, and a
 //!   forced-but-absent ISA falls back cleanly to a correct product —
 //!   never a panic.
@@ -161,22 +166,63 @@ proptest! {
     }
 
     /// On arbitrary values the fused same-order variants stay within
-    /// 1e-5 floored relative error of the scalar oracle.
+    /// 1e-5 floored relative error of the scalar oracle, and every
+    /// variant is bit-identical to the test-local per-row chain — over
+    /// v ∈ {1, 2, 4, 8} (group heights 1..=4 and split v=8 runs) and
+    /// widths that reach every register-block tail.
     #[test]
     fn fused_variants_stay_within_stated_tolerance(
         a in arb_matrix(ValueDist::Uniform),
-        n in 1usize..=24,
+        n in arb_width(),
         interleaved in any::<bool>(),
     ) {
         let b = dense_rhs(a.cols, n, ValueDist::Uniform, 29);
         let (_, kernel) = compile(&a, interleaved);
         let oracle = kernel.execute_opts(&b, &ExecOptions::scalar());
+        let fused_chain = per_row_oracle(&kernel, &b, true);
+        let sequential_chain = per_row_oracle(&kernel, &b, false);
         for &kind in available_for_proptest() {
             let got = kernel.execute_opts(&b, &forced(kind));
             let err = max_relative_error(&got, &oracle);
             prop_assert!(err <= 1e-5, "variant {} err {} exceeds 1e-5", kind.name(), err);
+            let chain = if kind.bit_exact() { &sequential_chain } else { &fused_chain };
+            prop_assert_eq!(&got, chain, "variant {} n={}", kind.name(), n);
         }
     }
+}
+
+/// Output widths that reach every register-block tail: N=1, every
+/// width up to one full single-row AVX-512 block (16 ZMM, 256 columns)
+/// plus a ragged second block, and a second panel a few columns wide
+/// (panels are 512 wide at these K).
+fn arb_width() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), 2usize..=280, 513usize..=530]
+}
+
+/// The per-row reference chain, test-local so it cannot share a bug
+/// with the grouped kernels: for each output element, the products of
+/// `row_stream(row)` applied in stream order from zero — fused
+/// (`mul_add`) for the fused variants, sequential f32 adds for
+/// `scalar`.
+fn per_row_oracle(kernel: &CompiledKernel, b: &Matrix, fused: bool) -> Vec<f32> {
+    let n = b.cols;
+    let mut c = vec![0.0f32; kernel.m * n];
+    for row in 0..kernel.m {
+        let stream: Vec<(f32, usize)> = kernel.row_stream(row).collect();
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for &(v, col) in &stream {
+                let bv = b.row(col)[j].to_f32();
+                acc = if fused {
+                    v.mul_add(bv, acc)
+                } else {
+                    acc + v * bv
+                };
+            }
+            c[row * n + j] = acc;
+        }
+    }
+    c
 }
 
 /// `runnable_variants` would flood proptest output with one skip line
