@@ -224,17 +224,34 @@ const WINDOW_CYCLES: f64 = 50_000.0;
 /// Maximum batch width, columns.
 const MAX_BATCH_N: usize = 256;
 
-fn run_policy(
+/// Zoo seed behind the policy rows' models and schedule.
+const POLICY_ZOO_SEED: u64 = 90;
+/// Arrival seed of the policy rows' schedule.
+pub const POLICY_SEED: u64 = 0xBEEF;
+
+/// The seeded open-loop workload every policy row replays.
+pub fn policy_schedule(requests: usize) -> Vec<SimRequest> {
+    let load = LoadSpec {
+        requests,
+        seed: POLICY_SEED,
+        n_choices: vec![8, 16, 32],
+        mean_gap_cycles: 2_000.0,
+    };
+    generate_schedule(&default_zoo(POLICY_ZOO_SEED), &load)
+}
+
+/// Runs one `{batched, unbatched} × {warm, cold}` policy over
+/// `schedule` on a fresh registry of the default zoo.
+pub fn run_policy(
     label: &str,
     batched: bool,
     warm: bool,
-    schedule: &[jigsaw_serve::SimRequest],
-    zoo_seed: u64,
+    schedule: &[SimRequest],
     spec: &GpuSpec,
 ) -> Row {
     // A fresh registry per policy so "cold" truly re-plans.
     let registry = ModelRegistry::new(RegistryConfig::default()).expect("no artifact dir");
-    for m in default_zoo(zoo_seed) {
+    for m in default_zoo(POLICY_ZOO_SEED) {
         registry.register(&m.name, m.weights(), m.config);
     }
     if warm {
@@ -269,7 +286,7 @@ fn run_policy(
 
 /// Runs the zipf workload at each shard count. One warm registry and
 /// one schedule serve every row, so differences are pure topology.
-fn run_shard_sweep(spec: &GpuSpec, sweep: &ShardSweepSpec) -> Vec<ShardRow> {
+pub fn run_shard_sweep(spec: &GpuSpec, sweep: &ShardSweepSpec) -> Vec<ShardRow> {
     let zoo = scaled_zoo(sweep.models, 90);
     let registry = ModelRegistry::new(RegistryConfig {
         // The scaled zoo must stay fully resident: an eviction mid-run
@@ -344,7 +361,7 @@ const HEDGE_SHARDS: usize = 4;
 /// Runs the straggler workload twice on the same ring — tail
 /// tolerance off, then on — and reports both as [`HedgeRow`]s with
 /// the work amplification normalized to the unhedged run.
-fn run_hedge_sweep(spec: &GpuSpec) -> Vec<HedgeRow> {
+pub fn run_hedge_sweep(spec: &GpuSpec) -> Vec<HedgeRow> {
     let zoo = scaled_zoo(8, 33);
     let registry = ModelRegistry::new(RegistryConfig {
         budget_bytes: 1 << 30,
@@ -479,26 +496,19 @@ fn run_fusion_sweep(batch_sizes: &[usize], reps: usize) -> Vec<FusionRow> {
 /// Runs all four policies over one seeded workload, then the sharded
 /// zipf sweep over the same device spec.
 pub fn run(spec: &GpuSpec, requests: usize, sweep: &ShardSweepSpec) -> Serving {
-    let zoo_seed = 90;
-    let load = LoadSpec {
-        requests,
-        seed: 0xBEEF,
-        n_choices: vec![8, 16, 32],
-        mean_gap_cycles: 2_000.0,
-    };
-    let schedule = generate_schedule(&default_zoo(zoo_seed), &load);
+    let schedule = policy_schedule(requests);
     let rows = vec![
-        run_policy("batched+warm", true, true, &schedule, zoo_seed, spec),
-        run_policy("batched+cold", true, false, &schedule, zoo_seed, spec),
-        run_policy("unbatched+warm", false, true, &schedule, zoo_seed, spec),
-        run_policy("unbatched+cold", false, false, &schedule, zoo_seed, spec),
+        run_policy("batched+warm", true, true, &schedule, spec),
+        run_policy("batched+cold", true, false, &schedule, spec),
+        run_policy("unbatched+warm", false, true, &schedule, spec),
+        run_policy("unbatched+cold", false, false, &schedule, spec),
     ];
     let shard_rows = run_shard_sweep(spec, sweep);
     let fusion_rows = run_fusion_sweep(&[1, 2, 4, 8, 16], 25);
     let hedge_rows = run_hedge_sweep(spec);
     Serving {
         requests,
-        seed: load.seed,
+        seed: POLICY_SEED,
         rows,
         shard_requests: sweep.requests,
         users: sweep.users,

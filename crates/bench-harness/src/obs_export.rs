@@ -66,10 +66,131 @@ pub fn write_bench_json<T: Serialize>(experiment: &str, value: &T) -> io::Result
     write_bench_json_to(Path::new("results"), experiment, value)
 }
 
+/// Required keys per `(experiment, section)`: every listed
+/// `data.<section>` must be a non-empty array whose rows all carry
+/// every key. Columns: experiment, section, the error prefix naming a
+/// missing key, the keys.
+#[rustfmt::skip]
+const SCHEMA: &[(&str, &str, &str, &[&str])] = &[
+    // One row per (shape, N, microkernel variant, fusion).
+    ("exec", "shapes", "exec shape row missing key", &["m", "k", "n", "speedup"]),
+    // The resilience columns (DESIGN.md §12) on every policy row.
+    ("serving", "rows", "serving row missing resilience key",
+     &["failed", "shed_expired", "queue_depth", "breakers_open"]),
+    // One row per shard count with the per-shard columns (§14).
+    ("serving", "shard_rows", "serving shard row missing key",
+     &["shards", "completed", "forwarded", "stolen", "breaker_rejects", "shed_expired",
+       "failed", "p50_latency_cycles", "p95_latency_cycles", "p99_latency_cycles",
+       "per_shard_submitted", "per_shard_completed"]),
+    // One fusion row per batch size, gated by `--perf` (§16).
+    ("serving", "fusion_rows", "serving fusion row missing key",
+     &["batch", "k", "total_n", "fused_assemble_ns", "unfused_assemble_ns", "speedup"]),
+    // The unhedged/hedged straggler pair, gated by `--perf` (§17).
+    ("serving", "hedge_rows", "serving hedge row missing key",
+     &["policy", "shards", "straggler_factor", "completed", "hedges", "health_ejections",
+       "p50_latency_cycles", "p95_latency_cycles", "p99_latency_cycles", "busy_cycles",
+       "work_amplification", "budget_fraction"]),
+    // One row per (strategy, N, cache mode) (§18).
+    ("cache_ablation", "rows", "cache_ablation row missing key",
+     &["strategy", "n", "cache", "duration_cycles", "l1_hit_rate", "l2_hit_rate",
+       "l1_sector_reads", "l2_sector_reads", "mshr_merges"]),
+];
+
+/// `data.<section>` as a non-empty row slice.
+fn data_rows<'a>(doc: &'a Json, section: &str) -> Option<&'a [Json]> {
+    doc.get("data")
+        .and_then(|d| d.get(section))
+        .map(|r| r.items())
+        .filter(|r| !r.is_empty())
+}
+
+/// Exec rows: the `variant` column is optional (legacy docs predate
+/// the dispatch layer) but when present must name a registry variant,
+/// and a per-variant doc must include the portable `narrow_n` variant
+/// — it has no ISA gate, so its absence means the bench sweep
+/// silently shrank. A `fusion` column must be `on` or `off`.
+fn check_exec_variants(rows: &[Json]) -> Result<(), String> {
+    let mut saw_variant = false;
+    let mut saw_narrow = false;
+    for row in rows {
+        if let Some(variant) = row.get("variant") {
+            let name = variant
+                .as_str()
+                .ok_or_else(|| "exec: variant must be a string".to_string())?;
+            if jigsaw_core::KernelKind::parse(name).is_none() {
+                return Err(format!("exec: unknown microkernel variant {name:?}"));
+            }
+            saw_variant = true;
+            saw_narrow |= name == "narrow_n";
+        }
+        if let Some(fusion) = row.get("fusion") {
+            let mode = fusion
+                .as_str()
+                .ok_or_else(|| "exec: fusion must be a string".to_string())?;
+            if mode != "on" && mode != "off" {
+                return Err(format!(
+                    "exec: unknown fusion mode {mode:?}, expected \"on\" or \"off\""
+                ));
+            }
+        }
+    }
+    if saw_variant && !saw_narrow {
+        return Err(
+            "exec: per-variant doc has no narrow_n rows — the register-blocked \
+             variant is portable and must be benched"
+                .to_string(),
+        );
+    }
+    Ok(())
+}
+
+/// Cache-ablation rows (DESIGN.md §18): both cache modes must be
+/// present — the off rows are the bit-replay fixture, the on rows are
+/// the ablation — and the cache-on L2 hit rates must actually spread:
+/// a flat column means the hierarchy model degenerated.
+fn check_cache_modes(rows: &[Json]) -> Result<(), String> {
+    let mut on_hit_rates = Vec::new();
+    let mut saw_off = false;
+    for row in rows {
+        match row.get("cache").and_then(|c| c.as_str()) {
+            Some("off") => saw_off = true,
+            Some("on") => {
+                let hit = row
+                    .get("l2_hit_rate")
+                    .and_then(|h| h.as_f64())
+                    .ok_or_else(|| "cache_ablation: l2_hit_rate not a number".to_string())?;
+                on_hit_rates.push(hit);
+            }
+            other => {
+                return Err(format!(
+                    "cache_ablation: cache mode {other:?}, expected \"on\" or \"off\""
+                ))
+            }
+        }
+    }
+    if !saw_off || on_hit_rates.is_empty() {
+        return Err("cache_ablation: rows must cover both cache modes".to_string());
+    }
+    let max = on_hit_rates.iter().copied().fold(0.0, f64::max);
+    let min = on_hit_rates.iter().copied().fold(1.0, f64::min);
+    if max - min < 0.05 {
+        return Err(format!(
+            "cache_ablation: L2 hit rates span only {min:.3}..{max:.3} — the \
+             cache-on sweep no longer differentiates plans"
+        ));
+    }
+    Ok(())
+}
+
 /// Validates one emitted bench document: parses it with the zero-dep
-/// parser and checks the stable schema. Returns a human-readable
-/// problem description on failure.
+/// parser and checks the stable schema. Returns the experiment name,
+/// or a human-readable problem description on failure.
 pub fn check_bench_text(text: &str) -> Result<String, String> {
+    check_bench_doc(text).map(|(experiment, _)| experiment)
+}
+
+/// [`check_bench_text`], also returning the parsed document.
+fn check_bench_doc(text: &str) -> Result<(String, Json), String> {
     let doc = jigsaw_obs::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     if doc.keys() != BENCH_KEYS {
         return Err(format!(
@@ -96,222 +217,42 @@ pub fn check_bench_text(text: &str) -> Result<String, String> {
             obs.keys()
         ));
     }
-    if experiment == "exec" {
-        // Exec exports carry one row per (shape, N, microkernel
-        // variant, fusion). Every row needs the perf-gate keys; the
-        // `variant` column is optional (legacy docs predate the
-        // dispatch layer) but when present must name a registry
-        // variant, and a per-variant doc must include the portable
-        // `narrow_n` variant — it has no ISA gate, so its absence
-        // means the bench sweep silently shrank.
-        let rows = doc
-            .get("data")
-            .and_then(|d| d.get("shapes"))
-            .map(|r| r.items().to_vec())
-            .filter(|r| !r.is_empty())
-            .ok_or_else(|| "exec: data.shapes missing or empty".to_string())?;
-        let mut saw_variant = false;
-        let mut saw_narrow = false;
-        for row in &rows {
-            for key in ["m", "k", "n", "speedup"] {
-                if row.get(key).is_none() {
-                    return Err(format!("exec shape row missing key {key:?}"));
-                }
-            }
-            if let Some(variant) = row.get("variant") {
-                let name = variant
-                    .as_str()
-                    .ok_or_else(|| "exec: variant must be a string".to_string())?;
-                if jigsaw_core::KernelKind::parse(name).is_none() {
-                    return Err(format!("exec: unknown microkernel variant {name:?}"));
-                }
-                saw_variant = true;
-                saw_narrow |= name == "narrow_n";
-            }
-            if let Some(fusion) = row.get("fusion") {
-                let mode = fusion
-                    .as_str()
-                    .ok_or_else(|| "exec: fusion must be a string".to_string())?;
-                if mode != "on" && mode != "off" {
-                    return Err(format!(
-                        "exec: unknown fusion mode {mode:?}, expected \"on\" or \"off\""
-                    ));
-                }
-            }
-        }
-        if saw_variant && !saw_narrow {
-            return Err(
-                "exec: per-variant doc has no narrow_n rows — the register-blocked \
-                 variant is portable and must be benched"
-                    .to_string(),
-            );
-        }
-    }
-    if experiment == "serving" {
-        // The serving export carries the resilience columns (DESIGN.md
-        // §12) on every policy row; losing one is a schema regression.
-        let rows = doc
-            .get("data")
-            .and_then(|d| d.get("rows"))
-            .map(|r| r.items().to_vec())
-            .filter(|r| !r.is_empty())
-            .ok_or_else(|| "serving: data.rows missing or empty".to_string())?;
-        for row in &rows {
-            for key in ["failed", "shed_expired", "queue_depth", "breakers_open"] {
-                if row.get(key).is_none() {
-                    return Err(format!("serving row missing resilience key {key:?}"));
-                }
-            }
-        }
-        // Since the shard router landed (DESIGN.md §14), the export
-        // also carries one row per shard count with the per-shard
-        // columns; an empty or truncated sweep is a schema regression.
-        let shard_rows = doc
-            .get("data")
-            .and_then(|d| d.get("shard_rows"))
-            .map(|r| r.items().to_vec())
-            .filter(|r| !r.is_empty())
-            .ok_or_else(|| "serving: data.shard_rows missing or empty".to_string())?;
-        for row in &shard_rows {
-            for key in [
-                "shards",
-                "completed",
-                "forwarded",
-                "stolen",
-                "breaker_rejects",
-                "shed_expired",
-                "failed",
-                "p50_latency_cycles",
-                "p95_latency_cycles",
-                "p99_latency_cycles",
-                "per_shard_submitted",
-                "per_shard_completed",
-            ] {
-                if row.get(key).is_none() {
-                    return Err(format!("serving shard row missing key {key:?}"));
-                }
-            }
-        }
-        // Since fused batch assembly landed (DESIGN.md §16), the
-        // export also carries one fusion row per batch size; these are
-        // the rows `check_bench --perf` gates fused-vs-two-touch on.
-        let fusion_rows = doc
-            .get("data")
-            .and_then(|d| d.get("fusion_rows"))
-            .map(|r| r.items().to_vec())
-            .filter(|r| !r.is_empty())
-            .ok_or_else(|| "serving: data.fusion_rows missing or empty".to_string())?;
-        for row in &fusion_rows {
-            for key in [
-                "batch",
-                "k",
-                "total_n",
-                "fused_assemble_ns",
-                "unfused_assemble_ns",
-                "speedup",
-            ] {
-                if row.get(key).is_none() {
-                    return Err(format!("serving fusion row missing key {key:?}"));
-                }
-            }
-        }
-        // Since tail tolerance landed (DESIGN.md §17), the export also
-        // carries the unhedged/hedged straggler pair; these are the
-        // rows `check_bench --perf` gates hedging on.
-        let hedge_rows = doc
-            .get("data")
-            .and_then(|d| d.get("hedge_rows"))
-            .map(|r| r.items().to_vec())
-            .filter(|r| !r.is_empty())
-            .ok_or_else(|| "serving: data.hedge_rows missing or empty".to_string())?;
-        for row in &hedge_rows {
-            for key in [
-                "policy",
-                "shards",
-                "straggler_factor",
-                "completed",
-                "hedges",
-                "health_ejections",
-                "p50_latency_cycles",
-                "p95_latency_cycles",
-                "p99_latency_cycles",
-                "busy_cycles",
-                "work_amplification",
-                "budget_fraction",
-            ] {
-                if row.get(key).is_none() {
-                    return Err(format!("serving hedge row missing key {key:?}"));
-                }
-            }
-        }
-        for policy in ["unhedged", "hedged"] {
-            if !hedge_rows
-                .iter()
-                .any(|r| r.get("policy").and_then(|p| p.as_str()) == Some(policy))
-            {
-                return Err(format!("serving: hedge_rows missing {policy:?} row"));
+    for &(exp, section, missing, keys) in SCHEMA.iter().filter(|s| s.0 == experiment) {
+        let rows = data_rows(&doc, section)
+            .ok_or_else(|| format!("{exp}: data.{section} missing or empty"))?;
+        for row in rows {
+            if let Some(key) = keys.iter().find(|k| row.get(k).is_none()) {
+                return Err(format!("{missing} {key:?}"));
             }
         }
     }
-    if experiment == "cache_ablation" {
-        // The cache ablation (DESIGN.md §18) carries one row per
-        // (strategy, N, cache mode). Both cache modes must be present
-        // — the off rows are the bit-replay fixture, the on rows are
-        // the ablation — and the cache-on L2 hit rates must actually
-        // spread: a flat column means the hierarchy model degenerated.
-        let rows = doc
-            .get("data")
-            .and_then(|d| d.get("rows"))
-            .map(|r| r.items().to_vec())
-            .filter(|r| !r.is_empty())
-            .ok_or_else(|| "cache_ablation: data.rows missing or empty".to_string())?;
-        let mut on_hit_rates = Vec::new();
-        let mut saw_off = false;
-        for row in &rows {
-            for key in [
-                "strategy",
-                "n",
-                "cache",
-                "duration_cycles",
-                "l1_hit_rate",
-                "l2_hit_rate",
-                "l1_sector_reads",
-                "l2_sector_reads",
-                "mshr_merges",
-            ] {
-                if row.get(key).is_none() {
-                    return Err(format!("cache_ablation row missing key {key:?}"));
-                }
-            }
-            match row.get("cache").and_then(|c| c.as_str()) {
-                Some("off") => saw_off = true,
-                Some("on") => {
-                    let hit = row
-                        .get("l2_hit_rate")
-                        .and_then(|h| h.as_f64())
-                        .ok_or_else(|| "cache_ablation: l2_hit_rate not a number".to_string())?;
-                    on_hit_rates.push(hit);
-                }
-                other => {
-                    return Err(format!(
-                        "cache_ablation: cache mode {other:?}, expected \"on\" or \"off\""
-                    ))
+    let rows = |section| data_rows(&doc, section).unwrap_or_default();
+    match experiment.as_str() {
+        "exec" => check_exec_variants(rows("shapes"))?,
+        "serving" => {
+            // Both halves of the straggler pair `check_bench --perf`
+            // gates hedging on.
+            let hedge_rows = rows("hedge_rows");
+            for policy in ["unhedged", "hedged"] {
+                if !hedge_rows
+                    .iter()
+                    .any(|r| r.get("policy").and_then(|p| p.as_str()) == Some(policy))
+                {
+                    return Err(format!("serving: hedge_rows missing {policy:?} row"));
                 }
             }
         }
-        if !saw_off || on_hit_rates.is_empty() {
-            return Err("cache_ablation: rows must cover both cache modes".to_string());
-        }
-        let max = on_hit_rates.iter().copied().fold(0.0, f64::max);
-        let min = on_hit_rates.iter().copied().fold(1.0, f64::min);
-        if max - min < 0.05 {
-            return Err(format!(
-                "cache_ablation: L2 hit rates span only {min:.3}..{max:.3} — the \
-                 cache-on sweep no longer differentiates plans"
-            ));
-        }
+        "cache_ablation" => check_cache_modes(rows("rows"))?,
+        _ => {}
     }
-    Ok(experiment)
+    Ok((experiment, doc))
+}
+
+/// `row[key]` as a number; `role` names the document in the error.
+fn num(row: &Json, key: &str, role: &str) -> Result<f64, String> {
+    row.get(key)
+        .and_then(|v| v.as_f64())
+        .ok_or_else(|| format!("{role}: row {key:?} is not a number"))
 }
 
 /// Perf-regression gate over two bench documents of the same
@@ -348,9 +289,9 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
     if !(0.0..1.0).contains(&tolerance) {
         return Err(format!("tolerance {tolerance} outside [0, 1)"));
     }
-    let base_exp = check_bench_text(baseline)
-        .map_err(|e| format!("baseline is not a valid bench doc: {e}"))?;
-    let cand_exp = check_bench_text(candidate)
+    let (base_exp, base_doc) =
+        check_bench_doc(baseline).map_err(|e| format!("baseline is not a valid bench doc: {e}"))?;
+    let (cand_exp, cand_doc) = check_bench_doc(candidate)
         .map_err(|e| format!("candidate is not a valid bench doc: {e}"))?;
     if base_exp != cand_exp {
         return Err(format!(
@@ -358,7 +299,7 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
         ));
     }
     if base_exp == "serving" {
-        return check_perf_serving(baseline, candidate, tolerance);
+        return check_perf_serving(&base_doc, &cand_doc, tolerance);
     }
     // `(m, k, n, variant, fusion)` identity of one row.
     type RowKey = (u64, u64, u64, String, String);
@@ -381,34 +322,21 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
             fusion,
         ))
     };
-    let shapes = |text: &str, role: &str| -> Result<(Json, Vec<Json>), String> {
-        let doc = jigsaw_obs::parse(text).map_err(|e| format!("{role}: {e}"))?;
-        let data = doc
-            .get("data")
-            .cloned()
-            .ok_or_else(|| format!("{role}: missing data"))?;
-        let shapes: Vec<Json> = data
-            .get("shapes")
-            .map(|s| s.items().to_vec())
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| format!("{role}: data.shapes missing or empty"))?;
-        Ok((data, shapes))
-    };
-    let (base_data, base_shapes) = shapes(baseline, "baseline")?;
-    let (_, cand_shapes) = shapes(candidate, "candidate")?;
-    let floor = base_data
-        .get("required_speedup")
+    // Both docs passed the schema check: their shapes are non-empty
+    // and every row carries m/k/n/speedup.
+    let base_shapes = data_rows(&base_doc, "shapes").unwrap_or_default();
+    let cand_shapes = data_rows(&cand_doc, "shapes").unwrap_or_default();
+    let floor = base_doc
+        .get("data")
+        .and_then(|d| d.get("required_speedup"))
         .and_then(|f| f.as_f64())
         .ok_or_else(|| "baseline: missing data.required_speedup".to_string())?;
 
     let mut report = Vec::new();
     let mut gated_any = false;
-    for base in &base_shapes {
+    for base in base_shapes {
         let (m, k, n, variant, fusion) = key(base).ok_or("baseline: shape missing m/k/n")?;
-        let base_speedup = base
-            .get("speedup")
-            .and_then(|s| s.as_f64())
-            .ok_or("baseline: shape missing speedup")?;
+        let base_speedup = num(base, "speedup", "baseline")?;
         let kind = jigsaw_core::KernelKind::parse(&variant)
             .ok_or_else(|| format!("baseline: unknown variant {variant:?}"))?;
         if !kind.available() {
@@ -421,10 +349,7 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
             .ok_or_else(|| {
                 format!("candidate: {variant} (fusion {fusion}) row at {m}x{k} N={n} missing")
             })?;
-        let cand_speedup = cand
-            .get("speedup")
-            .and_then(|s| s.as_f64())
-            .ok_or("candidate: shape missing speedup")?;
+        let cand_speedup = num(cand, "speedup", "candidate")?;
         let floored = variant == "avx2_fma" && fusion == "off";
         let mut min_ok = base_speedup * (1.0 - tolerance);
         if floored {
@@ -480,35 +405,22 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
 /// `1 + budget_fraction` — a hedging layer that amplifies the tail or
 /// blows its retry budget is a regression in the property it exists
 /// to enforce (DESIGN.md §17).
-fn check_perf_serving(baseline: &str, candidate: &str, tolerance: f64) -> Result<String, String> {
-    let rows = |text: &str, role: &str| -> Result<Vec<Json>, String> {
-        let doc = jigsaw_obs::parse(text).map_err(|e| format!("{role}: {e}"))?;
-        doc.get("data")
-            .and_then(|d| d.get("fusion_rows"))
-            .map(|r| r.items().to_vec())
-            .filter(|r| !r.is_empty())
-            .ok_or_else(|| format!("{role}: data.fusion_rows missing or empty"))
-    };
-    let base_rows = rows(baseline, "baseline")?;
-    let cand_rows = rows(candidate, "candidate")?;
+fn check_perf_serving(base_doc: &Json, cand_doc: &Json, tolerance: f64) -> Result<String, String> {
+    // Both docs passed the schema check: every section below is a
+    // non-empty row list carrying its schema keys.
+    let cand_rows = data_rows(cand_doc, "fusion_rows").unwrap_or_default();
     let mut report = Vec::new();
-    for base in &base_rows {
+    for base in data_rows(base_doc, "fusion_rows").unwrap_or_default() {
         let batch = base
             .get("batch")
             .and_then(|b| b.as_u64())
-            .ok_or("baseline: fusion row missing batch")?;
-        let base_speedup = base
-            .get("speedup")
-            .and_then(|s| s.as_f64())
-            .ok_or("baseline: fusion row missing speedup")?;
+            .ok_or("baseline: fusion row batch is not an integer")?;
+        let base_speedup = num(base, "speedup", "baseline")?;
         let cand = cand_rows
             .iter()
             .find(|c| c.get("batch").and_then(|b| b.as_u64()) == Some(batch))
             .ok_or_else(|| format!("candidate: fusion row at batch {batch} missing"))?;
-        let cand_speedup = cand
-            .get("speedup")
-            .and_then(|s| s.as_f64())
-            .ok_or("candidate: fusion row missing speedup")?;
+        let cand_speedup = num(cand, "speedup", "candidate")?;
         let floored = batch >= 4;
         let mut min_ok = base_speedup * (1.0 - tolerance);
         if floored {
@@ -534,40 +446,24 @@ fn check_perf_serving(baseline: &str, candidate: &str, tolerance: f64) -> Result
     // Hedging floors run on the candidate alone: the virtual-clock sim
     // is bit-deterministic per seed, so these are absolute invariants,
     // not host-relative measurements.
-    let hedge_rows = {
-        let doc = jigsaw_obs::parse(candidate).map_err(|e| format!("candidate: {e}"))?;
-        doc.get("data")
-            .and_then(|d| d.get("hedge_rows"))
-            .map(|r| r.items().to_vec())
-            .filter(|r| !r.is_empty())
-            .ok_or_else(|| "candidate: data.hedge_rows missing or empty".to_string())?
-    };
-    let hedge = |policy: &str| -> Result<Json, String> {
-        hedge_rows
+    let hedge = |policy: &str| {
+        data_rows(cand_doc, "hedge_rows")
+            .unwrap_or_default()
             .iter()
             .find(|r| r.get("policy").and_then(|p| p.as_str()) == Some(policy))
-            .cloned()
-            .ok_or_else(|| format!("candidate: hedge_rows missing {policy:?} row"))
+            .expect("the schema check requires both hedge policies")
     };
-    let f64_of = |row: &Json, key: &str| -> Result<f64, String> {
-        row.get(key)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("candidate: hedge row missing {key:?}"))
-    };
-    let unhedged = hedge("unhedged")?;
-    let hedged = hedge("hedged")?;
-    let (up99, hp99) = (
-        f64_of(&unhedged, "p99_latency_cycles")?,
-        f64_of(&hedged, "p99_latency_cycles")?,
-    );
+    let (unhedged, hedged) = (hedge("unhedged"), hedge("hedged"));
+    let up99 = num(unhedged, "p99_latency_cycles", "candidate")?;
+    let hp99 = num(hedged, "p99_latency_cycles", "candidate")?;
     if hp99 > up99 {
         return Err(format!(
             "regression in tail tolerance: hedged p99 {hp99:.0} cycles exceeds \
              unhedged p99 {up99:.0} under the injected straggler (floor 1.0x)"
         ));
     }
-    let amp = f64_of(&hedged, "work_amplification")?;
-    let budget = f64_of(&hedged, "budget_fraction")?;
+    let amp = num(hedged, "work_amplification", "candidate")?;
+    let budget = num(hedged, "budget_fraction", "candidate")?;
     if amp > 1.0 + budget {
         return Err(format!(
             "regression in tail tolerance: work amplification {amp:.3}x exceeds \

@@ -5,6 +5,13 @@ use std::fmt::Write as _;
 
 use crate::registry::CacheStats;
 
+/// Bumps the named global obs counter when recording is on.
+pub(crate) fn count(name: &str) {
+    if jigsaw_obs::enabled() {
+        jigsaw_obs::global().counter(name).inc();
+    }
+}
+
 /// Exact-percentile sample store. Serving runs are bounded (thousands
 /// of requests), so keeping every sample and computing nearest-rank
 /// percentiles exactly is cheaper than being clever.

@@ -1,7 +1,11 @@
 //! The threaded serving engine: bounded per-model admission queues, a
-//! dynamic micro-batcher that coalesces requests along N (up to
-//! `max_batch_n` columns or a `max_wait` deadline, whichever first),
-//! and a worker pool executing one simulated kernel per batch.
+//! dynamic micro-batcher that coalesces requests along N, and a worker
+//! pool executing one simulated kernel per batch.
+//!
+//! Workers batch by the rule the simulator runs ([`dispatch_at`],
+//! [`pop_batch`]) on the host-ns clock the breakers use, as an idle
+//! device with no request cap. Shutdown dispatches at once — the drain
+//! contract, not the batching rule.
 //!
 //! Built entirely on `std::sync` — no external runtime. Each request's
 //! response carries its proportional share of the batch's simulated
@@ -23,9 +27,12 @@ use jigsaw_core::fault::{self, points};
 use jigsaw_core::{lock_recover, wait_recover, wait_timeout_recover, PoolStats, WorkspacePool};
 use jigsaw_obs::{Span, TraceHandle};
 
-use crate::batch::{split_columns, AdmitError, RequestStats, SpmmResponse};
+use crate::batch::{
+    dispatch_at, expired, pop_batch, split_columns, AdmitError, BatchLimits, QueuedRequest,
+    RequestStats, SpmmResponse,
+};
 use crate::breaker::{BreakerAdmit, BreakerConfig, BreakerState, CircuitBreaker};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{count, ServeMetrics};
 use crate::registry::ModelRegistry;
 
 /// Server configuration.
@@ -159,12 +166,27 @@ struct ReqTrace {
 
 struct Pending {
     b: Matrix,
-    enqueued: Instant,
-    /// Shed (with [`ServeError::DeadlineExceeded`]) if still queued at
-    /// this instant.
-    deadline: Option<Instant>,
+    /// Admission instant, host ns since server start.
+    arrival_ns: f64,
+    /// Shed (with [`ServeError::DeadlineExceeded`]) if still queued
+    /// past this instant, host ns since server start.
+    deadline_ns: Option<f64>,
     ticket: Arc<TicketState>,
     trace: Option<ReqTrace>,
+}
+
+impl QueuedRequest for Pending {
+    fn arrival(&self) -> f64 {
+        self.arrival_ns
+    }
+
+    fn deadline(&self) -> Option<f64> {
+        self.deadline_ns
+    }
+
+    fn width(&self) -> usize {
+        self.b.cols
+    }
 }
 
 /// Completes a ticket, first write wins. The `false` return (already
@@ -263,9 +285,7 @@ impl Server {
                         Ok(()) => return,
                         Err(_) => {
                             lock_recover(&shared.metrics).worker_panics += 1;
-                            if jigsaw_obs::enabled() {
-                                jigsaw_obs::global().counter("serve.worker_panics").inc();
-                            }
+                            count("serve.worker_panics");
                         }
                     }
                 })
@@ -335,9 +355,7 @@ impl Server {
                 if let BreakerAdmit::Reject { retry_after } = br.admit(now) {
                     drop(breakers);
                     lock_recover(&self.shared.metrics).breaker_rejects += 1;
-                    if jigsaw_obs::enabled() {
-                        jigsaw_obs::global().counter("shard.breaker_rejects").inc();
-                    }
+                    count("shard.breaker_rejects");
                     return reject(
                         &self.shared,
                         AdmitError::CircuitOpen {
@@ -397,11 +415,11 @@ impl Server {
                     handle,
                 }
             });
-            let now = Instant::now();
+            let now = self.shared.now_ns();
             q.push_back(Pending {
                 b,
-                enqueued: now,
-                deadline: deadline.map(|d| now + d),
+                arrival_ns: now,
+                deadline_ns: deadline.map(|d| now + d.as_nanos() as f64),
                 ticket: state.clone(),
                 trace,
             });
@@ -488,27 +506,28 @@ impl Drop for Server {
 }
 
 /// Picks the model whose head request has waited longest.
-fn oldest_head(queues: &QueueMap) -> Option<(String, Instant)> {
+fn oldest_head(queues: &QueueMap) -> Option<String> {
     queues
         .by_model
         .iter()
-        .filter_map(|(name, q)| q.front().map(|p| (name.clone(), p.enqueued)))
-        .min_by_key(|(name, t)| (*t, name.clone()))
+        .filter_map(|(name, q)| q.front().map(|p| (name, p.arrival_ns)))
+        .min_by(|(na, a), (nb, b)| a.total_cmp(b).then(na.cmp(nb)))
+        .map(|(name, _)| name.clone())
 }
 
-/// Sheds every queued request whose deadline has passed, fulfilling
-/// its ticket with [`ServeError::DeadlineExceeded`]. Returns the shed
+/// Sheds every queued request [`expired`] at `at`, fulfilling its
+/// ticket with [`ServeError::DeadlineExceeded`]. Returns the shed
 /// count; caller accounts it.
-fn shed_expired_locked(queues: &mut QueueMap) -> usize {
-    let now = Instant::now();
+fn shed_expired_locked(queues: &mut QueueMap, at: f64) -> usize {
     let mut shed = 0;
     for q in queues.by_model.values_mut() {
         q.retain(|p| {
-            let expired = p.deadline.is_some_and(|d| d <= now);
-            if expired && fulfill(&p.ticket, Err(ServeError::DeadlineExceeded)) {
+            let gone = expired(p.deadline_ns, at);
+            if gone {
+                fulfill(&p.ticket, Err(ServeError::DeadlineExceeded));
                 shed += 1;
             }
-            !expired
+            !gone
         });
     }
     queues.depth -= shed;
@@ -517,66 +536,82 @@ fn shed_expired_locked(queues: &mut QueueMap) -> usize {
 
 /// The earliest deadline among all queued requests, so batching waits
 /// can wake in time to shed.
-fn earliest_deadline(queues: &QueueMap) -> Option<Instant> {
+fn earliest_deadline(queues: &QueueMap) -> Option<f64> {
     queues
         .by_model
         .values()
-        .flat_map(|q| q.iter().filter_map(|p| p.deadline))
-        .min()
+        .flat_map(|q| q.iter().filter_map(|p| p.deadline_ns))
+        .min_by(f64::total_cmp)
 }
 
 fn worker_loop(shared: &Shared, registry: &ModelRegistry, cfg: &ServeConfig) {
+    let limits = BatchLimits {
+        max_batch_n: cfg.max_batch_n,
+        max_batch_requests: usize::MAX,
+        max_wait: cfg.max_wait.as_nanos() as f64,
+    };
     loop {
         let batch = {
             let mut queues = lock_recover(&shared.queues);
+            // The dispatch instant this idle worker's timer was armed
+            // for. A wake-up acts as of then, so timer lag is never
+            // charged to a request: a head whose window closed at its
+            // deadline is served, not shed. Unset after a batch, so a
+            // worker returning busy sheds what expired meanwhile.
+            let mut wake_at: Option<f64> = None;
             loop {
-                let shed = shed_expired_locked(&mut queues);
+                let real = shared.now_ns();
+                let now = wake_at.map_or(real, |w| w.min(real));
+                let shed = shed_expired_locked(&mut queues, now);
                 if shed > 0 {
                     // The one permitted nested order: queues → metrics.
                     lock_recover(&shared.metrics).shed_expired += shed as u64;
                 }
                 let stopping = shared.stop.load(Ordering::SeqCst);
-                let Some((model, head_enqueued)) = oldest_head(&queues) else {
+                let Some(model) = oldest_head(&queues) else {
                     if stopping {
                         return;
                     }
                     // No head means every queue is empty — nothing can
                     // expire; sleep until the next submit or stop.
                     queues = wait_recover(&shared.cv, queues);
+                    wake_at = None;
                     continue;
                 };
-                let q = queues.by_model.get(&model).expect("head exists");
-                let queued_n: usize = q.iter().map(|p| p.b.cols).sum();
-                let age = head_enqueued.elapsed();
-                let full = queued_n >= cfg.max_batch_n;
-                if !(full || age >= cfg.max_wait || stopping) {
-                    // Hold the batch open for co-riders, but wake at
-                    // the window deadline (so the head is never
-                    // starved) or the earliest request deadline (so
-                    // expired entries shed promptly) — whichever is
-                    // sooner.
-                    let mut remaining = cfg.max_wait - age;
-                    if let Some(d) = earliest_deadline(&queues) {
-                        let until = d.saturating_duration_since(Instant::now());
-                        remaining = remaining.min(until.max(Duration::from_micros(50)));
+                let q = queues.by_model.get_mut(&model).expect("head exists");
+                let at = if stopping {
+                    now
+                } else {
+                    dispatch_at(q, &limits, true, now, now)
+                };
+                if at <= real {
+                    let mut shed = 0;
+                    let (members, _) = pop_batch(
+                        q,
+                        &limits,
+                        at,
+                        |_| false,
+                        |p| {
+                            fulfill(&p.ticket, Err(ServeError::DeadlineExceeded));
+                            shed += 1;
+                        },
+                    );
+                    queues.depth -= members.len() + shed;
+                    if shed > 0 {
+                        lock_recover(&shared.metrics).shed_expired += shed as u64;
                     }
-                    let (guard, _) = wait_timeout_recover(&shared.cv, queues, remaining);
-                    queues = guard;
+                    if !members.is_empty() {
+                        break (model, members);
+                    }
                     continue;
                 }
-                // Dispatch: pop whole requests while they fit.
-                let q = queues.by_model.get_mut(&model).expect("head exists");
-                let mut members = Vec::new();
-                let mut total_n = 0;
-                while let Some(front) = q.front() {
-                    if !members.is_empty() && total_n + front.b.cols > cfg.max_batch_n {
-                        break;
-                    }
-                    total_n += front.b.cols;
-                    members.push(q.pop_front().expect("front exists"));
-                }
-                queues.depth -= members.len();
-                break (model, members);
+                // Hold the batch open for co-riders, but wake when its
+                // window closes or the earliest deadline passes (so
+                // expired entries shed promptly).
+                wake_at = Some(at);
+                let wake = earliest_deadline(&queues).map_or(at, |d| d.min(at));
+                let sleep = Duration::from_nanos((wake - real).max(0.0) as u64);
+                queues = wait_timeout_recover(&shared.cv, queues, sleep).0;
             }
         };
         execute_batch(shared, registry, cfg, batch);
@@ -653,7 +688,7 @@ fn execute_batch(
     (model, members): (String, Vec<Pending>),
 ) {
     let mut members = members;
-    let dispatched = Instant::now();
+    let dispatched = shared.now_ns();
     let guard = BatchGuard {
         shared,
         model: model.clone(),
@@ -740,12 +775,12 @@ fn execute_batch(
     let n_members = members.len();
     for (p, split) in members.into_iter().zip(splits) {
         let share = batch_cycles * p.b.cols as f64 / total_n as f64;
-        let queue_host_ns = dispatched.duration_since(p.enqueued).as_nanos() as u64;
+        let queue_host_ns = (dispatched - p.arrival_ns).max(0.0) as u64;
         metrics.completed += 1;
         metrics.latency_cycles.record(batch_cycles);
         metrics
             .latency_host_ns
-            .record(p.enqueued.elapsed().as_nanos() as f64);
+            .record(shared.now_ns() - p.arrival_ns);
         // Graft the shared batch subtree into this request's trace,
         // close the root, and hand the finished tree back with the
         // response (plus a copy in the global trace ring).

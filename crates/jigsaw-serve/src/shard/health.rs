@@ -18,6 +18,8 @@
 //! [`crate::shard::sim`] feeds cycles. Not internally synchronized —
 //! callers hold scorers behind their own locks.
 
+use crate::metrics::count;
+
 /// Health-scoring policy, in the caller's clock units.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthConfig {
@@ -198,6 +200,28 @@ impl ShardHealth {
         }
         self.fold(f64::NAN, 1.0);
         self.settle(now)
+    }
+
+    /// Records one outcome at `now` — `Some(latency)` for a success,
+    /// `None` for a failure — and counts the status change it causes
+    /// on `health.ejections` / `health.readmissions`. Returns 1 if the
+    /// outcome ejected the shard, else 0.
+    pub(crate) fn record(&mut self, now: f64, latency: Option<f64>) -> u64 {
+        let before = self.ejections;
+        let changed = match latency {
+            Some(l) => self.on_success(now, l),
+            None => self.on_failure(now),
+        };
+        if !changed {
+            return 0;
+        }
+        let ejected = self.ejections > before;
+        count(if ejected {
+            "health.ejections"
+        } else {
+            "health.readmissions"
+        });
+        u64::from(ejected)
     }
 
     fn fold(&mut self, latency: f64, failed: f64) {

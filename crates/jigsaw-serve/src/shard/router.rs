@@ -23,7 +23,7 @@ use jigsaw_core::sync::lock_recover;
 use jigsaw_core::JigsawConfig;
 
 use crate::batch::{AdmitError, SpmmResponse};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{count, ServeMetrics};
 use crate::registry::{ModelRegistry, RegistryConfig};
 use crate::server::{ServeConfig, ServeError, Server, Ticket};
 use crate::shard::health::{fleet_baseline, HealthState, ShardHealth};
@@ -195,9 +195,7 @@ impl ShardRouter {
         let server = lock_recover_write(&self.lanes[shard].server).take()?;
         let metrics = server.shutdown();
         *lock_recover(&self.lanes[shard].last_metrics) = metrics.clone();
-        if jigsaw_obs::enabled() {
-            jigsaw_obs::global().counter("shard.killed").inc();
-        }
+        count("shard.killed");
         Some(metrics)
     }
 
@@ -221,9 +219,7 @@ impl ShardRouter {
         }
         *lock_recover(&self.health[shard]) = ShardHealth::new(self.config.health);
         self.revived.fetch_add(1, Ordering::Relaxed);
-        if jigsaw_obs::enabled() {
-            jigsaw_obs::global().counter("shard.revived").inc();
-        }
+        count("shard.revived");
         true
     }
 
@@ -264,9 +260,7 @@ impl ShardRouter {
         // any shard — typed, counted, isolated.
         if fault::armed() && fault::hit(fault::points::SHARD_ROUTE).is_err() {
             self.route_faults.fetch_add(1, Ordering::Relaxed);
-            if jigsaw_obs::enabled() {
-                jigsaw_obs::global().counter("shard.route_faults").inc();
-            }
+            count("shard.route_faults");
             return Err(AdmitError::ShardUnavailable {
                 model: model.to_string(),
                 shard: home,
@@ -276,15 +270,11 @@ impl ShardRouter {
         match lock_recover(&self.hot).record(model, now_ns) {
             HotEvent::Promoted => {
                 self.promotions.fetch_add(1, Ordering::Relaxed);
-                if jigsaw_obs::enabled() {
-                    jigsaw_obs::global().counter("shard.promotions").inc();
-                }
+                count("shard.promotions");
             }
             HotEvent::Demoted => {
                 self.demotions.fetch_add(1, Ordering::Relaxed);
-                if jigsaw_obs::enabled() {
-                    jigsaw_obs::global().counter("shard.demotions").inc();
-                }
+                count("shard.demotions");
             }
             HotEvent::None => {}
         }
@@ -317,8 +307,8 @@ impl ShardRouter {
                 .collect();
             if candidates.is_empty() {
                 candidates = live.clone();
-            } else if jigsaw_obs::enabled() {
-                jigsaw_obs::global().counter("health.reroutes").inc();
+            } else {
+                count("health.reroutes");
             }
         }
 
@@ -347,15 +337,11 @@ impl ShardRouter {
                     && should_forward(&self.config.steal, target_depth, depth_of(best))
                 {
                     if fault::armed() && fault::hit(fault::points::SHARD_FORWARD).is_err() {
-                        if jigsaw_obs::enabled() {
-                            jigsaw_obs::global().counter("shard.forward_faults").inc();
-                        }
+                        count("shard.forward_faults");
                     } else {
                         target = best;
                         self.forwarded.fetch_add(1, Ordering::Relaxed);
-                        if jigsaw_obs::enabled() {
-                            jigsaw_obs::global().counter("shard.forwarded").inc();
-                        }
+                        count("shard.forwarded");
                     }
                 }
             }
@@ -385,9 +371,7 @@ impl ShardRouter {
                     Some(&s) => {
                         tried.push(s);
                         self.failovers.fetch_add(1, Ordering::Relaxed);
-                        if jigsaw_obs::enabled() {
-                            jigsaw_obs::global().counter("shard.failovers").inc();
-                        }
+                        count("shard.failovers");
                         s
                     }
                     None => break,
@@ -473,15 +457,11 @@ impl ShardRouter {
                     .as_ref()
                     .and_then(|srv| srv.submit_with_deadline(model, b.clone(), remaining).ok())?;
                 self.hedges.fetch_add(1, Ordering::Relaxed);
-                if jigsaw_obs::enabled() {
-                    jigsaw_obs::global().counter("hedge.launched").inc();
-                }
+                count("hedge.launched");
                 Some((t, ticket))
             })
         } else {
-            if jigsaw_obs::enabled() {
-                jigsaw_obs::global().counter("hedge.suppressed").inc();
-            }
+            count("hedge.suppressed");
             None
         };
         let Some((dup_shard, dup_ticket)) = dup else {
@@ -499,9 +479,7 @@ impl ShardRouter {
             }
             if let Some(res) = dup_ticket.wait_timeout(poll) {
                 self.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                if jigsaw_obs::enabled() {
-                    jigsaw_obs::global().counter("hedge.wins").inc();
-                }
+                count("hedge.wins");
                 self.observe(dup_shard, t0, &res);
                 return Ok(res);
             }
@@ -514,22 +492,8 @@ impl ShardRouter {
     fn observe(&self, shard: usize, t0: Instant, res: &Result<SpmmResponse, ServeError>) {
         let now_ns = self.epoch.elapsed().as_nanos() as f64;
         let latency = t0.elapsed().as_nanos() as f64;
-        {
-            let mut h = lock_recover(&self.health[shard]);
-            let before = h.ejections();
-            let changed = match res {
-                Ok(_) => h.on_success(now_ns, latency),
-                Err(_) => h.on_failure(now_ns),
-            };
-            if changed && jigsaw_obs::enabled() {
-                let name = if h.ejections() > before {
-                    "health.ejections"
-                } else {
-                    "health.readmissions"
-                };
-                jigsaw_obs::global().counter(name).inc();
-            }
-        }
+        let success = res.as_ref().ok().map(|_| latency);
+        lock_recover(&self.health[shard]).record(now_ns, success);
         if res.is_ok() {
             lock_recover(&self.hedge).record(latency);
         }

@@ -3,15 +3,16 @@
 //! replication, queue-depth forwarding, and idle-shard work stealing —
 //! the policy engine behind `results/BENCH_serving.json`.
 //!
+//! The only virtual-clock serving event loop: the single-device
+//! [`crate::sim::simulate_schedule`] is its one-shard case, and every
+//! shard batches by the rule in [`crate::batch`] the server also runs.
+//!
 //! Determinism contract: the only clock is the cycle counter; shard
 //! state lives in `BTreeMap`s; every tie (event time, head age, steal
-//! victim) breaks by id/name; and kernel costs come from a warm
-//! registry through each model's simulation memo. Same
-//! `(schedule, config, warm registry)` ⇒ bit-identical report. The
-//! registry **must be warmed** (`warm_all`) — a cold fetch would
-//! charge measured host time to the virtual timeline and break
-//! replayability; `simulate_sharded` asserts this by treating any
-//! cold fetch as a logic error in debug builds.
+//! victim) breaks by id/name; and kernel costs come through each
+//! model's simulation memo. Same `(schedule, config, warm registry)` ⇒
+//! bit-identical report (a cold fetch charges measured host time when
+//! [`SimConfig::charge_cold_fetch`] is set).
 //!
 //! Scale: requests only carry `(model, arrival, n)` — no operand
 //! bytes — and each model's memo collapses repeated batch widths into
@@ -19,19 +20,22 @@
 //! hundreds of thousands of requests stays cheap.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use jigsaw_core::fault;
 
+use crate::batch::{dispatch_at, pop_batch, BatchLimits, QueuedRequest};
 use crate::breaker::{BreakerAdmit, BreakerState, CircuitBreaker};
-use crate::metrics::{Histogram, ServeMetrics};
+use crate::metrics::{count, Histogram, ServeMetrics};
 use crate::registry::ModelRegistry;
+use crate::server::ServeError;
 use crate::shard::health::{fleet_baseline, HealthState, ShardHealth};
 use crate::shard::hedge::HedgePolicy;
 use crate::shard::replicate::{HotEvent, HotTracker};
 use crate::shard::ring::HashRing;
 use crate::shard::steal::{least_loaded, should_forward};
 use crate::shard::ShardConfig;
-use crate::sim::{SimConfig, SimRequest};
+use crate::sim::{SimCompletion, SimConfig, SimFailure, SimRequest};
 
 /// Multi-shard simulation config: the shard topology/policies plus the
 /// per-shard serving policy (batching window, breaker, device spec).
@@ -115,6 +119,14 @@ pub struct ShardSimReport {
     pub health_ejections: u64,
     /// Finish time of the last batch anywhere, cycles.
     pub makespan_cycles: f64,
+    /// Per-request completions, in completion order (one per request
+    /// id — a hedged id's losing copy records nothing).
+    pub completions: Vec<SimCompletion>,
+    /// Admitted requests that did not complete (shed or failed), in
+    /// terminal order.
+    pub failures: Vec<SimFailure>,
+    /// Ids rejected at admission by an open circuit breaker.
+    pub rejected_ids: Vec<usize>,
 }
 
 impl ShardSimReport {
@@ -137,12 +149,25 @@ struct Queued<'a> {
     dup: bool,
 }
 
+impl QueuedRequest for Queued<'_> {
+    fn arrival(&self) -> f64 {
+        self.req.arrival_cycle
+    }
+
+    fn deadline(&self) -> Option<f64> {
+        self.req.deadline_cycles.map(|d| self.req.arrival_cycle + d)
+    }
+
+    fn width(&self) -> usize {
+        self.req.n
+    }
+}
+
 /// One shard's mutable state.
 struct Shard<'a> {
     queues: BTreeMap<String, VecDeque<Queued<'a>>>,
     breakers: BTreeMap<String, CircuitBreaker>,
     free_at: f64,
-    busy_cycles: f64,
     metrics: ServeMetrics,
     forwarded_out: u64,
     stolen_from: u64,
@@ -154,11 +179,12 @@ impl<'a> Shard<'a> {
     }
 }
 
-/// The dispatch decision one shard would take at time `now`: which
-/// model queue fires, when, and whether the batch is already full.
+/// The dispatch one shard would take at time `now`: the model whose
+/// head has waited longest, and the instant the batching rule fires
+/// it.
 fn decide(
     shard: &Shard<'_>,
-    cfg: &SimConfig,
+    limits: &BatchLimits,
     now: f64,
     more_arrivals: bool,
 ) -> Option<(String, f64)> {
@@ -179,31 +205,8 @@ fn decide(
                     .then(a.req.id.cmp(&b.req.id))
                     .then(na.cmp(nb))
             })?;
-    let mut queued_n = 0usize;
-    let mut queued_reqs = 0usize;
-    for p in q.iter() {
-        if queued_reqs + 1 > cfg.max_batch_requests
-            || (queued_reqs > 0 && queued_n + p.req.n > cfg.max_batch_n)
-        {
-            break;
-        }
-        queued_reqs += 1;
-        queued_n += p.req.n;
-    }
-    let full = queued_reqs >= cfg.max_batch_requests
-        || queued_n >= cfg.max_batch_n
-        || queued_reqs == q.len() && !more_arrivals;
-    let head = q.front().expect("non-empty").req;
-    let head_deadline = head
-        .deadline_cycles
-        .map_or(f64::INFINITY, |d| head.arrival_cycle + d);
-    let window_closes = (head.arrival_cycle + cfg.max_wait_cycles).min(head_deadline);
-    let dispatch_at = if full {
-        now.max(shard.free_at)
-    } else {
-        now.max(shard.free_at).max(window_closes)
-    };
-    Some((model.clone(), dispatch_at))
+    let at = dispatch_at(q, limits, more_arrivals, now, shard.free_at);
+    Some((model.clone(), at))
 }
 
 /// Runs a schedule across `cfg.shard.shards` simulated shards.
@@ -214,14 +217,26 @@ fn decide(
 /// over-threshold target forwards to the least-loaded replica. Between
 /// dispatches, an idle shard with a free device steals the back half
 /// of the deepest over-threshold peer's queue for a model it
-/// replicates. Every shard runs the same batching/breaker policy as
-/// the single-shard [`crate::sim::simulate_schedule`].
+/// replicates. Every shard runs the same batching rule
+/// ([`dispatch_at`] / [`pop_batch`]) and per-model breakers.
+///
+/// Infallible by construction: registry errors and panics raised at
+/// dispatch (e.g. injected via [`jigsaw_core::fault`]) fail that
+/// batch's members with a typed [`SimFailure`] instead of aborting the
+/// run, expired queue entries are shed, and an open per-model circuit
+/// breaker fast-rejects at admission — so every request in the
+/// schedule reaches exactly one terminal state.
 pub fn simulate_sharded(
     registry: &ModelRegistry,
     schedule: &[SimRequest],
     cfg: &ShardSimConfig,
 ) -> ShardSimReport {
     assert!(cfg.sim.max_batch_n >= 1 && cfg.sim.max_batch_requests >= 1);
+    let limits = BatchLimits {
+        max_batch_n: cfg.sim.max_batch_n,
+        max_batch_requests: cfg.sim.max_batch_requests,
+        max_wait: cfg.sim.max_wait_cycles,
+    };
     let n_shards = cfg.shard.shards;
     let ring = HashRing::new(n_shards, cfg.shard.vnodes);
     let mut order: Vec<&SimRequest> = schedule.iter().collect();
@@ -237,7 +252,6 @@ pub fn simulate_sharded(
             queues: BTreeMap::new(),
             breakers: BTreeMap::new(),
             free_at: 0.0,
-            busy_cycles: 0.0,
             metrics: ServeMetrics::default(),
             forwarded_out: 0,
             stolen_from: 0,
@@ -251,6 +265,9 @@ pub fn simulate_sharded(
     let mut next_arrival = 0usize;
     let mut now = 0.0f64;
     let mut makespan = 0.0f64;
+    let mut completions: Vec<SimCompletion> = Vec::with_capacity(order.len());
+    let mut failures: Vec<SimFailure> = Vec::new();
+    let mut rejected_ids: Vec<usize> = Vec::new();
 
     // Tail-tolerance state (DESIGN.md §17). All of it is inert when the
     // health/hedge policies are disabled, so default topologies stay
@@ -280,12 +297,8 @@ pub fn simulate_sharded(
             let req = order[next_arrival];
             next_arrival += 1;
             match hot.record(&req.model, req.arrival_cycle) {
-                HotEvent::Promoted if jigsaw_obs::enabled() => {
-                    jigsaw_obs::global().counter("shard.promotions").inc();
-                }
-                HotEvent::Demoted if jigsaw_obs::enabled() => {
-                    jigsaw_obs::global().counter("shard.demotions").inc();
-                }
+                HotEvent::Promoted => count("shard.promotions"),
+                HotEvent::Demoted => count("shard.demotions"),
                 _ => {}
             }
             let replicas = if hot.is_hot(&req.model) {
@@ -309,8 +322,8 @@ pub fn simulate_sharded(
                     .collect();
                 if candidates.is_empty() {
                     candidates = replicas.clone();
-                } else if jigsaw_obs::enabled() {
-                    jigsaw_obs::global().counter("health.reroutes").inc();
+                } else {
+                    count("health.reroutes");
                 }
             }
             let cursor = cursors.entry(req.model.clone()).or_insert(0);
@@ -325,9 +338,7 @@ pub fn simulate_sharded(
                     {
                         shards[target].forwarded_out += 1;
                         forwarded += 1;
-                        if jigsaw_obs::enabled() {
-                            jigsaw_obs::global().counter("shard.forwarded").inc();
-                        }
+                        count("shard.forwarded");
                         target = best;
                     }
                 }
@@ -340,9 +351,8 @@ pub fn simulate_sharded(
                 if let BreakerAdmit::Reject { .. } = br.admit(now) {
                     lane.metrics.rejected += 1;
                     lane.metrics.breaker_rejects += 1;
-                    if jigsaw_obs::enabled() {
-                        jigsaw_obs::global().counter("shard.breaker_rejects").inc();
-                    }
+                    rejected_ids.push(req.id);
+                    count("shard.breaker_rejects");
                     continue;
                 }
             }
@@ -470,16 +480,12 @@ pub fn simulate_sharded(
                     continue;
                 };
                 if !hedge.try_hedge() {
-                    if jigsaw_obs::enabled() {
-                        jigsaw_obs::global().counter("hedge.suppressed").inc();
-                    }
+                    count("hedge.suppressed");
                     continue;
                 }
                 origin.insert(req.id, s);
                 hedges += 1;
-                if jigsaw_obs::enabled() {
-                    jigsaw_obs::global().counter("hedge.launched").inc();
-                }
+                count("hedge.launched");
                 let lane = &mut shards[target];
                 lane.queues
                     .entry(model)
@@ -496,7 +502,7 @@ pub fn simulate_sharded(
             .iter()
             .enumerate()
             .filter_map(|(s, lane)| {
-                decide(lane, &cfg.sim, now, more_arrivals).map(|(m, at)| (at, s, m))
+                decide(lane, &limits, now, more_arrivals).map(|(m, at)| (at, s, m))
             })
             .min_by(|a, b| {
                 a.0.partial_cmp(&b.0)
@@ -542,125 +548,104 @@ pub fn simulate_sharded(
             }
         }
 
-        // --- Execute the dispatch on shard `s` (same batch semantics
-        // as the single-shard simulator, plus §17 cancellation: a copy
-        // whose request id already resolved elsewhere pops for free).
-        // ---
-        let mut members: Vec<Queued<'_>> = Vec::new();
-        let mut total_n = 0usize;
-        let mut shed_plain = 0u64;
-        let mut shed_hedged: Vec<usize> = Vec::new();
-        {
+        // --- Execute the dispatch on shard `s`, plus §17
+        // cancellation: a copy whose request id already resolved
+        // elsewhere pops for free. ---
+        let failure = |qd: &Queued<'_>, error| SimFailure {
+            id: qd.req.id,
+            model: model.clone(),
+            arrival_cycle: qd.req.arrival_cycle,
+            cycle: dispatch_at,
+            error,
+        };
+        let mut shed: Vec<Queued<'_>> = Vec::new();
+        let (members, total_n) = {
             let lane = &mut shards[s];
             let q = lane.queues.get_mut(&model).expect("decided above");
-            while let Some(front) = q.front().copied() {
-                let id = front.req.id;
-                if resolved.contains(&id) {
+            let popped = pop_batch(
+                q,
+                &limits,
+                dispatch_at,
+                |qd| {
                     // First-completion-wins: the other copy already
                     // resolved, so this one cancels unexecuted.
-                    q.pop_front();
-                    hedge_cancels += 1;
-                    if jigsaw_obs::enabled() {
-                        jigsaw_obs::global().counter("hedge.cancels").inc();
+                    let cancelled = resolved.contains(&qd.req.id);
+                    if cancelled {
+                        hedge_cancels += 1;
+                        count("hedge.cancels");
                     }
-                    continue;
-                }
-                let expired = front
-                    .req
-                    .deadline_cycles
-                    .is_some_and(|d| dispatch_at > front.req.arrival_cycle + d);
-                if expired {
-                    q.pop_front();
-                    if origin.contains_key(&id) {
-                        resolved.insert(id);
-                        shed_hedged.push(id);
-                    } else {
-                        shed_plain += 1;
-                    }
-                    continue;
-                }
-                if members.len() + 1 > cfg.sim.max_batch_requests
-                    || (!members.is_empty() && total_n + front.req.n > cfg.sim.max_batch_n)
-                {
-                    break;
-                }
-                total_n += front.req.n;
-                members.push(q.pop_front().expect("front exists"));
-            }
+                    cancelled
+                },
+                |qd| shed.push(qd),
+            );
             if q.is_empty() {
                 lane.queues.remove(&model);
             }
-            lane.metrics.shed_expired += shed_plain;
-        }
-        // A shed hedged copy resolves its id; the ledger (submitted)
-        // follows it to the shedding shard if it was counted elsewhere.
-        for id in shed_hedged {
-            let o = origin[&id];
-            if o != s {
-                shards[o].metrics.submitted -= 1;
-                shards[s].metrics.submitted += 1;
+            popped
+        };
+        for qd in shed {
+            let id = qd.req.id;
+            if !resolve(&mut shards, &origin, &mut resolved, id, s) {
+                // Both copies expired in this pop: the second one
+                // cancels against the first's resolution.
+                hedge_cancels += 1;
+                count("hedge.cancels");
+                continue;
             }
             shards[s].metrics.shed_expired += 1;
+            failures.push(failure(&qd, ServeError::DeadlineExceeded));
         }
         if members.is_empty() {
+            // Everything reached had expired or was cancelled;
+            // re-decide at the shedding instant.
             now = dispatch_at;
             continue;
         }
 
-        // Kernel cost through the model's memo. A registry error
-        // (unknown model) fails the batch and strikes this shard's
-        // breaker — the failure stays inside the shard.
-        let batch_cycles = registry.fetch(&model).ok().map(|(planned, fetch)| {
-            debug_assert!(
-                !fetch.is_cold(),
-                "simulate_sharded requires a warmed registry (cold fetch of {model})"
-            );
-            let (stats, _) = planned.simulate_memoized(total_n, &cfg.sim.spec);
-            stats.duration_cycles
-        });
-        let Some(mut batch_cycles) = batch_cycles else {
-            // The batch failed before touching the device: resolved
-            // copies cancel silently, live ones fail (once per id).
-            for qd in &members {
-                let id = qd.req.id;
-                if origin.contains_key(&id) {
-                    if resolved.contains(&id) {
+        // A fetch failure (or a panic escaping it — injected faults
+        // included) fails the whole batch with a typed terminal state
+        // and strikes this shard's breaker once — the failure stays
+        // inside the shard.
+        let fetched = catch_unwind(AssertUnwindSafe(|| registry.fetch(&model)));
+        let (planned, fetch) = match fetched {
+            Ok(Ok(pair)) => pair,
+            other => {
+                let error = match other {
+                    Ok(Err(e)) => ServeError::Registry(e.to_string()),
+                    _ => {
+                        shards[s].metrics.worker_panics += 1;
+                        ServeError::WorkerPanic
+                    }
+                };
+                // Resolved copies cancel silently, live ones fail
+                // (once per id).
+                for qd in &members {
+                    let id = qd.req.id;
+                    if !resolve(&mut shards, &origin, &mut resolved, id, s) {
                         hedge_cancels += 1;
                         continue;
                     }
-                    resolved.insert(id);
-                    let o = origin[&id];
-                    if o != s {
-                        shards[o].metrics.submitted -= 1;
-                        shards[s].metrics.submitted += 1;
-                    }
+                    shards[s].metrics.failed += 1;
+                    failures.push(failure(qd, error.clone()));
                 }
-                shards[s].metrics.failed += 1;
+                shards[s]
+                    .breakers
+                    .entry(model.clone())
+                    .or_insert_with(|| CircuitBreaker::new(cfg.sim.breaker))
+                    .on_failure(dispatch_at);
+                health_ejections += health[s].record(dispatch_at, None);
+                now = dispatch_at;
+                makespan = makespan.max(dispatch_at);
+                continue;
             }
-            shards[s]
-                .breakers
-                .entry(model.clone())
-                .or_insert_with(|| CircuitBreaker::new(cfg.sim.breaker))
-                .on_failure(dispatch_at);
-            let before = health[s].ejections();
-            if health[s].on_failure(dispatch_at) {
-                if health[s].ejections() > before {
-                    health_ejections += 1;
-                    if jigsaw_obs::enabled() {
-                        jigsaw_obs::global().counter("health.ejections").inc();
-                    }
-                } else if jigsaw_obs::enabled() {
-                    jigsaw_obs::global().counter("health.readmissions").inc();
-                }
-            }
-            now = dispatch_at;
-            makespan = makespan.max(dispatch_at);
-            continue;
         };
-        // Straggler injection: a configured per-shard cost multiplier,
-        // plus any `shard.slow` fault (deterministic — the sim is
-        // single-threaded, so the point's hit counter replays; the
-        // fault's nanoseconds are read as cycles on the virtual clock).
+        // Kernel cost through the model's memo. Straggler injection: a
+        // configured per-shard cost multiplier, plus any `shard.slow`
+        // fault (deterministic — the sim is single-threaded, so the
+        // point's hit counter replays; the fault's nanoseconds are read
+        // as cycles on the virtual clock).
+        let (stats, _) = planned.simulate_memoized(total_n, &cfg.sim.spec);
+        let mut batch_cycles = stats.duration_cycles;
         if let Some(factor) = cfg.stragglers.get(&s) {
             batch_cycles *= factor;
         }
@@ -671,12 +656,17 @@ pub fn simulate_sharded(
                 }
             }
         }
+        // A cold fetch's planning time (ns → cycles at the device
+        // clock) stalls this shard's timeline — the end-to-end cost a
+        // cold-start batch actually pays.
+        if cfg.sim.charge_cold_fetch && fetch.is_cold() {
+            batch_cycles += planned.plan_host_ns as f64 * cfg.sim.spec.clock_ghz;
+        }
         let finish = dispatch_at + batch_cycles;
         makespan = makespan.max(finish);
         {
             let lane = &mut shards[s];
             lane.free_at = finish;
-            lane.busy_cycles += batch_cycles;
             lane.metrics.batches += 1;
             lane.metrics.batch_requests_total += members.len() as u64;
             lane.metrics.batch_n_total += total_n as u64;
@@ -684,45 +674,34 @@ pub fn simulate_sharded(
         }
         for qd in &members {
             let id = qd.req.id;
-            if origin.contains_key(&id) {
-                if resolved.contains(&id) {
-                    // Both copies ran: this one's cycles are the waste
-                    // the retry budget bounded.
-                    hedge_wasted += 1;
-                    if jigsaw_obs::enabled() {
-                        jigsaw_obs::global().counter("hedge.wasted").inc();
-                    }
-                    continue;
-                }
-                resolved.insert(id);
-                if qd.dup {
-                    hedge_wins += 1;
-                    if jigsaw_obs::enabled() {
-                        jigsaw_obs::global().counter("hedge.wins").inc();
-                    }
-                }
-                let o = origin[&id];
-                if o != s {
-                    shards[o].metrics.submitted -= 1;
-                    shards[s].metrics.submitted += 1;
-                }
+            if !resolve(&mut shards, &origin, &mut resolved, id, s) {
+                // Both copies ran: this one's cycles are the waste the
+                // retry budget bounded.
+                hedge_wasted += 1;
+                count("hedge.wasted");
+                continue;
+            }
+            if qd.dup {
+                hedge_wins += 1;
+                count("hedge.wins");
             }
             let l = finish - qd.req.arrival_cycle;
             shards[s].metrics.completed += 1;
             shards[s].metrics.latency_cycles.record(l);
             latency.record(l);
             hedge.record(l);
-            let before = health[s].ejections();
-            if health[s].on_success(finish, l) {
-                if health[s].ejections() > before {
-                    health_ejections += 1;
-                    if jigsaw_obs::enabled() {
-                        jigsaw_obs::global().counter("health.ejections").inc();
-                    }
-                } else if jigsaw_obs::enabled() {
-                    jigsaw_obs::global().counter("health.readmissions").inc();
-                }
-            }
+            completions.push(SimCompletion {
+                id,
+                model: model.clone(),
+                arrival_cycle: qd.req.arrival_cycle,
+                dispatch_cycle: dispatch_at,
+                finish_cycle: finish,
+                batch_requests: members.len(),
+                batch_n: total_n,
+                charged_cycles: batch_cycles * qd.req.n as f64 / total_n as f64,
+                cold: fetch.is_cold(),
+            });
+            health_ejections += health[s].record(finish, Some(l));
         }
         // Refresh the fleet baseline the scorers compare against: the
         // median of per-shard EWMA latencies, so one straggler can't
@@ -758,6 +737,7 @@ pub fn simulate_sharded(
             totals.breaker_rejects += lane.metrics.breaker_rejects;
             totals.failed += lane.metrics.failed;
             totals.shed_expired += lane.metrics.shed_expired;
+            totals.worker_panics += lane.metrics.worker_panics;
             totals.breakers_open += lane.metrics.breakers_open;
             totals.batches += lane.metrics.batches;
             totals.batch_requests_total += lane.metrics.batch_requests_total;
@@ -766,7 +746,7 @@ pub fn simulate_sharded(
             totals.device_cycles += lane.metrics.device_cycles;
             ShardLane {
                 shard,
-                busy_cycles: lane.busy_cycles,
+                busy_cycles: lane.metrics.device_cycles,
                 forwarded_out: lane.forwarded_out,
                 stolen_from: lane.stolen_from,
                 metrics: lane.metrics,
@@ -788,7 +768,33 @@ pub fn simulate_sharded(
         hedge_wasted,
         health_ejections,
         makespan_cycles: makespan,
+        completions,
+        failures,
+        rejected_ids,
     }
+}
+
+/// Resolves request `id` on shard `s`. A hedged id resolves once:
+/// its `submitted` count moves to `s`, and every later copy gets
+/// `false` (cancelled or wasted). Unhedged ids always resolve.
+fn resolve(
+    shards: &mut [Shard<'_>],
+    origin: &BTreeMap<usize, usize>,
+    resolved: &mut BTreeSet<usize>,
+    id: usize,
+    s: usize,
+) -> bool {
+    let Some(&o) = origin.get(&id) else {
+        return true;
+    };
+    if !resolved.insert(id) {
+        return false;
+    }
+    if o != s {
+        shards[o].metrics.submitted -= 1;
+        shards[s].metrics.submitted += 1;
+    }
+    true
 }
 
 #[cfg(test)]
@@ -798,7 +804,6 @@ mod tests {
     use crate::registry::{ModelRegistry, RegistryConfig};
     use crate::shard::replicate::ReplicationConfig;
     use crate::shard::steal::StealConfig;
-    use crate::sim::simulate_schedule;
     use crate::zoo::scaled_zoo;
     use gpu_sim::GpuSpec;
 
@@ -887,25 +892,6 @@ mod tests {
             assert_eq!(la.metrics.completed, lb.metrics.completed);
             assert_eq!(la.busy_cycles.to_bits(), lb.busy_cycles.to_bits());
         }
-    }
-
-    #[test]
-    fn one_shard_matches_single_shard_simulator_totals() {
-        let (reg, zoo) = warm_registry(4);
-        let schedule = zipf(400, 23, &zoo);
-        let cfg = ShardSimConfig::new(
-            ShardConfig::new(1),
-            SimConfig::batched(GpuSpec::a100(), 128, 20_000.0),
-        );
-        let sharded = simulate_sharded(&reg, &schedule, &cfg);
-        let single = simulate_schedule(&reg, &schedule, &cfg.sim);
-        assert_eq!(sharded.totals.completed, single.metrics.completed);
-        assert_eq!(sharded.totals.batches, single.metrics.batches);
-        assert_eq!(
-            sharded.makespan_cycles.to_bits(),
-            single.makespan_cycles.to_bits(),
-            "one shard degenerates to the single-shard simulator"
-        );
     }
 
     #[test]

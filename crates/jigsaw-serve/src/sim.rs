@@ -1,24 +1,26 @@
-//! Deterministic discrete-event serving simulation: the same
-//! admission/batching policy as the threaded [`crate::server`], but on
-//! a virtual cycle clock with a single simulated device. Two runs over
-//! the same schedule produce identical reports — this is what the
-//! `serving` experiment sweeps, so its batched-vs-unbatched and
-//! warm-vs-cold comparisons are reproducible.
+//! Deterministic discrete-event serving simulation on a virtual cycle
+//! clock with a single simulated device. Two runs over the same
+//! schedule produce identical reports — this is what the `serving`
+//! experiment sweeps, so its batched-vs-unbatched and warm-vs-cold
+//! comparisons are reproducible.
+//!
+//! There is one serving event loop: [`simulate_schedule`] is the
+//! one-shard case of [`crate::shard::simulate_sharded`], which batches
+//! with the same rule the threaded [`crate::server`] calls
+//! ([`crate::batch::dispatch_at`] / [`crate::batch::pop_batch`]). This
+//! module owns the single-device policy knobs and per-request records.
 //!
 //! Cold fetches (planning or artifact loads) charge their measured
 //! host time to the virtual timeline, converted at the device clock —
 //! the end-to-end cost a cold-start request actually pays.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use gpu_sim::GpuSpec;
 
-use crate::breaker::{BreakerAdmit, BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::BreakerConfig;
 use crate::metrics::ServeMetrics;
 use crate::registry::ModelRegistry;
 use crate::server::ServeError;
+use crate::shard::{simulate_sharded, ShardConfig, ShardSimConfig};
 
 /// Virtual-clock serving policy knobs.
 #[derive(Clone, Debug)]
@@ -156,264 +158,37 @@ impl SimReport {
     }
 }
 
-/// Runs the schedule to completion on the virtual clock.
+/// Runs the schedule to completion on the virtual clock: the
+/// one-shard case of [`simulate_sharded`], reported per request.
 ///
 /// Deterministic: queues iterate in model-name order, ties in arrival
 /// order break by request id, and the only clock is the cycle counter.
 /// (Cold-fetch charges use measured host time, so *magnitudes* vary
 /// run to run when `charge_cold_fetch` is set and the registry is
-/// cold; the schedule itself does not.)
+/// cold; the schedule itself does not.) Infallible: every request in
+/// the schedule reaches exactly one terminal state.
 ///
-/// Infallible by construction: registry errors and panics raised at
-/// dispatch (e.g. injected via [`jigsaw_core::fault`]) fail that
-/// batch's members with a typed [`SimFailure`] instead of aborting the
-/// run, expired queue entries are shed, and an open per-model circuit
-/// breaker fast-rejects at admission — so every request in the
-/// schedule reaches exactly one terminal state.
-///
-/// Assembly-mode neutral: the registry's per-model `ExecOptions`
-/// (including the fused-assembly opt-in) ride along untouched, but the
-/// virtual clock charges only simulated device cycles — host-side
-/// assembly cost is a real-`Server` (and `exp serving`) concern, so a
-/// schedule simulates identically under either assembly mode.
+/// Assembly-mode neutral: the virtual clock charges only simulated
+/// device cycles — host-side assembly cost is a real-`Server` (and
+/// `exp serving`) concern.
 pub fn simulate_schedule(
     registry: &ModelRegistry,
     schedule: &[SimRequest],
     cfg: &SimConfig,
 ) -> SimReport {
-    assert!(cfg.max_batch_n >= 1 && cfg.max_batch_requests >= 1);
-    let mut order: Vec<&SimRequest> = schedule.iter().collect();
-    order.sort_by(|a, b| {
-        a.arrival_cycle
-            .partial_cmp(&b.arrival_cycle)
-            .expect("finite arrivals")
-            .then(a.id.cmp(&b.id))
-    });
-
-    let mut queues: BTreeMap<String, VecDeque<&SimRequest>> = BTreeMap::new();
-    let mut breakers: BTreeMap<String, CircuitBreaker> = BTreeMap::new();
-    let mut next_arrival = 0usize;
-    let mut now = 0.0f64;
-    let mut free_at = 0.0f64;
-    let mut busy_cycles = 0.0f64;
-    let mut makespan = 0.0f64;
-    let mut metrics = ServeMetrics::default();
-    let mut completions = Vec::with_capacity(order.len());
-    let mut failures: Vec<SimFailure> = Vec::new();
-    let mut rejected_ids: Vec<usize> = Vec::new();
-
-    loop {
-        // Admit everything that has arrived by `now`. A model whose
-        // breaker is open fast-rejects instead of queuing behind a
-        // failing backend.
-        while next_arrival < order.len() && order[next_arrival].arrival_cycle <= now {
-            let req = order[next_arrival];
-            next_arrival += 1;
-            if let Some(br) = breakers.get_mut(&req.model) {
-                if let BreakerAdmit::Reject { .. } = br.admit(now) {
-                    metrics.rejected += 1;
-                    metrics.breaker_rejects += 1;
-                    rejected_ids.push(req.id);
-                    continue;
-                }
-            }
-            queues.entry(req.model.clone()).or_default().push_back(req);
-            metrics.submitted += 1;
-        }
-        let depth: usize = queues.values().map(|q| q.len()).sum();
-        metrics.peak_queue_depth = metrics.peak_queue_depth.max(depth);
-
-        // Nothing queued: jump to the next arrival, or finish.
-        if depth == 0 {
-            match order.get(next_arrival) {
-                Some(req) => {
-                    now = now.max(req.arrival_cycle);
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        // Oldest head goes first (model name breaks exact ties).
-        let model = queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .min_by(|(na, qa), (nb, qb)| {
-                let (a, b) = (
-                    qa.front().expect("non-empty"),
-                    qb.front().expect("non-empty"),
-                );
-                a.arrival_cycle
-                    .partial_cmp(&b.arrival_cycle)
-                    .expect("finite arrivals")
-                    .then(a.id.cmp(&b.id))
-                    .then(na.cmp(nb))
-            })
-            .map(|(name, _)| name.clone())
-            .expect("depth > 0");
-        let q = queues.get_mut(&model).expect("chosen above");
-
-        // Is the batch already full from what is queued?
-        let mut queued_n = 0usize;
-        let mut queued_reqs = 0usize;
-        for p in q.iter() {
-            if queued_reqs + 1 > cfg.max_batch_requests
-                || (queued_reqs > 0 && queued_n + p.n > cfg.max_batch_n)
-            {
-                break;
-            }
-            queued_reqs += 1;
-            queued_n += p.n;
-        }
-        let full = queued_reqs >= cfg.max_batch_requests
-            || queued_n >= cfg.max_batch_n
-            || queued_reqs == q.len() && next_arrival >= order.len();
-        let head = *q.front().expect("non-empty");
-        // The batching window never outlives the head's deadline: close
-        // it early so a deadline-carrying head dispatches just in time
-        // rather than being shed while waiting for co-riders.
-        let head_deadline = head
-            .deadline_cycles
-            .map_or(f64::INFINITY, |d| head.arrival_cycle + d);
-        let window_closes = (head.arrival_cycle + cfg.max_wait_cycles).min(head_deadline);
-        let dispatch_at = if full {
-            now.max(free_at)
-        } else {
-            now.max(free_at).max(window_closes)
-        };
-
-        // A future arrival before the dispatch instant may join (or
-        // overfill) the batch — advance the clock and re-decide.
-        if let Some(next) = order.get(next_arrival) {
-            if next.arrival_cycle <= dispatch_at {
-                now = next.arrival_cycle;
-                continue;
-            }
-        }
-
-        // Dispatch: shed expired entries, then pop whole requests
-        // while they fit. Expiry is strict (`dispatch_at > deadline`):
-        // a head whose window was clamped to its deadline dispatches
-        // exactly at the edge and is served.
-        let mut members = Vec::new();
-        let mut total_n = 0usize;
-        while let Some(front) = q.front() {
-            let expired = front
-                .deadline_cycles
-                .is_some_and(|d| dispatch_at > front.arrival_cycle + d);
-            if expired {
-                let req = q.pop_front().expect("front exists");
-                metrics.shed_expired += 1;
-                failures.push(SimFailure {
-                    id: req.id,
-                    model: model.clone(),
-                    arrival_cycle: req.arrival_cycle,
-                    cycle: dispatch_at,
-                    error: ServeError::DeadlineExceeded,
-                });
-                continue;
-            }
-            if members.len() + 1 > cfg.max_batch_requests
-                || (!members.is_empty() && total_n + front.n > cfg.max_batch_n)
-            {
-                break;
-            }
-            total_n += front.n;
-            members.push(q.pop_front().expect("front exists"));
-        }
-        if q.is_empty() {
-            queues.remove(&model);
-        }
-        if members.is_empty() {
-            // Everything at the head had expired; re-decide at the
-            // shedding instant.
-            now = dispatch_at;
-            continue;
-        }
-
-        // A fetch failure (or a panic escaping it — injected faults
-        // included) fails the whole batch with a typed terminal state,
-        // trips the model's breaker once, and keeps the run alive.
-        let fetched = catch_unwind(AssertUnwindSafe(|| registry.fetch(&model)));
-        let (planned, fetch) = match fetched {
-            Ok(Ok(pair)) => pair,
-            other => {
-                let error = match other {
-                    Ok(Err(e)) => ServeError::Registry(e.to_string()),
-                    _ => ServeError::WorkerPanic,
-                };
-                if matches!(error, ServeError::WorkerPanic) {
-                    metrics.worker_panics += 1;
-                }
-                for req in members {
-                    metrics.failed += 1;
-                    failures.push(SimFailure {
-                        id: req.id,
-                        model: model.clone(),
-                        arrival_cycle: req.arrival_cycle,
-                        cycle: dispatch_at,
-                        error: error.clone(),
-                    });
-                }
-                breakers
-                    .entry(model.clone())
-                    .or_insert_with(|| CircuitBreaker::new(cfg.breaker))
-                    .on_failure(dispatch_at);
-                now = dispatch_at;
-                makespan = makespan.max(dispatch_at);
-                continue;
-            }
-        };
-        let cold_cycles = if cfg.charge_cold_fetch && fetch.is_cold() {
-            planned.plan_host_ns as f64 * cfg.spec.clock_ghz
-        } else {
-            0.0
-        };
-        let (kernel, _) = planned.simulate_memoized(total_n, &cfg.spec);
-        let batch_cycles = cold_cycles + kernel.duration_cycles;
-        let finish = dispatch_at + batch_cycles;
-        free_at = finish;
-        now = dispatch_at;
-        busy_cycles += batch_cycles;
-        makespan = makespan.max(finish);
-
-        metrics.batches += 1;
-        metrics.batch_requests_total += members.len() as u64;
-        metrics.batch_n_total += total_n as u64;
-        metrics.device_cycles += batch_cycles;
-        for req in members.iter() {
-            let share = batch_cycles * req.n as f64 / total_n as f64;
-            metrics.completed += 1;
-            metrics.latency_cycles.record(finish - req.arrival_cycle);
-            completions.push(SimCompletion {
-                id: req.id,
-                model: model.clone(),
-                arrival_cycle: req.arrival_cycle,
-                dispatch_cycle: dispatch_at,
-                finish_cycle: finish,
-                batch_requests: members.len(),
-                batch_n: total_n,
-                charged_cycles: share,
-                cold: fetch.is_cold(),
-            });
-        }
-        if let Some(br) = breakers.get_mut(&model) {
-            br.on_success();
-        }
-    }
-
-    metrics.breakers_open = breakers
-        .values_mut()
-        .map(|b| b.state(makespan))
-        .filter(|s| *s != BreakerState::Closed)
-        .count() as u64;
+    let sharded = simulate_sharded(
+        registry,
+        schedule,
+        &ShardSimConfig::new(ShardConfig::new(1), cfg.clone()),
+    );
+    let lane = sharded.lanes.into_iter().next().expect("one shard");
     SimReport {
-        completions,
-        failures,
-        rejected_ids,
-        metrics,
-        busy_cycles,
-        makespan_cycles: makespan,
+        completions: sharded.completions,
+        failures: sharded.failures,
+        rejected_ids: sharded.rejected_ids,
+        metrics: lane.metrics,
+        busy_cycles: lane.busy_cycles,
+        makespan_cycles: sharded.makespan_cycles,
     }
 }
 

@@ -257,19 +257,22 @@ fn latency_spike_completes_late_not_never() {
 // Deadlines and the circuit breaker (threaded server)
 // ---------------------------------------------------------------------
 
+/// On an idle server the batching window never outlives the head's
+/// deadline: a 2 ms-deadline request under a 250 ms window dispatches
+/// at its deadline and is served — the batching rule the simulator
+/// runs, not a shed.
 #[test]
-fn expired_deadline_sheds_before_dispatch() {
+fn deadline_head_on_idle_server_is_served_at_its_deadline() {
     let _g = guard();
     let server = Server::start(
         registry(2),
         ServeConfig {
             workers: 1,
-            // Long batching window: the head sits in queue waiting for
-            // co-riders, long past its deadline.
             max_wait: Duration::from_millis(250),
             ..ServeConfig::default()
         },
     );
+    let started = std::time::Instant::now();
     let t = server
         .submit_with_deadline(
             "attention-small",
@@ -277,15 +280,60 @@ fn expired_deadline_sheds_before_dispatch() {
             Some(Duration::from_millis(2)),
         )
         .unwrap();
-    let started = std::time::Instant::now();
-    assert_eq!(wait_bounded(t).unwrap_err(), ServeError::DeadlineExceeded);
+    let resp = wait_bounded(t).expect("served at its deadline, not shed");
+    assert_eq!(resp.cols, 4);
     assert!(
         started.elapsed() < Duration::from_millis(200),
-        "shed at the deadline, not at the batch window"
+        "dispatched at the deadline, not at the batch window"
     );
     let metrics = server.shutdown();
+    assert_eq!(metrics.shed_expired, 0);
+    assert_eq!(metrics.completed, 1);
+    assert!(metrics.conserves());
+}
+
+/// A request whose deadline passes while the only worker is busy is
+/// shed before dispatch, not run late.
+#[test]
+fn expired_deadline_sheds_before_dispatch() {
+    let _g = guard();
+    // The first batch holds the single worker for 200 ms.
+    fault::inject(FaultSpec::once(
+        points::WORKER_BATCH,
+        FaultKind::Latency { ns: 200_000_000 },
+    ));
+    let server = Server::start(
+        registry(2),
+        ServeConfig {
+            workers: 1,
+            // Every request fills a batch on its own, so nothing waits
+            // for a window: only the busy worker delays the second.
+            max_batch_n: 4,
+            max_wait: Duration::from_millis(250),
+            ..ServeConfig::default()
+        },
+    );
+    let busy = server
+        .submit("attention-small", dense_rhs(256, 4, ValueDist::SmallInt, 1))
+        .unwrap();
+    // Wait until the worker has popped the first batch (and is inside
+    // its injected stall) before queuing the deadline request.
+    while server.queue_depth() > 0 {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let t = server
+        .submit_with_deadline(
+            "attention-small",
+            dense_rhs(256, 4, ValueDist::SmallInt, 2),
+            Some(Duration::from_millis(2)),
+        )
+        .unwrap();
+    assert_eq!(wait_bounded(t).unwrap_err(), ServeError::DeadlineExceeded);
+    wait_bounded(busy).expect("the stalled batch still completes");
+    fault::reset();
+    let metrics = server.shutdown();
     assert_eq!(metrics.shed_expired, 1);
-    assert_eq!(metrics.completed, 0);
+    assert_eq!(metrics.completed, 1);
     assert!(metrics.conserves());
 }
 
