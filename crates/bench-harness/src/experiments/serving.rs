@@ -161,6 +161,28 @@ pub struct HedgeRow {
     pub budget_fraction: f64,
 }
 
+/// One offered load's outcome: the policy zoo's workload at one mean
+/// inter-arrival gap on a single warm shard. The sweep runs from idle
+/// past saturation, so its rows show how the batching rule trades
+/// latency for throughput as load rises.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct LoadRow {
+    /// Mean inter-arrival gap, cycles (lower is more offered load).
+    pub mean_gap_cycles: f64,
+    /// Requests completed.
+    pub completed: u64,
+    /// Kernel launches (batches).
+    pub batches: u64,
+    /// Mean requests coalesced per batch.
+    pub avg_occupancy: f64,
+    /// Completed requests per 10⁹ cycles of elapsed virtual time.
+    pub requests_per_gcycle: f64,
+    /// p50 request latency, cycles.
+    pub p50_latency_cycles: f64,
+    /// p99 request latency, cycles.
+    pub p99_latency_cycles: f64,
+}
+
 /// Workload shape for the sharded sweep. The same schedule (same
 /// offered load) runs at every shard count, so rows compare scaling,
 /// not workload drift.
@@ -217,10 +239,10 @@ pub struct Serving {
     /// Unhedged-vs-hedged pair under an injected 10× straggler shard,
     /// same schedule and ring (DESIGN.md §17).
     pub hedge_rows: Vec<HedgeRow>,
+    /// One row per offered load, lightest first, on one warm shard.
+    pub load_rows: Vec<LoadRow>,
 }
 
-/// Batching window, cycles (~35 µs at the A100 clock).
-const WINDOW_CYCLES: f64 = 50_000.0;
 /// Maximum batch width, columns.
 const MAX_BATCH_N: usize = 256;
 
@@ -231,13 +253,30 @@ pub const POLICY_SEED: u64 = 0xBEEF;
 
 /// The seeded open-loop workload every policy row replays.
 pub fn policy_schedule(requests: usize) -> Vec<SimRequest> {
+    policy_schedule_at(requests, 2_000.0)
+}
+
+/// The policy workload at a given mean inter-arrival gap, cycles.
+fn policy_schedule_at(requests: usize, mean_gap_cycles: f64) -> Vec<SimRequest> {
     let load = LoadSpec {
         requests,
         seed: POLICY_SEED,
         n_choices: vec![8, 16, 32],
-        mean_gap_cycles: 2_000.0,
+        mean_gap_cycles,
     };
     generate_schedule(&default_zoo(POLICY_ZOO_SEED), &load)
+}
+
+/// A fresh registry of the policy zoo, planned up front when `warm`.
+fn policy_registry(warm: bool) -> ModelRegistry {
+    let registry = ModelRegistry::new(RegistryConfig::default()).expect("no artifact dir");
+    for m in default_zoo(POLICY_ZOO_SEED) {
+        registry.register(&m.name, m.weights(), m.config);
+    }
+    if warm {
+        registry.warm_all().expect("zoo models plan");
+    }
+    registry
 }
 
 /// Runs one `{batched, unbatched} × {warm, cold}` policy over
@@ -250,15 +289,9 @@ pub fn run_policy(
     spec: &GpuSpec,
 ) -> Row {
     // A fresh registry per policy so "cold" truly re-plans.
-    let registry = ModelRegistry::new(RegistryConfig::default()).expect("no artifact dir");
-    for m in default_zoo(POLICY_ZOO_SEED) {
-        registry.register(&m.name, m.weights(), m.config);
-    }
-    if warm {
-        registry.warm_all().expect("zoo models plan");
-    }
+    let registry = policy_registry(warm);
     let cfg = if batched {
-        SimConfig::batched(spec.clone(), MAX_BATCH_N, WINDOW_CYCLES)
+        SimConfig::batched(spec.clone(), MAX_BATCH_N)
     } else {
         SimConfig::unbatched(spec.clone())
     };
@@ -320,7 +353,7 @@ pub fn run_shard_sweep(spec: &GpuSpec, sweep: &ShardSweepSpec) -> Vec<ShardRow> 
                 ShardConfig::new(shards)
                     .with_replication(ReplicationConfig::cycles(48, 2, 1_000_000.0))
                     .with_steal(StealConfig::threshold(16)),
-                SimConfig::batched(spec.clone(), MAX_BATCH_N, WINDOW_CYCLES),
+                SimConfig::batched(spec.clone(), MAX_BATCH_N),
             );
             let report = simulate_sharded(&registry, &schedule, &cfg);
             assert!(report.totals.conserves(), "sharded run conserves requests");
@@ -346,6 +379,39 @@ pub fn run_shard_sweep(spec: &GpuSpec, sweep: &ShardSweepSpec) -> Vec<ShardRow> 
                     .iter()
                     .map(|l| l.metrics.latency_cycles.percentile(99.0))
                     .collect(),
+            }
+        })
+        .collect()
+}
+
+/// Mean inter-arrival gaps of the load sweep, cycles: from a mostly
+/// idle device to well past one shard's saturation (≈250 cycles).
+const LOAD_GAPS: [f64; 9] = [
+    8_000.0, 4_000.0, 2_000.0, 1_000.0, 500.0, 250.0, 125.0, 60.0, 30.0,
+];
+/// Requests per load-sweep row.
+const LOAD_REQUESTS: usize = 2_000;
+
+/// Runs the policy workload at each offered load on one warm shard.
+/// Every row replays the same arrival seed, so rows differ only in
+/// load. Suite-size independent and bit-deterministic.
+pub fn run_load_sweep(spec: &GpuSpec) -> Vec<LoadRow> {
+    let registry = policy_registry(true);
+    let cfg = SimConfig::batched(spec.clone(), MAX_BATCH_N);
+    LOAD_GAPS
+        .iter()
+        .map(|&gap| {
+            let schedule = policy_schedule_at(LOAD_REQUESTS, gap);
+            let report = simulate_schedule(&registry, &schedule, &cfg);
+            assert!(report.metrics.conserves(), "load sweep conserves requests");
+            LoadRow {
+                mean_gap_cycles: gap,
+                completed: report.metrics.completed,
+                batches: report.metrics.batches,
+                avg_occupancy: report.metrics.avg_batch_occupancy(),
+                requests_per_gcycle: report.requests_per_gcycle(),
+                p50_latency_cycles: report.metrics.latency_cycles.percentile(50.0),
+                p99_latency_cycles: report.metrics.latency_cycles.percentile(99.0),
             }
         })
         .collect()
@@ -393,10 +459,7 @@ pub fn run_hedge_sweep(spec: &GpuSpec) -> Vec<HedgeRow> {
         if tolerant {
             shard = shard.with_health(HealthConfig::cycles()).with_hedge(hedge);
         }
-        // A tighter window than the throughput sweep: tail latency is
-        // the quantity under test, and a long coalescing window would
-        // smear the straggler's effect into every percentile.
-        ShardSimConfig::new(shard, SimConfig::batched(spec.clone(), 128, 20_000.0))
+        ShardSimConfig::new(shard, SimConfig::batched(spec.clone(), 128))
             .with_straggler(STRAGGLER_SHARD, STRAGGLER_FACTOR)
     };
     let unhedged = simulate_sharded(&registry, &schedule, &cfg(false));
@@ -506,6 +569,7 @@ pub fn run(spec: &GpuSpec, requests: usize, sweep: &ShardSweepSpec) -> Serving {
     let shard_rows = run_shard_sweep(spec, sweep);
     let fusion_rows = run_fusion_sweep(&[1, 2, 4, 8, 16], 25);
     let hedge_rows = run_hedge_sweep(spec);
+    let load_rows = run_load_sweep(spec);
     Serving {
         requests,
         seed: POLICY_SEED,
@@ -516,6 +580,7 @@ pub fn run(spec: &GpuSpec, requests: usize, sweep: &ShardSweepSpec) -> Serving {
         shard_rows,
         fusion_rows,
         hedge_rows,
+        load_rows,
     }
 }
 
@@ -631,18 +696,46 @@ impl Serving {
                 ]
             })
             .collect();
+        let load_header: Vec<String> = [
+            "mean gap",
+            "completed",
+            "batches",
+            "occupancy",
+            "req/Gcycle",
+            "p50 lat",
+            "p99 lat",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let load_rows: Vec<Vec<String>> = self
+            .load_rows
+            .iter()
+            .map(|r| {
+                vec![
+                    format!("{:.0}", r.mean_gap_cycles),
+                    r.completed.to_string(),
+                    r.batches.to_string(),
+                    format!("{:.2}", r.avg_occupancy),
+                    format!("{:.1}", r.requests_per_gcycle),
+                    format!("{:.0}", r.p50_latency_cycles),
+                    format!("{:.0}", r.p99_latency_cycles),
+                ]
+            })
+            .collect();
         format!(
-            "Serving — {} requests, seed {:#x}; batching window {} cycles,\n\
+            "Serving — {} requests, seed {:#x}; work-conserving batching,\n\
              max batch {} columns (virtual-clock scheduler, A100 spec)\n{}\n\
              Sharded — {} zipf requests from {} users, seed {:#x};\n\
              consistent-hash ring, hot-model replication, work stealing\n{}\n\
              Fused assembly — panel-major emit vs concat+panelize,\n\
              k={}, {} columns/part (host-timed, bit-exact asserted)\n{}\n\
              Tail tolerance — {} shards, shard {} a {:.0}× straggler;\n\
-             hedge past rolling p95, retry budget {:.0}% (DESIGN.md §17)\n{}",
+             hedge past rolling p95, retry budget {:.0}% (DESIGN.md §17)\n{}\n\
+             Offered load — {} requests per row on one warm shard,\n\
+             policy workload from idle past saturation\n{}",
             self.requests,
             self.seed,
-            WINDOW_CYCLES,
             MAX_BATCH_N,
             render_table(&header, &rows),
             self.shard_requests,
@@ -659,7 +752,9 @@ impl Serving {
                 .first()
                 .map(|r| r.budget_fraction * 100.0)
                 .unwrap_or(0.0),
-            render_table(&hedge_header, &hedge_rows)
+            render_table(&hedge_header, &hedge_rows),
+            LOAD_REQUESTS,
+            render_table(&load_header, &load_rows)
         )
     }
 }
@@ -718,6 +813,15 @@ mod tests {
         assert!(text.contains("Sharded") && text.contains("fwd/stolen"));
         assert!(text.contains("Fused assembly") && text.contains("two-touch µs"));
         assert!(text.contains("Tail tolerance") && text.contains("work amp"));
+        assert!(text.contains("Offered load") && text.contains("mean gap"));
+        assert_eq!(result.load_rows.len(), LOAD_GAPS.len());
+        for r in &result.load_rows {
+            assert_eq!(
+                r.completed, LOAD_REQUESTS as u64,
+                "gap {}",
+                r.mean_gap_cycles
+            );
+        }
     }
 
     /// The fusion sweep covers every requested batch size, its widths

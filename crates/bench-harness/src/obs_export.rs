@@ -90,6 +90,10 @@ const SCHEMA: &[(&str, &str, &str, &[&str])] = &[
      &["policy", "shards", "straggler_factor", "completed", "hedges", "health_ejections",
        "p50_latency_cycles", "p95_latency_cycles", "p99_latency_cycles", "busy_cycles",
        "work_amplification", "budget_fraction"]),
+    // One row per offered load, gated by `--perf` (§9).
+    ("serving", "load_rows", "serving load row missing key",
+     &["mean_gap_cycles", "completed", "batches", "avg_occupancy", "requests_per_gcycle",
+       "p50_latency_cycles", "p99_latency_cycles"]),
     // One row per (strategy, N, cache mode) (§18).
     ("cache_ablation", "rows", "cache_ablation row missing key",
      &["strategy", "n", "cache", "duration_cycles", "l1_hit_rate", "l2_hit_rate",
@@ -404,7 +408,11 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
 /// run's executed-work amplification must stay within
 /// `1 + budget_fraction` — a hedging layer that amplifies the tail or
 /// blows its retry budget is a regression in the property it exists
-/// to enforce (DESIGN.md §17).
+/// to enforce (DESIGN.md §17). Its `data.load_rows` are floored the
+/// same way: as the offered load rises, `requests_per_gcycle` may not
+/// fall more than 1% below the best any lighter load reached — a
+/// batching rule that loses throughput under load idles the device it
+/// exists to keep busy (DESIGN.md §9).
 fn check_perf_serving(base_doc: &Json, cand_doc: &Json, tolerance: f64) -> Result<String, String> {
     // Both docs passed the schema check: every section below is a
     // non-empty row list carrying its schema keys.
@@ -475,8 +483,43 @@ fn check_perf_serving(base_doc: &Json, cand_doc: &Json, tolerance: f64) -> Resul
          {amp:.3}x (budget {:.2}x)",
         1.0 + budget
     ));
+    let mut loads = data_rows(cand_doc, "load_rows")
+        .unwrap_or_default()
+        .iter()
+        .map(|r| {
+            Ok((
+                num(r, "mean_gap_cycles", "candidate")?,
+                num(r, "requests_per_gcycle", "candidate")?,
+            ))
+        })
+        .collect::<Result<Vec<(f64, f64)>, String>>()?;
+    // Lightest load (longest gap) first.
+    loads.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let (mut best_gap, mut best) = (f64::INFINITY, 0.0f64);
+    for &(gap, throughput) in &loads {
+        if throughput < LOAD_FLOOR * best {
+            return Err(format!(
+                "regression in batching: {throughput:.0} req/Gcycle at mean gap {gap:.0} \
+                 cycles is below {:.0}% of the {best:.0} reached at the lighter gap \
+                 {best_gap:.0}",
+                LOAD_FLOOR * 100.0
+            ));
+        }
+        if throughput > best {
+            (best_gap, best) = (gap, throughput);
+        }
+    }
+    report.push(format!(
+        "load sweep: throughput never falls as load rises over {} gaps (peak {best:.0} \
+         req/Gcycle at gap {best_gap:.0})",
+        loads.len()
+    ));
     Ok(report.join("; "))
 }
+
+/// The share of the best lighter-load throughput every heavier load in
+/// `data.load_rows` must keep.
+const LOAD_FLOOR: f64 = 0.99;
 
 #[cfg(test)]
 mod tests {
@@ -625,12 +668,40 @@ mod tests {
         }
     }
 
+    #[derive(Serialize, Clone)]
+    struct ToyLoadRow {
+        mean_gap_cycles: f64,
+        completed: u64,
+        batches: u64,
+        avg_occupancy: f64,
+        requests_per_gcycle: f64,
+        p50_latency_cycles: f64,
+        p99_latency_cycles: f64,
+    }
+
+    /// Load rows at the given `(mean gap, throughput)` points.
+    fn toy_load_rows(points: &[(f64, f64)]) -> Vec<ToyLoadRow> {
+        points
+            .iter()
+            .map(|&(gap, throughput)| ToyLoadRow {
+                mean_gap_cycles: gap,
+                completed: 100,
+                batches: 50,
+                avg_occupancy: 2.0,
+                requests_per_gcycle: throughput,
+                p50_latency_cycles: 1_000.0,
+                p99_latency_cycles: 9_000.0,
+            })
+            .collect()
+    }
+
     #[derive(Serialize)]
     struct ToyServing {
         rows: Vec<ToyServingRow>,
         shard_rows: Vec<ToyShardRow>,
         fusion_rows: Vec<ToyFusionRow>,
         hedge_rows: Vec<ToyHedgeRow>,
+        load_rows: Vec<ToyLoadRow>,
     }
 
     fn toy_serving() -> ToyServing {
@@ -648,6 +719,7 @@ mod tests {
                 toy_hedge_row("unhedged", 90_000.0, 1.0),
                 toy_hedge_row("hedged", 30_000.0, 1.05),
             ],
+            load_rows: toy_load_rows(&[(2_000.0, 5e5), (500.0, 2e6), (100.0, 2.9e6)]),
         }
     }
 
@@ -848,6 +920,33 @@ mod tests {
         let cand = bench_doc("serving", &over_budget).to_string();
         let err = check_perf_text(&base, &cand, 0.25).unwrap_err();
         assert!(err.contains("work amplification"), "{err}");
+    }
+
+    /// A serving doc must carry the offered-load sweep, and `--perf`
+    /// floors its throughput as the load rises: a heavier load may not
+    /// fall more than 1% below the best lighter one, in any row order.
+    #[test]
+    fn serving_load_sweep_is_required_and_floored() {
+        let mut no_load = toy_serving();
+        no_load.load_rows.clear();
+        let err = check_bench_text(&bench_doc("serving", &no_load).to_string()).unwrap_err();
+        assert!(err.contains("load_rows"), "{err}");
+
+        let base = serving_doc(&[(1, 1.1), (4, 1.6)]);
+        let report = check_perf_text(&base, &base, 0.25).unwrap();
+        assert!(report.contains("load sweep"), "{report}");
+        let with_loads = |points: &[(f64, f64)]| {
+            let mut doc = toy_serving();
+            doc.load_rows = toy_load_rows(points);
+            bench_doc("serving", &doc).to_string()
+        };
+        // A saturated plateau within 1% passes, listed heaviest first.
+        let plateau = with_loads(&[(30.0, 2.98e6), (250.0, 3e6), (2_000.0, 5e5)]);
+        assert!(check_perf_text(&base, &plateau, 0.25).is_ok());
+        // Throughput that drops past saturation fails.
+        let collapse = with_loads(&[(2_000.0, 5e5), (250.0, 3e6), (30.0, 2.9e6)]);
+        let err = check_perf_text(&base, &collapse, 0.25).unwrap_err();
+        assert!(err.contains("mean gap 30"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Replays the committed `results/BENCH_serving.json` against a fresh
 //! virtual-clock run: every deterministic serving row — the two warm
-//! policy rows, every `shard_rows` entry and both `hedge_rows` — must
-//! reproduce bit-identically (the JSON float encoding is
+//! policy rows, every `shard_rows` entry, both `hedge_rows` and every
+//! `load_rows` entry — must reproduce bit-identically (the JSON float encoding is
 //! shortest-round-trip, so comparing the rendered rows compares the
 //! f64 bits). The cold policy rows charge measured host planning time
 //! and the fusion rows are host-timed, so neither is replayed.
@@ -12,7 +12,8 @@
 //! and review the diff as a model change.
 
 use bench_harness::experiments::serving::{
-    policy_schedule, run_hedge_sweep, run_policy, run_shard_sweep, ShardSweepSpec, POLICY_SEED,
+    policy_schedule, run_hedge_sweep, run_load_sweep, run_policy, run_shard_sweep, ShardSweepSpec,
+    POLICY_SEED,
 };
 use bench_harness::obs_export::to_obs_json;
 use gpu_sim::GpuSpec;
@@ -124,5 +125,20 @@ fn committed_hedge_rows_replay_bit_identically() {
     assert_eq!(rebuilt.len(), committed.len(), "unhedged + hedged pair");
     for (row, want) in rebuilt.iter().zip(committed) {
         assert_replays(&format!("hedge_rows[{}]", row.policy), row, want);
+    }
+}
+
+#[test]
+fn committed_load_rows_replay_bit_identically() {
+    let data = committed_data();
+    let committed = section(&data, "load_rows");
+    let rebuilt = run_load_sweep(&GpuSpec::a100());
+    assert_eq!(rebuilt.len(), committed.len(), "one row per offered load");
+    for (row, want) in rebuilt.iter().zip(committed) {
+        assert_replays(
+            &format!("load_rows[gap={}]", row.mean_gap_cycles),
+            row,
+            want,
+        );
     }
 }

@@ -23,6 +23,11 @@ use dlmc::{ValueDist, VectorSparseSpec};
 use gpu_sim::{simulate_kernel, GpuSpec, KernelStats};
 use jigsaw_core::{build_launch, JigsawConfig, JigsawFormat, ReorderPlan};
 
+/// Serializes the tests: the `sim.*` counters are process-global, so a
+/// kernel simulated by one test while the other has observability on
+/// would land in its counter deltas.
+static SIM_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// One pinned simulation: kernel id, N, and the exact outputs.
 struct Pinned {
     name: &'static str,
@@ -194,6 +199,7 @@ const EXPECTED: &[Pinned] = &[
 
 #[test]
 fn cache_off_replays_pre_cache_baselines_bit_identically() {
+    let _serial = SIM_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let got = run_all();
     if std::env::var_os("JIGSAW_GOLDEN_PRINT").is_some() {
         for (name, n, s) in &got {
@@ -257,6 +263,7 @@ fn cache_off_replays_pre_cache_baselines_bit_identically() {
 /// exactly, and no `sim.l1.*` / `sim.l2.*` counter may move.
 #[test]
 fn cache_off_sim_counters_match_stats_exactly() {
+    let _serial = SIM_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let reg = jigsaw_obs::global();
     let config = JigsawConfig::v4(32);
     let a = matrix();

@@ -14,9 +14,9 @@
 //! bit-exact; the server picks per model via
 //! `ExecOptions::fused_assembly`.
 //!
-//! It also holds the one batching rule — [`dispatch_at`] decides when
-//! a batch closes, [`pop_batch`] pops it — which the threaded server
-//! and the virtual-clock simulator both call.
+//! It also holds the one batching rule, [`pop_batch`], which the
+//! threaded server and the virtual-clock simulator both call: when the
+//! device is free, dispatch; take what fits.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -400,23 +400,18 @@ pub fn split_columns(c: &[f32], m: usize, widths: &[usize]) -> Result<Vec<Vec<f3
     Ok(out)
 }
 
-/// The limits of the one batching rule, on the caller's clock: device
-/// cycles in the simulator, host nanoseconds in the threaded server.
+/// The caps of the one batching rule.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchLimits {
     /// Maximum total B columns per batch.
     pub max_batch_n: usize,
     /// Maximum requests per batch (`1` disables batching).
     pub max_batch_requests: usize,
-    /// How long a batch head may wait for co-riders.
-    pub max_wait: f64,
 }
 
-/// A queued request as the batching rule sees it: absolute instants
-/// on the caller's clock, and the request's B width.
+/// A queued request as the batching rule sees it: its dispatch
+/// deadline on the caller's clock, and its B width.
 pub trait QueuedRequest {
-    /// Arrival instant.
-    fn arrival(&self) -> f64;
     /// Dispatch deadline (`None` waits forever).
     fn deadline(&self) -> Option<f64>;
     /// B columns.
@@ -424,48 +419,17 @@ pub trait QueuedRequest {
 }
 
 /// Whether a request is shed when dispatched at `at`. Strict, so a
-/// head whose window closed at its deadline is served.
+/// request dispatched exactly at its deadline is served.
 pub fn expired(deadline: Option<f64>, at: f64) -> bool {
     deadline.is_some_and(|d| at > d)
 }
 
-/// The one batching rule: the instant the batch headed by `q.front()`
-/// dispatches, for a device free from `free_at`. The batch is *full*
-/// when the prefix of whole requests that fits hits a cap, or when
-/// every queued request fits and no more arrivals can come; a full
-/// batch goes as soon as the device is free, any other batch also
-/// waits for its window, which closes at
-/// `min(head arrival + max_wait, head deadline)`.
-pub fn dispatch_at<T: QueuedRequest>(
-    q: &VecDeque<T>,
-    limits: &BatchLimits,
-    more_arrivals: bool,
-    now: f64,
-    free_at: f64,
-) -> f64 {
-    let mut queued_n = 0usize;
-    let mut queued_reqs = 0usize;
-    for p in q {
-        if queued_reqs + 1 > limits.max_batch_requests
-            || (queued_reqs > 0 && queued_n + p.width() > limits.max_batch_n)
-        {
-            break;
-        }
-        queued_reqs += 1;
-        queued_n += p.width();
-    }
-    let full = queued_reqs >= limits.max_batch_requests
-        || queued_n >= limits.max_batch_n
-        || queued_reqs == q.len() && !more_arrivals;
-    let ready = now.max(free_at);
-    if full {
-        return ready;
-    }
-    let head = q.front().expect("a batch has a head");
-    let deadline = head.deadline().unwrap_or(f64::INFINITY);
-    ready.max((head.arrival() + limits.max_wait).min(deadline))
-}
-
+/// The one batching rule, work-conserving: a device that is free
+/// dispatches the oldest queued head at once, and the batch takes
+/// every queued request behind it that fits. Nothing waits for
+/// co-riders; requests that queue while the device is busy ride
+/// together on its next dispatch.
+///
 /// Pops the batch dispatched at `at` off the front of `q`: each entry
 /// reached is dropped if `cancelled`, handed to `shed` if [`expired`],
 /// or taken whole while it fits. Returns the members and their width.

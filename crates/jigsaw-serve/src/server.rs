@@ -2,10 +2,11 @@
 //! dynamic micro-batcher that coalesces requests along N, and a worker
 //! pool executing one simulated kernel per batch.
 //!
-//! Workers batch by the rule the simulator runs ([`dispatch_at`],
-//! [`pop_batch`]) on the host-ns clock the breakers use, as an idle
-//! device with no request cap. Shutdown dispatches at once — the drain
-//! contract, not the batching rule.
+//! Workers batch by the rule the simulator runs ([`pop_batch`]) on the
+//! host-ns clock the breakers use, with no request cap: an idle worker
+//! pops the oldest head at once with every queued request that fits,
+//! or sleeps until a submit or stop. Requests that arrive while every
+//! worker is busy ride together on the next free one.
 //!
 //! Built entirely on `std::sync` — no external runtime. Each request's
 //! response carries its proportional share of the batch's simulated
@@ -28,8 +29,7 @@ use jigsaw_core::{lock_recover, wait_recover, wait_timeout_recover, PoolStats, W
 use jigsaw_obs::{Span, TraceHandle};
 
 use crate::batch::{
-    dispatch_at, expired, pop_batch, split_columns, AdmitError, BatchLimits, QueuedRequest,
-    RequestStats, SpmmResponse,
+    pop_batch, split_columns, AdmitError, BatchLimits, QueuedRequest, RequestStats, SpmmResponse,
 };
 use crate::breaker::{BreakerAdmit, BreakerConfig, BreakerState, CircuitBreaker};
 use crate::metrics::{count, ServeMetrics};
@@ -42,8 +42,6 @@ pub struct ServeConfig {
     pub spec: GpuSpec,
     /// Maximum total B columns coalesced into one batch.
     pub max_batch_n: usize,
-    /// How long a batch may wait for co-riders before dispatching.
-    pub max_wait: Duration,
     /// Per-model admission queue capacity (backpressure bound).
     pub queue_cap: usize,
     /// Worker threads.
@@ -57,7 +55,6 @@ impl Default for ServeConfig {
         ServeConfig {
             spec: GpuSpec::a100(),
             max_batch_n: 256,
-            max_wait: Duration::from_millis(2),
             queue_cap: 64,
             workers: 2,
             breaker: BreakerConfig::host_ns(),
@@ -176,10 +173,6 @@ struct Pending {
 }
 
 impl QueuedRequest for Pending {
-    fn arrival(&self) -> f64 {
-        self.arrival_ns
-    }
-
     fn deadline(&self) -> Option<f64> {
         self.deadline_ns
     }
@@ -515,103 +508,46 @@ fn oldest_head(queues: &QueueMap) -> Option<String> {
         .map(|(name, _)| name.clone())
 }
 
-/// Sheds every queued request [`expired`] at `at`, fulfilling its
-/// ticket with [`ServeError::DeadlineExceeded`]. Returns the shed
-/// count; caller accounts it.
-fn shed_expired_locked(queues: &mut QueueMap, at: f64) -> usize {
-    let mut shed = 0;
-    for q in queues.by_model.values_mut() {
-        q.retain(|p| {
-            let gone = expired(p.deadline_ns, at);
-            if gone {
-                fulfill(&p.ticket, Err(ServeError::DeadlineExceeded));
-                shed += 1;
-            }
-            !gone
-        });
-    }
-    queues.depth -= shed;
-    shed
-}
-
-/// The earliest deadline among all queued requests, so batching waits
-/// can wake in time to shed.
-fn earliest_deadline(queues: &QueueMap) -> Option<f64> {
-    queues
-        .by_model
-        .values()
-        .flat_map(|q| q.iter().filter_map(|p| p.deadline_ns))
-        .min_by(f64::total_cmp)
-}
-
 fn worker_loop(shared: &Shared, registry: &ModelRegistry, cfg: &ServeConfig) {
     let limits = BatchLimits {
         max_batch_n: cfg.max_batch_n,
         max_batch_requests: usize::MAX,
-        max_wait: cfg.max_wait.as_nanos() as f64,
     };
     loop {
         let batch = {
             let mut queues = lock_recover(&shared.queues);
-            // The dispatch instant this idle worker's timer was armed
-            // for. A wake-up acts as of then, so timer lag is never
-            // charged to a request: a head whose window closed at its
-            // deadline is served, not shed. Unset after a batch, so a
-            // worker returning busy sheds what expired meanwhile.
-            let mut wake_at: Option<f64> = None;
             loop {
-                let real = shared.now_ns();
-                let now = wake_at.map_or(real, |w| w.min(real));
-                let shed = shed_expired_locked(&mut queues, now);
+                let Some(model) = oldest_head(&queues) else {
+                    if shared.stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    // Every queue is empty: sleep until the next submit
+                    // or stop.
+                    queues = wait_recover(&shared.cv, queues);
+                    continue;
+                };
+                // This worker is free: dispatch now.
+                let now = shared.now_ns();
+                let q = queues.by_model.get_mut(&model).expect("head exists");
+                let mut shed = 0;
+                let (members, _) = pop_batch(
+                    q,
+                    &limits,
+                    now,
+                    |_| false,
+                    |p| {
+                        fulfill(&p.ticket, Err(ServeError::DeadlineExceeded));
+                        shed += 1;
+                    },
+                );
+                queues.depth -= members.len() + shed;
                 if shed > 0 {
                     // The one permitted nested order: queues → metrics.
                     lock_recover(&shared.metrics).shed_expired += shed as u64;
                 }
-                let stopping = shared.stop.load(Ordering::SeqCst);
-                let Some(model) = oldest_head(&queues) else {
-                    if stopping {
-                        return;
-                    }
-                    // No head means every queue is empty — nothing can
-                    // expire; sleep until the next submit or stop.
-                    queues = wait_recover(&shared.cv, queues);
-                    wake_at = None;
-                    continue;
-                };
-                let q = queues.by_model.get_mut(&model).expect("head exists");
-                let at = if stopping {
-                    now
-                } else {
-                    dispatch_at(q, &limits, true, now, now)
-                };
-                if at <= real {
-                    let mut shed = 0;
-                    let (members, _) = pop_batch(
-                        q,
-                        &limits,
-                        at,
-                        |_| false,
-                        |p| {
-                            fulfill(&p.ticket, Err(ServeError::DeadlineExceeded));
-                            shed += 1;
-                        },
-                    );
-                    queues.depth -= members.len() + shed;
-                    if shed > 0 {
-                        lock_recover(&shared.metrics).shed_expired += shed as u64;
-                    }
-                    if !members.is_empty() {
-                        break (model, members);
-                    }
-                    continue;
+                if !members.is_empty() {
+                    break (model, members);
                 }
-                // Hold the batch open for co-riders, but wake when its
-                // window closes or the earliest deadline passes (so
-                // expired entries shed promptly).
-                wake_at = Some(at);
-                let wake = earliest_deadline(&queues).map_or(at, |d| d.min(at));
-                let sleep = Duration::from_nanos((wake - real).max(0.0) as u64);
-                queues = wait_timeout_recover(&shared.cv, queues, sleep).0;
             }
         };
         execute_batch(shared, registry, cfg, batch);
@@ -911,73 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_fills_and_rejects() {
-        let reg = small_registry();
-        // One worker, long batching window, tiny queue: the window
-        // holds the worker while we overfill the queue.
-        let server = Server::start(
-            reg,
-            ServeConfig {
-                workers: 1,
-                queue_cap: 3,
-                max_wait: Duration::from_millis(250),
-                max_batch_n: 1024,
-                ..ServeConfig::default()
-            },
-        );
-        let mut tickets = Vec::new();
-        let mut rejected = 0;
-        for i in 0..10 {
-            match server.submit("attention-small", dense_rhs(256, 2, ValueDist::SmallInt, i)) {
-                Ok(t) => tickets.push(t),
-                Err(AdmitError::QueueFull { cap: 3, .. }) => rejected += 1,
-                Err(e) => panic!("unexpected rejection {e}"),
-            }
-        }
-        assert!(rejected > 0, "queue bound produced backpressure");
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        let metrics = server.shutdown();
-        assert_eq!(metrics.completed + metrics.rejected, 10);
-    }
-
-    #[test]
-    fn batching_window_coalesces_requests() {
-        let reg = small_registry();
-        let server = Server::start(
-            reg,
-            ServeConfig {
-                workers: 1,
-                max_wait: Duration::from_millis(200),
-                max_batch_n: 1024,
-                queue_cap: 64,
-                ..ServeConfig::default()
-            },
-        );
-        // Submitted back-to-back, well inside the 200 ms window: the
-        // worker must coalesce them into one batch.
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|i| {
-                server
-                    .submit("attention-small", dense_rhs(256, 4, ValueDist::SmallInt, i))
-                    .unwrap()
-            })
-            .collect();
-        let responses: Vec<SpmmResponse> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-        assert!(
-            responses.iter().any(|r| r.stats.batch_requests >= 2),
-            "requests were coalesced"
-        );
-        for r in &responses {
-            assert!(r.stats.device_cycles <= r.stats.batch_cycles);
-        }
-        let metrics = server.shutdown();
-        assert!(metrics.batches < 4, "fewer batches than requests");
-        assert!(metrics.avg_batch_occupancy() > 1.0);
-    }
-
-    #[test]
     fn served_request_trace_has_admission_to_kernel_chain() {
         jigsaw_obs::set_enabled(true);
         let reg = small_registry();
@@ -1024,7 +893,6 @@ mod tests {
             reg,
             ServeConfig {
                 workers: 1,
-                max_wait: Duration::from_millis(1),
                 ..ServeConfig::default()
             },
         );
@@ -1068,7 +936,6 @@ mod tests {
             Arc::new(reg),
             ServeConfig {
                 workers: 1,
-                max_wait: Duration::from_millis(1),
                 ..ServeConfig::default()
             },
         );
@@ -1094,33 +961,5 @@ mod tests {
             "every batch took the fused path"
         );
         server.shutdown();
-    }
-
-    #[test]
-    fn shutdown_drains_pending_work() {
-        let reg = small_registry();
-        let server = Server::start(
-            reg,
-            ServeConfig {
-                workers: 1,
-                max_wait: Duration::from_secs(5),
-                max_batch_n: 1024,
-                ..ServeConfig::default()
-            },
-        );
-        let tickets: Vec<Ticket> = (0..3)
-            .map(|i| {
-                server
-                    .submit("embedding-proj", dense_rhs(512, 4, ValueDist::SmallInt, i))
-                    .unwrap()
-            })
-            .collect();
-        // Shutdown must cut the 5 s window short and still serve all.
-        let handle = std::thread::spawn(move || server.shutdown());
-        for t in tickets {
-            assert!(t.wait().is_ok(), "drained, not canceled");
-        }
-        let metrics = handle.join().unwrap();
-        assert_eq!(metrics.completed, 3);
     }
 }

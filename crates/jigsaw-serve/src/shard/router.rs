@@ -607,7 +607,6 @@ mod tests {
             RegistryConfig::default(),
             ServeConfig {
                 workers: 1,
-                max_wait: Duration::from_micros(200),
                 ..ServeConfig::default()
             },
         );

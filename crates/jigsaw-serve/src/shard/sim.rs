@@ -5,7 +5,9 @@
 //!
 //! The only virtual-clock serving event loop: the single-device
 //! [`crate::sim::simulate_schedule`] is its one-shard case, and every
-//! shard batches by the rule in [`crate::batch`] the server also runs.
+//! shard batches by the work-conserving rule in [`crate::batch`] the
+//! server also runs: a shard dispatches its oldest queued head the
+//! cycle its device is free, taking every queued request that fits.
 //!
 //! Determinism contract: the only clock is the cycle counter; shard
 //! state lives in `BTreeMap`s; every tie (event time, head age, steal
@@ -24,7 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use jigsaw_core::fault;
 
-use crate::batch::{dispatch_at, pop_batch, BatchLimits, QueuedRequest};
+use crate::batch::{pop_batch, BatchLimits, QueuedRequest};
 use crate::breaker::{BreakerAdmit, BreakerState, CircuitBreaker};
 use crate::metrics::{count, Histogram, ServeMetrics};
 use crate::registry::ModelRegistry;
@@ -38,7 +40,7 @@ use crate::shard::ShardConfig;
 use crate::sim::{SimCompletion, SimConfig, SimFailure, SimRequest};
 
 /// Multi-shard simulation config: the shard topology/policies plus the
-/// per-shard serving policy (batching window, breaker, device spec).
+/// per-shard serving policy (batch caps, breaker, device spec).
 #[derive(Clone, Debug)]
 pub struct ShardSimConfig {
     /// Topology and replication/steal policies. The replication window
@@ -150,10 +152,6 @@ struct Queued<'a> {
 }
 
 impl QueuedRequest for Queued<'_> {
-    fn arrival(&self) -> f64 {
-        self.req.arrival_cycle
-    }
-
     fn deadline(&self) -> Option<f64> {
         self.req.deadline_cycles.map(|d| self.req.arrival_cycle + d)
     }
@@ -180,15 +178,9 @@ impl<'a> Shard<'a> {
 }
 
 /// The dispatch one shard would take at time `now`: the model whose
-/// head has waited longest, and the instant the batching rule fires
-/// it.
-fn decide(
-    shard: &Shard<'_>,
-    limits: &BatchLimits,
-    now: f64,
-    more_arrivals: bool,
-) -> Option<(String, f64)> {
-    let (model, q) =
+/// head has waited longest, dispatched as soon as the device is free.
+fn decide(shard: &Shard<'_>, now: f64) -> Option<(String, f64)> {
+    let (model, _) =
         shard
             .queues
             .iter()
@@ -205,8 +197,7 @@ fn decide(
                     .then(a.req.id.cmp(&b.req.id))
                     .then(na.cmp(nb))
             })?;
-    let at = dispatch_at(q, limits, more_arrivals, now, shard.free_at);
-    Some((model.clone(), at))
+    Some((model.clone(), now.max(shard.free_at)))
 }
 
 /// Runs a schedule across `cfg.shard.shards` simulated shards.
@@ -218,7 +209,7 @@ fn decide(
 /// dispatches, an idle shard with a free device steals the back half
 /// of the deepest over-threshold peer's queue for a model it
 /// replicates. Every shard runs the same batching rule
-/// ([`dispatch_at`] / [`pop_batch`]) and per-model breakers.
+/// ([`pop_batch`]) and per-model breakers.
 ///
 /// Infallible by construction: registry errors and panics raised at
 /// dispatch (e.g. injected via [`jigsaw_core::fault`]) fail that
@@ -235,7 +226,6 @@ pub fn simulate_sharded(
     let limits = BatchLimits {
         max_batch_n: cfg.sim.max_batch_n,
         max_batch_requests: cfg.sim.max_batch_requests,
-        max_wait: cfg.sim.max_wait_cycles,
     };
     let n_shards = cfg.shard.shards;
     let ring = HashRing::new(n_shards, cfg.shard.vnodes);
@@ -497,13 +487,10 @@ pub fn simulate_sharded(
         }
 
         // --- Pick the next event: earliest shard dispatch vs arrival. ---
-        let more_arrivals = next_arrival < order.len();
         let next_dispatch: Option<(f64, usize, String)> = shards
             .iter()
             .enumerate()
-            .filter_map(|(s, lane)| {
-                decide(lane, &limits, now, more_arrivals).map(|(m, at)| (at, s, m))
-            })
+            .filter_map(|(s, lane)| decide(lane, now).map(|(m, at)| (at, s, m)))
             .min_by(|a, b| {
                 a.0.partial_cmp(&b.0)
                     .expect("finite dispatch times")
@@ -826,7 +813,7 @@ mod tests {
             ShardConfig::new(shards)
                 .with_replication(ReplicationConfig::cycles(32, 2, 500_000.0))
                 .with_steal(StealConfig::threshold(8)),
-            SimConfig::batched(GpuSpec::a100(), 128, 20_000.0),
+            SimConfig::batched(GpuSpec::a100(), 128),
         )
     }
 
@@ -959,7 +946,7 @@ mod tests {
                     .with_health(crate::shard::HealthConfig::cycles())
                     .with_hedge(crate::shard::HedgeConfig::cycles());
             }
-            ShardSimConfig::new(shard, SimConfig::batched(GpuSpec::a100(), 128, 20_000.0))
+            ShardSimConfig::new(shard, SimConfig::batched(GpuSpec::a100(), 128))
                 .with_straggler(0, 10.0)
         };
         let unprotected = simulate_sharded(&reg, &schedule, &cfg(false));
@@ -1003,7 +990,7 @@ mod tests {
                 .with_steal(StealConfig::threshold(8))
                 .with_health(crate::shard::HealthConfig::cycles())
                 .with_hedge(crate::shard::HedgeConfig::cycles()),
-            SimConfig::batched(GpuSpec::a100(), 128, 20_000.0),
+            SimConfig::batched(GpuSpec::a100(), 128),
         )
         .with_straggler(1, 10.0);
         let a = simulate_sharded(&reg, &schedule, &cfg);
@@ -1091,7 +1078,7 @@ mod tests {
         };
         let cfg = ShardSimConfig::new(
             ShardConfig::new(2).with_hedge(hedge),
-            SimConfig::batched(GpuSpec::a100(), 128, 20_000.0),
+            SimConfig::batched(GpuSpec::a100(), 128),
         )
         .with_straggler(0, 10_000.0);
         let report = simulate_sharded(&reg, &schedule, &cfg);
@@ -1133,7 +1120,7 @@ mod tests {
         // shard for the isolation assertion to be meaningful.
         let cfg = ShardSimConfig::new(
             ShardConfig::new(2),
-            SimConfig::batched(GpuSpec::a100(), 128, 20_000.0),
+            SimConfig::batched(GpuSpec::a100(), 128),
         );
         let report = simulate_sharded(&reg, &schedule, &cfg);
         assert!(report.totals.failed > 0, "ghost batches failed typed");

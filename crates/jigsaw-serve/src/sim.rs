@@ -6,9 +6,11 @@
 //!
 //! There is one serving event loop: [`simulate_schedule`] is the
 //! one-shard case of [`crate::shard::simulate_sharded`], which batches
-//! with the same rule the threaded [`crate::server`] calls
-//! ([`crate::batch::dispatch_at`] / [`crate::batch::pop_batch`]). This
-//! module owns the single-device policy knobs and per-request records.
+//! with the same work-conserving rule the threaded [`crate::server`]
+//! calls ([`crate::batch::pop_batch`]): a free device dispatches the
+//! oldest queued head at once and takes every queued request that
+//! fits. This module owns the single-device policy knobs and
+//! per-request records.
 //!
 //! Cold fetches (planning or artifact loads) charge their measured
 //! host time to the virtual timeline, converted at the device clock —
@@ -31,8 +33,6 @@ pub struct SimConfig {
     pub max_batch_n: usize,
     /// Maximum requests per batch (`1` disables batching).
     pub max_batch_requests: usize,
-    /// Cycles a batch head may wait for co-riders.
-    pub max_wait_cycles: f64,
     /// Charge cold-fetch host time (ns → cycles at the device clock)
     /// to the virtual timeline.
     pub charge_cold_fetch: bool,
@@ -41,25 +41,23 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The batched policy at a given window.
-    pub fn batched(spec: GpuSpec, max_batch_n: usize, max_wait_cycles: f64) -> SimConfig {
+    /// The batched policy: up to `max_batch_n` columns per batch.
+    pub fn batched(spec: GpuSpec, max_batch_n: usize) -> SimConfig {
         SimConfig {
             spec,
             max_batch_n,
             max_batch_requests: usize::MAX,
-            max_wait_cycles,
             charge_cold_fetch: true,
             breaker: BreakerConfig::cycles(),
         }
     }
 
-    /// One request per kernel, no batching window.
+    /// One request per kernel.
     pub fn unbatched(spec: GpuSpec) -> SimConfig {
         SimConfig {
             spec,
             max_batch_n: usize::MAX,
             max_batch_requests: 1,
-            max_wait_cycles: 0.0,
             charge_cold_fetch: true,
             breaker: BreakerConfig::cycles(),
         }
@@ -195,6 +193,7 @@ pub fn simulate_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loadgen::{generate_schedule, LoadSpec};
     use crate::registry::{ModelRegistry, RegistryConfig};
     use crate::zoo::default_zoo;
 
@@ -224,11 +223,7 @@ mod tests {
         reg.warm_all().unwrap();
         let schedule = burst("attention-small", 16, 16, 100.0);
         let spec = GpuSpec::a100();
-        let batched = simulate_schedule(
-            &reg,
-            &schedule,
-            &SimConfig::batched(spec.clone(), 256, 50_000.0),
-        );
+        let batched = simulate_schedule(&reg, &schedule, &SimConfig::batched(spec.clone(), 256));
         let unbatched = simulate_schedule(&reg, &schedule, &SimConfig::unbatched(spec));
         assert_eq!(batched.completions.len(), 16);
         assert_eq!(unbatched.completions.len(), 16);
@@ -256,7 +251,7 @@ mod tests {
                     r
                 }),
         );
-        let cfg = SimConfig::batched(GpuSpec::a100(), 64, 20_000.0);
+        let cfg = SimConfig::batched(GpuSpec::a100(), 64);
         let a = simulate_schedule(&reg, &schedule, &cfg);
         let b = simulate_schedule(&reg, &schedule, &cfg);
         let key = |r: &SimReport| -> Vec<(usize, u64, u64)> {
@@ -272,7 +267,7 @@ mod tests {
     #[test]
     fn cold_fetch_charges_the_timeline() {
         let schedule = burst("attention-small", 4, 8, 1_000.0);
-        let cfg = SimConfig::batched(GpuSpec::a100(), 64, 10_000.0);
+        let cfg = SimConfig::batched(GpuSpec::a100(), 64);
 
         let cold_reg = registry();
         let cold = simulate_schedule(&cold_reg, &schedule, &cfg);
@@ -288,24 +283,75 @@ mod tests {
     }
 
     #[test]
-    fn window_delays_dispatch_until_full_or_expired() {
+    fn idle_device_dispatches_at_arrival_and_busy_device_coalesces() {
         let reg = registry();
         reg.warm_all().unwrap();
-        // Two requests 1000 cycles apart, window 5000: one batch.
-        let schedule = burst("attention-small", 2, 8, 1_000.0);
-        let joined = simulate_schedule(
-            &reg,
-            &schedule,
-            &SimConfig::batched(GpuSpec::a100(), 64, 5_000.0),
-        );
-        assert_eq!(joined.metrics.batches, 1);
-        // Window 10 cycles: the second request misses the batch.
-        let split = simulate_schedule(
-            &reg,
-            &schedule,
-            &SimConfig::batched(GpuSpec::a100(), 64, 10.0),
-        );
-        assert_eq!(split.metrics.batches, 2);
+        let cfg = SimConfig::batched(GpuSpec::a100(), 64);
+        // Two requests far apart: each finds the device idle and
+        // dispatches the cycle it arrives, alone.
+        let apart = burst("attention-small", 2, 8, 1e7);
+        let report = simulate_schedule(&reg, &apart, &cfg);
+        for (c, r) in report.completions.iter().zip(&apart) {
+            assert_eq!((c.dispatch_cycle, c.batch_requests), (r.arrival_cycle, 1));
+        }
+        // Four requests 100 cycles apart: the first dispatches at once,
+        // and the three that arrive while its kernel runs share the
+        // next batch, dispatched the cycle the device frees up.
+        let schedule = burst("attention-small", 4, 8, 100.0);
+        let report = simulate_schedule(&reg, &schedule, &cfg);
+        assert_eq!(report.metrics.batches, 2);
+        let (head, rest) = report.completions.split_first().unwrap();
+        assert_eq!((head.dispatch_cycle, head.batch_requests), (0.0, 1));
+        for c in rest {
+            assert_eq!(c.dispatch_cycle, head.finish_cycle, "dispatched when free");
+            assert_eq!(c.batch_requests, 3, "queued requests rode together");
+        }
+    }
+
+    /// Work conservation: over seeded schedules at light, heavy and
+    /// saturating load, every batch dispatches at the later of the
+    /// previous batch's finish and its oldest member's arrival — the
+    /// device never idles while a request waits — and the ledger
+    /// conserves.
+    #[test]
+    fn device_never_idles_while_a_request_waits() {
+        let reg = registry();
+        reg.warm_all().unwrap();
+        let zoo: Vec<_> = default_zoo(60).into_iter().take(2).collect();
+        let cfg = SimConfig::batched(GpuSpec::a100(), 64);
+        for seed in [1, 7, 42] {
+            for gap in [20_000.0, 2_000.0, 200.0] {
+                let load = LoadSpec {
+                    requests: 120,
+                    seed,
+                    n_choices: vec![8, 16, 32],
+                    mean_gap_cycles: gap,
+                };
+                let schedule = generate_schedule(&zoo, &load);
+                let report = simulate_schedule(&reg, &schedule, &cfg);
+                assert!(report.metrics.conserves(), "seed {seed} gap {gap}");
+                assert_eq!(report.completions.len(), schedule.len());
+                // On one device, dispatch instants are distinct: group
+                // completions into batches by them, in dispatch order.
+                let mut batches: Vec<(f64, f64, f64)> = Vec::new();
+                for c in &report.completions {
+                    match batches.last_mut() {
+                        Some(b) if b.0 == c.dispatch_cycle => b.2 = b.2.min(c.arrival_cycle),
+                        _ => batches.push((c.dispatch_cycle, c.finish_cycle, c.arrival_cycle)),
+                    }
+                }
+                assert_eq!(batches.len() as u64, report.metrics.batches);
+                let mut free_at = 0.0f64;
+                for &(dispatch, finish, oldest) in &batches {
+                    assert_eq!(
+                        dispatch,
+                        free_at.max(oldest),
+                        "seed {seed} gap {gap}: device idled while a request waited"
+                    );
+                    free_at = finish;
+                }
+            }
+        }
     }
 
     #[test]
@@ -318,11 +364,7 @@ mod tests {
         for r in schedule.iter_mut().skip(2) {
             r.deadline_cycles = Some(50.0);
         }
-        let report = simulate_schedule(
-            &reg,
-            &schedule,
-            &SimConfig::batched(GpuSpec::a100(), 32, 0.0),
-        );
+        let report = simulate_schedule(&reg, &schedule, &SimConfig::batched(GpuSpec::a100(), 32));
         assert!(report.metrics.shed_expired > 0, "stragglers were shed");
         assert!(report
             .failures

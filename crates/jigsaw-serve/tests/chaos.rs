@@ -93,13 +93,12 @@ fn killed_worker_mid_batch_fails_all_waiters_and_respawns() {
         registry(2),
         ServeConfig {
             workers: 1,
-            max_wait: Duration::from_millis(5),
             ..ServeConfig::default()
         },
     );
-    // Both requests land in the first (panicking) batch or, if the
-    // worker dispatches eagerly, across two — either way every ticket
-    // resolves.
+    // The idle worker dispatches the first request at once, so the
+    // second lands in the panicking batch or the next one — either way
+    // every ticket resolves.
     let t1 = server
         .submit("attention-small", dense_rhs(256, 4, ValueDist::SmallInt, 1))
         .unwrap();
@@ -152,7 +151,6 @@ fn assembly_fault_degrades_to_unfused_path_without_hangs() {
         Arc::new(reg),
         ServeConfig {
             workers: 1,
-            max_wait: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     );
@@ -199,7 +197,6 @@ fn pool_fault_inside_batch_is_isolated() {
         registry(2),
         ServeConfig {
             workers: 1,
-            max_wait: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     );
@@ -257,18 +254,134 @@ fn latency_spike_completes_late_not_never() {
 // Deadlines and the circuit breaker (threaded server)
 // ---------------------------------------------------------------------
 
-/// On an idle server the batching window never outlives the head's
-/// deadline: a 2 ms-deadline request under a 250 ms window dispatches
-/// at its deadline and is served — the batching rule the simulator
-/// runs, not a shed.
+/// Holds the single worker of `server` busy: arms a one-shot 200 ms
+/// stall on `serve.worker_batch`, submits one request, and returns its
+/// ticket once the worker has popped it. Everything submitted next
+/// queues behind a busy worker, deterministically.
+fn occupy_single_worker(server: &Server) -> jigsaw_serve::Ticket {
+    fault::inject(FaultSpec::once(
+        points::WORKER_BATCH,
+        FaultKind::Latency { ns: 200_000_000 },
+    ));
+    let busy = server
+        .submit("attention-small", dense_rhs(256, 4, ValueDist::SmallInt, 0))
+        .unwrap();
+    while server.queue_depth() > 0 {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    busy
+}
+
+/// An idle worker dispatches a request the moment it arrives; requests
+/// that queue while it is busy share its next batch.
 #[test]
-fn deadline_head_on_idle_server_is_served_at_its_deadline() {
+fn requests_queued_behind_a_busy_worker_share_one_batch() {
     let _g = guard();
     let server = Server::start(
         registry(2),
         ServeConfig {
             workers: 1,
-            max_wait: Duration::from_millis(250),
+            max_batch_n: 1024,
+            ..ServeConfig::default()
+        },
+    );
+    let busy = occupy_single_worker(&server);
+    let tickets: Vec<_> = (1..5)
+        .map(|i| {
+            server
+                .submit("attention-small", dense_rhs(256, 4, ValueDist::SmallInt, i))
+                .unwrap()
+        })
+        .collect();
+    let head = wait_bounded(busy).expect("the stalled batch completes");
+    assert_eq!(head.stats.batch_requests, 1, "the idle worker did not wait");
+    for t in tickets {
+        let r = wait_bounded(t).expect("queued request served");
+        assert_eq!(r.stats.batch_requests, 4, "queued requests rode together");
+        assert_eq!(r.stats.batch_n, 16);
+        assert!(r.stats.device_cycles <= r.stats.batch_cycles);
+    }
+    fault::reset();
+    let metrics = server.shutdown();
+    assert_eq!(metrics.batches, 2);
+    assert!(metrics.conserves());
+}
+
+/// The queue bound rejects with a typed `QueueFull` once the requests
+/// queued behind a busy worker reach the cap.
+#[test]
+fn backpressure_fills_and_rejects() {
+    let _g = guard();
+    let server = Server::start(
+        registry(2),
+        ServeConfig {
+            workers: 1,
+            queue_cap: 3,
+            max_batch_n: 1024,
+            ..ServeConfig::default()
+        },
+    );
+    let busy = occupy_single_worker(&server);
+    let mut tickets = vec![busy];
+    let mut rejected = 0;
+    for i in 1..11 {
+        match server.submit("attention-small", dense_rhs(256, 2, ValueDist::SmallInt, i)) {
+            Ok(t) => tickets.push(t),
+            Err(AdmitError::QueueFull { cap: 3, .. }) => rejected += 1,
+            Err(e) => panic!("unexpected rejection {e}"),
+        }
+    }
+    assert_eq!(rejected, 7, "the queue bound produced backpressure");
+    for t in tickets {
+        wait_bounded(t).expect("admitted requests are served");
+    }
+    fault::reset();
+    let metrics = server.shutdown();
+    assert_eq!((metrics.completed, metrics.rejected), (4, 7));
+    assert!(metrics.conserves());
+}
+
+/// Shutdown drains the requests queued behind a busy worker: each is
+/// served, none canceled.
+#[test]
+fn shutdown_drains_pending_work() {
+    let _g = guard();
+    let server = Server::start(
+        registry(2),
+        ServeConfig {
+            workers: 1,
+            max_batch_n: 1024,
+            ..ServeConfig::default()
+        },
+    );
+    let busy = occupy_single_worker(&server);
+    let tickets: Vec<_> = (0..3)
+        .map(|i| {
+            server
+                .submit("embedding-proj", dense_rhs(512, 4, ValueDist::SmallInt, i))
+                .unwrap()
+        })
+        .collect();
+    let handle = std::thread::spawn(move || server.shutdown());
+    wait_bounded(busy).expect("the stalled batch completes");
+    for t in tickets {
+        assert!(wait_bounded(t).is_ok(), "drained, not canceled");
+    }
+    let metrics = handle.join().unwrap();
+    fault::reset();
+    assert_eq!(metrics.completed, 4);
+    assert!(metrics.conserves());
+}
+
+/// An idle server dispatches a deadlined head the moment it arrives:
+/// a 2 ms-deadline request is served, not shed.
+#[test]
+fn deadline_head_on_idle_server_is_served_immediately() {
+    let _g = guard();
+    let server = Server::start(
+        registry(2),
+        ServeConfig {
+            workers: 1,
             ..ServeConfig::default()
         },
     );
@@ -280,11 +393,11 @@ fn deadline_head_on_idle_server_is_served_at_its_deadline() {
             Some(Duration::from_millis(2)),
         )
         .unwrap();
-    let resp = wait_bounded(t).expect("served at its deadline, not shed");
+    let resp = wait_bounded(t).expect("served immediately, not shed");
     assert_eq!(resp.cols, 4);
     assert!(
         started.elapsed() < Duration::from_millis(200),
-        "dispatched at the deadline, not at the batch window"
+        "dispatched on arrival"
     );
     let metrics = server.shutdown();
     assert_eq!(metrics.shed_expired, 0);
@@ -297,30 +410,14 @@ fn deadline_head_on_idle_server_is_served_at_its_deadline() {
 #[test]
 fn expired_deadline_sheds_before_dispatch() {
     let _g = guard();
-    // The first batch holds the single worker for 200 ms.
-    fault::inject(FaultSpec::once(
-        points::WORKER_BATCH,
-        FaultKind::Latency { ns: 200_000_000 },
-    ));
     let server = Server::start(
         registry(2),
         ServeConfig {
             workers: 1,
-            // Every request fills a batch on its own, so nothing waits
-            // for a window: only the busy worker delays the second.
-            max_batch_n: 4,
-            max_wait: Duration::from_millis(250),
             ..ServeConfig::default()
         },
     );
-    let busy = server
-        .submit("attention-small", dense_rhs(256, 4, ValueDist::SmallInt, 1))
-        .unwrap();
-    // Wait until the worker has popped the first batch (and is inside
-    // its injected stall) before queuing the deadline request.
-    while server.queue_depth() > 0 {
-        std::thread::sleep(Duration::from_micros(100));
-    }
+    let busy = occupy_single_worker(&server);
     let t = server
         .submit_with_deadline(
             "attention-small",
@@ -345,7 +442,6 @@ fn repeated_failures_open_the_breaker_and_fast_reject() {
         registry(2),
         ServeConfig {
             workers: 1,
-            max_wait: Duration::from_millis(1),
             breaker: BreakerConfig {
                 failure_threshold: 2,
                 open_window: 60e9, // 60 s: stays open for the test
@@ -555,7 +651,6 @@ fn shard_router(
         RegistryConfig::default(),
         ServeConfig {
             workers: 1,
-            max_wait: Duration::from_micros(200),
             ..ServeConfig::default()
         },
     );
@@ -730,7 +825,6 @@ fn tripped_shard_breaker_reports_owning_shard() {
         RegistryConfig::default(),
         ServeConfig {
             workers: 1,
-            max_wait: Duration::from_millis(1),
             breaker: BreakerConfig {
                 failure_threshold: 2,
                 open_window: 60e9,
@@ -900,7 +994,7 @@ fn hedging_bounds_p99_under_straggler_within_work_budget() {
         ShardSimConfig::new(
             cfg.with_replication(ReplicationConfig::cycles(32, 2, 500_000.0))
                 .with_steal(StealConfig::threshold(8)),
-            SimConfig::batched(GpuSpec::a100(), 128, 20_000.0),
+            SimConfig::batched(GpuSpec::a100(), 128),
         )
         .with_straggler(0, 10.0)
     };
@@ -947,7 +1041,7 @@ fn shard_slow_sim_fault_is_deterministic_and_visible() {
     let cfg = || {
         ShardSimConfig::new(
             ShardConfig::new(2).with_steal(StealConfig::disabled()),
-            SimConfig::batched(GpuSpec::a100(), 128, 20_000.0),
+            SimConfig::batched(GpuSpec::a100(), 128),
         )
     };
     let clean = simulate_sharded(&reg, &schedule, &cfg());
@@ -1018,11 +1112,7 @@ fn pinned_sim_fault_schedules_conserve_requests() {
                     r
                 }),
         );
-        let report = simulate_schedule(
-            &reg,
-            &schedule,
-            &SimConfig::batched(GpuSpec::a100(), 64, 10_000.0),
-        );
+        let report = simulate_schedule(&reg, &schedule, &SimConfig::batched(GpuSpec::a100(), 64));
         fault::reset();
         assert!(report.metrics.failed > 0, "seed {seed:#x}: faults fired");
         assert!(report.metrics.completed > 0, "seed {seed:#x}: recovered");
@@ -1077,7 +1167,7 @@ proptest! {
         let report = simulate_schedule(
             &reg,
             &schedule,
-            &SimConfig::batched(GpuSpec::a100(), 64, 10_000.0),
+            &SimConfig::batched(GpuSpec::a100(), 64),
         );
         fault::reset();
         prop_assert!(report.metrics.conserves(), "conservation: {:?}", report.metrics);

@@ -7,7 +7,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use jigsaw::serve::{
     default_zoo, run_closed_loop, ModelRegistry, RegistryConfig, ServeConfig, Server,
@@ -32,13 +31,13 @@ fn main() {
         registry.stats().cold_host_ns as f64 / 1e6
     );
 
-    // The serving engine: bounded admission queues, a 2 ms batching
-    // window that coalesces concurrent requests along N, two workers.
+    // The serving engine: bounded admission queues, two workers, and
+    // work-conserving batching — a free worker dispatches at once and
+    // coalesces every request queued behind the head along N.
     let server = Server::start(
         registry,
         ServeConfig {
             max_batch_n: 256,
-            max_wait: Duration::from_millis(2),
             queue_cap: 64,
             workers: 2,
             ..ServeConfig::default()

@@ -4,7 +4,6 @@
 //! deployment would, via `jigsaw::serve`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use jigsaw::data::{dense_rhs, ValueDist};
 use jigsaw::serve::{
@@ -35,7 +34,6 @@ fn concurrent_batched_serving_matches_solo_reference() {
         registry.clone(),
         ServeConfig {
             max_batch_n: 128,
-            max_wait: Duration::from_millis(2),
             queue_cap: 64,
             workers: 3,
             ..ServeConfig::default()
@@ -179,11 +177,7 @@ fn simulated_batching_beats_unbatched_on_mixed_traffic() {
 
     let warm = zoo_registry(55);
     warm.warm_all().unwrap();
-    let batched = simulate_schedule(
-        &warm,
-        &schedule,
-        &SimConfig::batched(spec.clone(), 256, 50_000.0),
-    );
+    let batched = simulate_schedule(&warm, &schedule, &SimConfig::batched(spec.clone(), 256));
 
     let warm2 = zoo_registry(55);
     warm2.warm_all().unwrap();
@@ -246,7 +240,7 @@ fn sharded_zipf_serving_is_deterministic_and_scales() {
             ShardConfig::new(shards)
                 .with_replication(ReplicationConfig::cycles(32, 2, 1_000_000.0))
                 .with_steal(StealConfig::threshold(8)),
-            SimConfig::batched(GpuSpec::a100(), 128, 20_000.0),
+            SimConfig::batched(GpuSpec::a100(), 128),
         )
     };
     // Same seed + shard count ⇒ identical sim percentiles, bit for bit.
