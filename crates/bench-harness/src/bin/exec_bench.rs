@@ -9,9 +9,7 @@
 //! call covers four rows that share a column stream): `avx2_fma` (the
 //! row CI floors) and `avx512f` hold the group's rows in register
 //! blocks, so each B vector they load feeds all four rows; `scalar`
-//! (the portable floor), `neon` and `narrow_n` (the FlashSparse-style
-//! register-blocked row kernel for skinny N) apply the group row by
-//! row.
+//! (the portable floor) and `neon` apply the group row by row.
 //!
 //! Each variant row also gets a `fusion=on` twin that times
 //! `execute_prepaneled_into_opts` over a prebuilt panel image — the

@@ -110,12 +110,12 @@ fn data_rows<'a>(doc: &'a Json, section: &str) -> Option<&'a [Json]> {
 
 /// Exec rows: the `variant` column is optional (legacy docs predate
 /// the dispatch layer) but when present must name a registry variant,
-/// and a per-variant doc must include the portable `narrow_n` variant
-/// — it has no ISA gate, so its absence means the bench sweep
-/// silently shrank. A `fusion` column must be `on` or `off`.
+/// and a per-variant doc must include the `scalar` floor — it has no
+/// ISA gate, so its absence means the bench sweep silently shrank. A
+/// `fusion` column must be `on` or `off`.
 fn check_exec_variants(rows: &[Json]) -> Result<(), String> {
     let mut saw_variant = false;
-    let mut saw_narrow = false;
+    let mut saw_scalar = false;
     for row in rows {
         if let Some(variant) = row.get("variant") {
             let name = variant
@@ -125,7 +125,7 @@ fn check_exec_variants(rows: &[Json]) -> Result<(), String> {
                 return Err(format!("exec: unknown microkernel variant {name:?}"));
             }
             saw_variant = true;
-            saw_narrow |= name == "narrow_n";
+            saw_scalar |= name == "scalar";
         }
         if let Some(fusion) = row.get("fusion") {
             let mode = fusion
@@ -138,10 +138,10 @@ fn check_exec_variants(rows: &[Json]) -> Result<(), String> {
             }
         }
     }
-    if saw_variant && !saw_narrow {
+    if saw_variant && !saw_scalar {
         return Err(
-            "exec: per-variant doc has no narrow_n rows — the register-blocked \
-             variant is portable and must be benched"
+            "exec: per-variant doc has no scalar rows — the scalar floor is \
+             portable and must be benched"
                 .to_string(),
         );
     }
@@ -1169,7 +1169,7 @@ mod tests {
         let good = exec_doc_variants(&[
             (64, "scalar", 1.5),
             (64, "avx2_fma", 3.0),
-            (64, "narrow_n", 2.5),
+            (64, "avx512f", 3.5),
         ]);
         assert_eq!(check_bench_text(&good), Ok("exec".to_string()));
         // …legacy rows without a variant column still pass…
@@ -1178,15 +1178,15 @@ mod tests {
             Ok("exec".to_string())
         );
         // …but an unknown variant name is a schema error…
-        let unknown = exec_doc_variants(&[(64, "warp_specialized", 3.0), (64, "narrow_n", 2.5)]);
+        let unknown = exec_doc_variants(&[(64, "warp_specialized", 3.0), (64, "scalar", 1.5)]);
         let err = check_bench_text(&unknown).unwrap_err();
         assert!(err.contains("warp_specialized"), "{err}");
-        // …a per-variant doc that lost its narrow_n rows is a schema
-        // error (the variant is portable — absence means the sweep
+        // …a per-variant doc that lost its scalar rows is a schema
+        // error (the floor is portable — absence means the sweep
         // shrank)…
-        let no_narrow = exec_doc_variants(&[(64, "scalar", 1.5), (64, "avx2_fma", 3.0)]);
-        let err = check_bench_text(&no_narrow).unwrap_err();
-        assert!(err.contains("narrow_n"), "{err}");
+        let no_scalar = exec_doc_variants(&[(64, "avx2_fma", 3.0), (64, "avx512f", 3.5)]);
+        let err = check_bench_text(&no_scalar).unwrap_err();
+        assert!(err.contains("scalar"), "{err}");
         // …and so is a row missing a perf-gate key or an empty table.
         #[derive(Serialize)]
         struct NoSpeedup {
@@ -1215,38 +1215,22 @@ mod tests {
         // A legacy variant-less baseline gates against the candidate's
         // avx2_fma rows; the candidate's extra variants ride along.
         let base = exec_doc(&[(64, 3.0)]);
-        let cand = exec_doc_variants(&[
-            (64, "scalar", 2.1),
-            (64, "avx2_fma", 2.9),
-            (64, "narrow_n", 2.5),
-        ]);
+        let cand = exec_doc_variants(&[(64, "scalar", 2.1), (64, "avx2_fma", 2.9)]);
         assert!(check_perf_text(&base, &cand, 0.10).is_ok());
         // A regressed avx2 row fails even when another variant is fast.
-        let regressed = exec_doc_variants(&[(64, "avx2_fma", 2.0), (64, "narrow_n", 9.0)]);
+        let regressed = exec_doc_variants(&[(64, "avx2_fma", 2.0), (64, "scalar", 9.0)]);
         assert!(check_perf_text(&base, &regressed, 0.10).is_err());
-        // Per-variant baselines gate row-for-row: a narrow_n collapse
-        // is caught even with the floored avx2 row healthy.
-        let vbase = exec_doc_variants(&[
-            (64, "scalar", 2.1),
-            (64, "avx2_fma", 3.0),
-            (64, "narrow_n", 2.5),
-        ]);
+        // Per-variant baselines gate row-for-row: a scalar collapse is
+        // caught even with the floored avx2 row healthy.
+        let vbase = exec_doc_variants(&[(64, "scalar", 2.1), (64, "avx2_fma", 3.0)]);
         assert!(check_perf_text(&vbase, &cand, 0.10).is_ok());
-        let narrow_collapse = exec_doc_variants(&[
-            (64, "scalar", 2.1),
-            (64, "avx2_fma", 3.0),
-            (64, "narrow_n", 1.0),
-        ]);
-        let err = check_perf_text(&vbase, &narrow_collapse, 0.10).unwrap_err();
-        assert!(err.contains("narrow_n"), "{err}");
+        let scalar_collapse = exec_doc_variants(&[(64, "scalar", 1.0), (64, "avx2_fma", 3.0)]);
+        let err = check_perf_text(&vbase, &scalar_collapse, 0.10).unwrap_err();
+        assert!(err.contains("scalar"), "{err}");
         // The absolute floor binds only the avx2 rows: scalar drifting
         // from 2.1x to 1.95x stays inside tolerance even though 1.95x
         // is under the 2.0x floor.
-        let scalar_drift = exec_doc_variants(&[
-            (64, "scalar", 1.95),
-            (64, "avx2_fma", 3.0),
-            (64, "narrow_n", 2.5),
-        ]);
+        let scalar_drift = exec_doc_variants(&[(64, "scalar", 1.95), (64, "avx2_fma", 3.0)]);
         assert!(check_perf_text(&vbase, &scalar_drift, 0.10).is_ok());
         // A baseline row for an ISA this host lacks (x86-64 has no
         // NEON, aarch64 no AVX-512F) is skipped with a note, not
@@ -1259,13 +1243,12 @@ mod tests {
         let wide_base = exec_doc_variants(&[
             (64, "scalar", 2.1),
             (64, "avx2_fma", 3.0),
-            (64, "narrow_n", 2.5),
             (64, absent, 9.0),
         ]);
         let report = check_perf_text(&wide_base, &cand, 0.10).unwrap();
         assert!(report.contains("SKIP"), "{report}");
         // A candidate missing the gated row is an error, not a pass.
-        let no_avx2 = exec_doc_variants(&[(64, "neon", 3.0), (64, "narrow_n", 2.5)]);
+        let no_avx2 = exec_doc_variants(&[(64, "neon", 3.0), (64, "scalar", 2.5)]);
         let err = check_perf_text(&base, &no_avx2, 0.10).unwrap_err();
         assert!(err.contains("missing"), "{err}");
     }

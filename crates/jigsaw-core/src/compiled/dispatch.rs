@@ -21,7 +21,7 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use super::kernels_scalar::{axpy_group_narrow_portable, axpy_group_scalar};
+use super::kernels_scalar::axpy_group_scalar;
 use super::GROUP_ROWS;
 
 /// Microkernel signature: one vector-row group's shared nonzero stream
@@ -133,26 +133,14 @@ pub enum KernelKind {
     Avx512f,
     /// 4×f32x4 NEON with fused multiply-adds (aarch64), row by row.
     Neon,
-    /// FlashSparse-style narrow-N kernel: holds the whole C row in
-    /// registers across the row's entire nonzero stream, one row of
-    /// the group at a time, so narrow outputs stop round-tripping C
-    /// through memory once per nonzero and tails stop wasting vector
-    /// lanes. Runs the single-row case of the `avx2_fma` group kernel
-    /// where AVX2+FMA is available and a portable fused block (≤64
-    /// columns) everywhere else — always runnable, like the scalar
-    /// floor.
-    NarrowN,
 }
 
 /// Every variant the registry knows, in auto-selection preference
-/// order for the ISA kernels ([`KernelKind::NarrowN`] is picked by
-/// force, not by the static ladder; [`KernelKind::Scalar`] is the
-/// floor).
-pub const ALL_KERNELS: [KernelKind; 5] = [
+/// order: one kernel per ISA, then the [`KernelKind::Scalar`] floor.
+pub const ALL_KERNELS: [KernelKind; 4] = [
     KernelKind::Avx512f,
     KernelKind::Avx2Fma,
     KernelKind::Neon,
-    KernelKind::NarrowN,
     KernelKind::Scalar,
 ];
 
@@ -164,7 +152,6 @@ impl KernelKind {
             KernelKind::Avx2Fma => "avx2_fma",
             KernelKind::Avx512f => "avx512f",
             KernelKind::Neon => "neon",
-            KernelKind::NarrowN => "narrow_n",
         }
     }
 
@@ -182,11 +169,9 @@ impl KernelKind {
     }
 
     /// True when the running host can execute this variant right now.
-    /// [`KernelKind::NarrowN`] carries its own portable fallback, so it
-    /// is always runnable.
     pub fn available(self) -> bool {
         match self {
-            KernelKind::Scalar | KernelKind::NarrowN => true,
+            KernelKind::Scalar => true,
             KernelKind::Avx2Fma => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -226,7 +211,6 @@ impl KernelKind {
             KernelKind::Avx2Fma => 1,
             KernelKind::Avx512f => 2,
             KernelKind::Neon => 3,
-            KernelKind::NarrowN => 4,
         }
     }
 
@@ -235,7 +219,6 @@ impl KernelKind {
     fn axpy(self) -> AxpyFn {
         match self {
             KernelKind::Scalar => axpy_group_scalar,
-            KernelKind::NarrowN => axpy_group_narrow,
             #[cfg(target_arch = "x86_64")]
             KernelKind::Avx2Fma => super::kernels_x86::axpy_group_avx2,
             #[cfg(target_arch = "x86_64")]
@@ -248,24 +231,6 @@ impl KernelKind {
             _ => axpy_group_scalar,
         }
     }
-}
-
-/// The narrow-N axpy with its own runtime dispatch: AVX2+FMA
-/// register-block when the host has it, portable fused block
-/// otherwise. Detection is cached — the per-call cost is one relaxed
-/// load.
-fn axpy_group_narrow(c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static HAS_AVX2: OnceLock<bool> = OnceLock::new();
-        let has = *HAS_AVX2
-            .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"));
-        if has {
-            return super::kernels_x86::axpy_group_narrow_avx2(c, vals, cols, slab);
-        }
-    }
-    axpy_group_narrow_portable(c, vals, cols, slab)
 }
 
 /// How [`select`] picks the variant that executes (see the module docs
@@ -284,32 +249,17 @@ pub enum KernelPolicy {
 
 /// Execution options threaded from the public API ([`crate::JigsawSpmm`],
 /// the serve registry's per-model configuration) down to [`select`]:
-/// the selection policy plus the fused-assembly opt-in. Build with
-/// `ExecOptions::from(policy)` and
-/// [`ExecOptions::with_fused_assembly`]; every combination is valid.
+/// the selection policy. Build with `ExecOptions::from(policy)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecOptions {
     policy: KernelPolicy,
-    fused_assembly: bool,
 }
 
 impl ExecOptions {
-    /// The forced-scalar options of the degradation ladder's middle
+    /// The forced-scalar options of the degradation ladder's floor
     /// rung: bit-identical to `execute_fast`, never falls back.
     pub fn scalar() -> ExecOptions {
         ExecOptions::from(KernelPolicy::Forced(KernelKind::Scalar))
-    }
-
-    /// These options with fused batched-B assembly switched on or off
-    /// (see [`ExecOptions::fused_assembly`]).
-    pub fn with_fused_assembly(mut self, on: bool) -> ExecOptions {
-        self.fused_assembly = on;
-        self
-    }
-
-    /// The selection policy these options carry.
-    pub fn policy(&self) -> KernelPolicy {
-        self.policy
     }
 
     /// The variant pinned by a [`KernelPolicy::Forced`] policy, if any.
@@ -319,31 +269,16 @@ impl ExecOptions {
             KernelPolicy::Auto => None,
         }
     }
-
-    /// True when these options opt into fused batched-B assembly: the
-    /// serve batch path converts each request's F16 columns directly
-    /// into panel-major f32 scratch and executes through
-    /// `CompiledKernel::execute_prepaneled_into_opts`, skipping both
-    /// the concatenated `Matrix` copy and execute phase 1. Bit-exact
-    /// with the two-touch path; a fused-assembly failure degrades to it
-    /// at runtime. Kernel selection is unaffected.
-    pub fn fused_assembly(&self) -> bool {
-        self.fused_assembly
-    }
 }
 
 impl From<KernelPolicy> for ExecOptions {
     fn from(policy: KernelPolicy) -> ExecOptions {
-        ExecOptions {
-            policy,
-            fused_assembly: false,
-        }
+        ExecOptions { policy }
     }
 }
 
 /// Process-wide per-variant poison flags (index = `poison_slot`).
-static POISONED: [AtomicBool; 5] = [
-    AtomicBool::new(false),
+static POISONED: [AtomicBool; 4] = [
     AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
@@ -365,7 +300,6 @@ pub fn poison(kind: KernelKind) {
             KernelKind::Avx2Fma => "degrade.kernel.avx2_fma",
             KernelKind::Avx512f => "degrade.kernel.avx512f",
             KernelKind::Neon => "degrade.kernel.neon",
-            KernelKind::NarrowN => "degrade.kernel.narrow_n",
             KernelKind::Scalar => unreachable!("scalar is never poisoned"),
         })
         .inc();
@@ -458,40 +392,10 @@ mod tests {
     fn scalar_is_the_only_bit_exact_variant_and_always_available() {
         assert!(KernelKind::Scalar.bit_exact());
         assert!(KernelKind::Scalar.available());
-        for kind in [
-            KernelKind::Avx2Fma,
-            KernelKind::Avx512f,
-            KernelKind::Neon,
-            KernelKind::NarrowN,
-        ] {
+        for kind in [KernelKind::Avx2Fma, KernelKind::Avx512f, KernelKind::Neon] {
             assert!(!kind.bit_exact(), "{kind:?} must not claim bit-exactness");
         }
         assert!(available_kernels().contains(&KernelKind::Scalar));
-        assert!(
-            available_kernels().contains(&KernelKind::NarrowN),
-            "narrow_n carries a portable fallback, so it is never absent"
-        );
-    }
-
-    #[test]
-    fn fused_assembly_is_orthogonal_to_policy() {
-        assert!(!ExecOptions::default().fused_assembly());
-        assert_eq!(
-            ExecOptions::scalar().forced_kernel(),
-            Some(KernelKind::Scalar)
-        );
-        for policy in [
-            KernelPolicy::Auto,
-            KernelPolicy::Forced(KernelKind::Scalar),
-            KernelPolicy::Forced(KernelKind::NarrowN),
-        ] {
-            let plain = ExecOptions::from(policy);
-            assert!(!plain.fused_assembly());
-            let fused = plain.with_fused_assembly(true);
-            assert!(fused.fused_assembly());
-            assert_eq!(fused.policy(), policy);
-            assert_eq!(fused.with_fused_assembly(false), plain);
-        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The scalar microkernel — the semantic reference every other variant
-//! in the dispatch registry is measured against — and the portable
-//! half of the narrow-N register-blocked kernel. Both apply a
+//! in the dispatch registry is measured against. It applies a
 //! vector-row group row by row, each row in its own stream order.
 
 use super::dispatch::{assert_group_args, GroupC};
@@ -40,41 +39,6 @@ pub fn axpy_group_scalar(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[
                 *cj += vi * bj;
             }
             i += 1;
-        }
-    }
-}
-
-/// How many C columns the portable narrow-N kernel holds in
-/// accumulators at once.
-const NARROW_BLOCK: usize = 64;
-
-/// Portable half of the FlashSparse-style narrow-N microkernel: each
-/// row of the group is staged into a ≤[`NARROW_BLOCK`]-wide accumulator
-/// block that lives across the row's **entire** nonzero stream, so C is
-/// loaded and stored once per block instead of once per nonzero — the
-/// traffic that dominates when `w` is small. Per element the products
-/// are applied in stream order with `mul_add`, the exact sequence the
-/// AVX2 half fuses in hardware: the two halves are bit-identical to
-/// each other, exact on integer-valued data, and ≤ 1 ulp per step from
-/// the scalar reference otherwise.
-pub fn axpy_group_narrow_portable(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
-    assert_group_args(&c, vals, cols, slab);
-    let (h, w) = (c.rows(), c.width());
-    for r in 0..h {
-        let c_row = c.row(r);
-        let mut start = 0;
-        while start < w {
-            let bw = (w - start).min(NARROW_BLOCK);
-            let mut acc = [0.0f32; NARROW_BLOCK];
-            acc[..bw].copy_from_slice(&c_row[start..start + bw]);
-            for (vs, &col) in vals.chunks_exact(h).zip(cols) {
-                let b = &slab[col as usize * w + start..][..bw];
-                for (a, &bj) in acc[..bw].iter_mut().zip(b) {
-                    *a = vs[r].mul_add(bj, *a);
-                }
-            }
-            c_row[start..start + bw].copy_from_slice(&acc[..bw]);
-            start += bw;
         }
     }
 }

@@ -1,15 +1,14 @@
 //! x86-64 microkernels of the dispatch registry: the register-blocked
-//! vector-row group kernels (16-lane AVX-512F and 8-lane AVX2+FMA) and
-//! the AVX2 half of the narrow-N kernel, which is the AVX2 group kernel
-//! applied one row at a time. The group kernels hold a block of every
-//! row of the group in accumulators across the group's whole shared
-//! stream, so each B vector loaded feeds `h` fused multiply-adds and C
-//! is loaded and stored once per block. Block widths are sized by the
-//! group height so a block runs at least eight independent FMA chains
-//! wherever the panel is that wide. All keep the per-row `(window,
-//! slot)` accumulation order of the scalar reference; only the rounding
-//! of each step changes (fused multiply-adds — exact on integer-valued
-//! data, ≤ 1 ulp per step otherwise).
+//! vector-row group kernels (16-lane AVX-512F and 8-lane AVX2+FMA).
+//! Each holds a block of every row of the group in accumulators across
+//! the group's whole shared stream, so each B vector loaded feeds `h`
+//! fused multiply-adds and C is loaded and stored once per block. Block
+//! widths are sized by the group height so a block runs at least eight
+//! independent FMA chains wherever the panel is that wide. Both keep
+//! the per-row `(window, slot)` accumulation order of the scalar
+//! reference; only the rounding of each step changes (fused
+//! multiply-adds — exact on integer-valued data, ≤ 1 ulp per step
+//! otherwise).
 #![cfg(target_arch = "x86_64")]
 
 use std::arch::x86_64::*;
@@ -173,29 +172,6 @@ pub fn axpy_group_avx2(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f3
             3 => rows_avx2::<3>(row_ptrs(&mut c), vals, h, cols, slab, w),
             4 => rows_avx2::<4>(row_ptrs(&mut c), vals, h, cols, slab, w),
             _ => unreachable!("GroupC holds 1..=GROUP_ROWS rows"),
-        }
-    }
-}
-
-/// AVX2 half of the FlashSparse-style narrow-N microkernel: the
-/// single-row case of the AVX2 group kernel, applied to each row of the
-/// group in turn (one 12-YMM register block per 96 columns, held
-/// across the row's **entire** stream). Per element this fuses the exact
-/// stream-order sequence of the portable half
-/// ([`super::kernels_scalar::axpy_group_narrow_portable`]), so the two
-/// halves are bit-identical to each other.
-pub fn axpy_group_narrow_avx2(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
-    assert_group_args(&c, vals, cols, slab);
-    let (h, w) = (c.rows(), c.width());
-    for r in 0..h {
-        // SAFETY: avx2+fma were verified by the dispatch layer; the
-        // slice invariants are asserted above, and row `r`'s values
-        // `vals[i·h + r]` stay inside `vals` for every `i < cols.len()`
-        // (the only offsets read; `wrapping_add` keeps an empty
-        // stream's pointer arithmetic defined).
-        let row_vals = vals.as_ptr().wrapping_add(r);
-        unsafe {
-            rows_avx2::<1>([c.row_ptr(r, 0)], row_vals, h, cols, slab, w);
         }
     }
 }

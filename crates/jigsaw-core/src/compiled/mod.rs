@@ -24,7 +24,7 @@
 //!    one microkernel call per group,
 //! 3. a **group microkernel**, resolved per execution by the
 //!    [`dispatch`] layer: a registry of named variants (`scalar`,
-//!    `avx2_fma`, `avx512f`, `neon`, `narrow_n`) with runtime ISA
+//!    `avx2_fma`, `avx512f`, `neon`) with runtime ISA
 //!    detection, a typed [`dispatch::KernelPolicy`] (`Auto` |
 //!    `Forced`), and per-variant poisoning for the resilience ladder.
 //!    The x86 variants hold all the group's rows in registers, so each
@@ -331,47 +331,17 @@ impl CompiledKernel {
     /// Computes `C = A × B` with the output and conversion scratch
     /// drawn from `pool` — the zero-allocation steady-state path.
     pub fn execute_pooled<'p>(&self, b: &Matrix, pool: &'p WorkspacePool) -> PoolBuf<'p> {
-        self.execute_pooled_opts(b, pool, &ExecOptions::default())
-    }
-
-    /// [`CompiledKernel::execute_pooled`] with explicit microkernel
-    /// options (the serve registry's per-model selection path).
-    pub fn execute_pooled_opts<'p>(
-        &self,
-        b: &Matrix,
-        pool: &'p WorkspacePool,
-        opts: &ExecOptions,
-    ) -> PoolBuf<'p> {
         let mut c = pool.acquire(self.m * b.cols);
         let mut scratch = pool.acquire(self.k * b.cols);
-        self.execute_into_opts(b, &mut c, &mut scratch, opts);
+        self.execute_into_opts(b, &mut c, &mut scratch, &ExecOptions::default());
         c
-    }
-
-    /// The core with auto microkernel selection: panels B into
-    /// `scratch` (f32, panel-major), then runs the 2-D `(row block ×
-    /// panel)` grid writing `c` (row-major `m × n`, fully overwritten).
-    pub fn execute_into(&self, b: &Matrix, c: &mut [f32], scratch: &mut [f32]) {
-        self.execute_into_opts(b, c, scratch, &ExecOptions::default());
-    }
-
-    /// [`CompiledKernel::execute_into`] with the microkernel pinned to
-    /// scalar: the degraded path of the resilience ladder, bit-identical
-    /// to [`crate::execute_fast`] on every input (DESIGN.md §12).
-    pub fn execute_into_scalar(&self, b: &Matrix, c: &mut [f32], scratch: &mut [f32]) {
-        self.execute_into_opts(b, c, scratch, &ExecOptions::scalar());
-    }
-
-    /// Allocating convenience over
-    /// [`CompiledKernel::execute_into_scalar`].
-    pub fn execute_scalar(&self, b: &Matrix) -> Vec<f32> {
-        self.execute_opts(b, &ExecOptions::scalar())
     }
 
     /// The core: resolves `opts` through the [`dispatch`] registry
     /// (forced selection falls back cleanly when the ISA is absent or
-    /// poisoned), then panels B and runs the 2-D grid with the chosen
-    /// axpy.
+    /// poisoned), then panels B into `scratch` (f32, panel-major) and
+    /// runs the 2-D `(row block × panel)` grid with the chosen axpy,
+    /// writing `c` (row-major `m × n`, fully overwritten).
     ///
     /// Infallible convenience over
     /// [`CompiledKernel::try_execute_into_opts`] — panics on the
@@ -390,8 +360,7 @@ impl CompiledKernel {
 
     /// Fallible form of [`CompiledKernel::execute_into_opts`]: the
     /// buffer-shape preconditions (B height, C size, scratch capacity)
-    /// come back as a typed [`ExecError`] instead of a panic, so
-    /// resilient callers (the serve registry) degrade on a value.
+    /// come back as a typed [`ExecError`] instead of a panic.
     pub fn try_execute_into_opts(
         &self,
         b: &Matrix,
@@ -422,7 +391,7 @@ impl CompiledKernel {
         if sel.kind != KernelKind::Scalar {
             // Only the full-speed paths carry the injection point: the
             // degraded scalar path must stay fault-free so the ladder
-            // (SIMD → scalar → execute_fast) terminates.
+            // (SIMD → scalar) terminates.
             fault::trip(points::EXECUTE);
         }
         if n == 0 || self.m == 0 {
@@ -541,7 +510,6 @@ impl CompiledKernel {
                 KernelKind::Avx2Fma => "kernel.runs.avx2_fma",
                 KernelKind::Avx512f => "kernel.runs.avx512f",
                 KernelKind::Neon => "kernel.runs.neon",
-                KernelKind::NarrowN => "kernel.runs.narrow_n",
             })
             .inc();
         }
@@ -846,7 +814,7 @@ mod tests {
         // Scalar microkernel: same per-row accumulation order and
         // sequential f32 adds — equality holds bit-for-bit, not
         // within a tolerance.
-        assert_eq!(kernel.execute_scalar(&b), oracle);
+        assert_eq!(kernel.execute_opts(&b, &ExecOptions::scalar()), oracle);
 
         // Dispatched path (fused SIMD where available): fusion
         // perturbs each step by at most its own rounding, so the

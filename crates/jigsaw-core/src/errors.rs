@@ -126,8 +126,8 @@ impl From<FaultError> for PlanError {
 /// `CompiledKernel::execute_prepaneled_into_opts`, and the panel-major
 /// assembly helpers (`panelize_into` / `panelize_parts_into`). The
 /// infallible `execute_into*` conveniences panic on these (documented)
-/// misuse cases; resilient callers — the serve registry's fused batch
-/// path — use the fallible entry points and degrade on an `Err`.
+/// misuse cases; resilient callers — the serve registry's batch path —
+/// use the fallible entry points and fail the batch on an `Err`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecError {
     /// B's height (or a batch part's height) does not match the

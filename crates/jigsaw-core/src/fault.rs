@@ -32,7 +32,7 @@ pub mod points {
     pub const PLAN: &str = "core.plan";
     /// Start of `CompiledKernel::try_compile`.
     pub const COMPILE: &str = "exec.compile";
-    /// Start of `CompiledKernel::execute_into` (the SIMD hot path).
+    /// Start of a compiled execution on a SIMD variant (the hot path).
     pub const EXECUTE: &str = "exec.execute";
     /// `WorkspacePool::acquire`.
     pub const POOL_ACQUIRE: &str = "pool.acquire";
@@ -41,9 +41,9 @@ pub mod points {
     /// Start of one serve worker batch execution.
     pub const WORKER_BATCH: &str = "serve.worker_batch";
     /// One fused batched-B panel-major assembly in the serve batch
-    /// path (before the prepaneled execute). A fault here degrades the
-    /// batch to the unfused concat + two-phase path, never to a failed
-    /// request.
+    /// path (before the prepaneled execute). A fault here fails that
+    /// batch only: an error as a typed batch error, a panic through the
+    /// worker's batch guard. It never degrades the model.
     pub const SERVE_ASSEMBLE: &str = "serve.assemble";
     /// One shard-router routing decision (before the request reaches
     /// its home shard's admission).

@@ -5,8 +5,8 @@
 //!
 //! * the `scalar` variant is **bit-identical** to [`execute_fast`] —
 //!   the differential oracle — on every input,
-//! * every fused same-order variant (`avx2_fma`, `avx512f`, `neon`,
-//!   and the register-blocked `narrow_n`) keeps the oracle's
+//! * every fused same-order variant (`avx2_fma`, `avx512f`, `neon`)
+//!   keeps the oracle's
 //!   accumulation *order* and differs only by per-step fused
 //!   rounding: bit-exact on integer-valued data, within the stated
 //!   tolerance (floored relative error ≤ 1e-5, ≈ 84 ulps at unit

@@ -6,13 +6,12 @@
 //! Batching buys throughput (simulated cost is sublinear in N — paper
 //! Fig 10) without perturbing a single output bit.
 //!
-//! Two assembly paths produce the batch's dense operand:
-//! [`concat_columns`] builds a concatenated F16 `Matrix` (the two-touch
-//! oracle — the kernel re-copies it F16→f32 into panel scratch), while
-//! [`assemble_panels`] fuses both copies, emitting each part's columns
-//! directly into the kernel's panel-major f32 layout. The two are
-//! bit-exact; the server picks per model via
-//! `ExecOptions::fused_assembly`.
+//! [`assemble_panels`] produces the batch's dense operand on the serve
+//! path: it emits each part's columns directly into the kernel's
+//! panel-major f32 layout. [`concat_columns`] builds a concatenated F16
+//! `Matrix` instead; it is the differential oracle for the fused emit
+//! and the input of the format fallback, which runs `execute_fast` on
+//! a model whose compilation failed.
 //!
 //! It also holds the one batching rule, [`pop_batch`], which the
 //! threaded server and the virtual-clock simulator both call: when the
@@ -166,11 +165,10 @@ pub struct SpmmResponse {
 }
 
 /// Why a batch could not be assembled or split — the typed edges of
-/// the column-concatenation algebra (shared by the two-touch
-/// [`concat_columns`] path and the fused [`assemble_panels`] emit
-/// path). Admission validates requests before they reach a batch, so
-/// hitting one of these in the server is a logic bug surfaced as a
-/// value (and, for the fused path, a degrade to the two-touch oracle),
+/// the column-concatenation algebra (shared by [`concat_columns`] and
+/// the fused [`assemble_panels`] emit). Admission validates requests
+/// before they reach a batch, so hitting one of these in the server is
+/// a logic bug (or an injected fault) that fails the batch as a value,
 /// never a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchError {
@@ -201,8 +199,8 @@ pub enum BatchError {
         /// Sum of the requested widths.
         total: usize,
     },
-    /// The fused path's panel scratch cannot hold the batch's
-    /// `k × Σwidths` f32 image.
+    /// The panel scratch cannot hold the batch's `k × Σwidths` f32
+    /// image.
     ScratchTooSmall {
         /// Required `k × Σwidths` element count.
         needed: usize,
@@ -210,8 +208,7 @@ pub enum BatchError {
         got: usize,
     },
     /// An armed [`fault`] injection at `serve.assemble` fired during
-    /// fused assembly — the server degrades the batch to the two-touch
-    /// path.
+    /// assembly — the server fails the batch.
     Fault(FaultError),
 }
 
@@ -259,10 +256,10 @@ impl From<FaultError> for BatchError {
 }
 
 /// Folds the kernel-side typed edges into the batch vocabulary so the
-/// fused path can thread `jigsaw_core` errors with `?`. The part
+/// batch path can thread `jigsaw_core` errors with `?`. The part
 /// `index` (and, for an output-size mismatch, the `m`) are unknown at
-/// this boundary and come back as 0 — these conversions only ever feed
-/// the fused path's degrade decision, not admission errors.
+/// this boundary and come back as 0 — these conversions only ever
+/// describe a failed batch, not admission errors.
 impl From<ExecError> for BatchError {
     fn from(e: ExecError) -> BatchError {
         match e {
@@ -331,7 +328,7 @@ pub fn concat_columns(parts: &[&Matrix]) -> Result<Matrix, BatchError> {
 ///
 /// Bit-exact with [`concat_columns`] followed by the kernel's phase-1
 /// panelization — both write the same `F16 → f32` conversion of the
-/// same element to the same slot — so the two-touch path remains the
+/// same element to the same slot — so that two-touch pair is the
 /// differential oracle for this one.
 ///
 /// Typed-error edges: the same [`BatchError::EmptyBatch`] /
@@ -340,7 +337,7 @@ pub fn concat_columns(parts: &[&Matrix]) -> Result<Matrix, BatchError> {
 /// [`BatchError::ScratchTooSmall`] when the pooled scratch cannot hold
 /// `k × Σwidths` f32. Crosses the `serve.assemble` fault point: an
 /// injected error comes back as [`BatchError::Fault`] and the server
-/// degrades the batch to the two-touch path.
+/// fails the batch; an injected panic unwinds to the batch guard.
 pub fn assemble_panels(
     parts: &[&Matrix],
     scratch: &mut [f32],

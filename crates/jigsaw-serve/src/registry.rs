@@ -11,6 +11,11 @@
 //!
 //! Every fetch is classified hit / planned / disk-loaded and counted,
 //! which is what the serving experiment's warm-vs-cold axis reads.
+//!
+//! A resident [`PlannedModel`] has one execution path,
+//! [`PlannedModel::execute_batch_pooled`]: the batch's parts are
+//! assembled straight into the kernel's panel-major layout and run on
+//! the model's SIMD → scalar degradation ladder (DESIGN.md §12).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -90,20 +95,20 @@ pub struct PlannedModel {
     /// ladder it currently sits on (DESIGN.md §12).
     pub exec: ExecPlan,
     /// Per-model microkernel selection threaded into every execution
-    /// (DESIGN.md §13): which dispatch variant runs and whether the
-    /// opt-in sorted stream is allowed.
+    /// (DESIGN.md §13): which dispatch variant runs.
     pub exec_options: ExecOptions,
     /// The registration's simulation memo (DESIGN.md §19): it outlives
     /// eviction and disk reload of this resident copy.
     pub sim_memo: Arc<SimMemo>,
 }
 
-/// The degradation ladder of one resident model:
-/// compiled SIMD → compiled scalar → `execute_fast` on the format.
-/// Every rung computes the same product (the scalar rung and
-/// `execute_fast` are bit-identical; SIMD is within an ulp per step),
-/// so degrading is invisible to callers except in latency and the
-/// `degrade.*` counters.
+/// How one resident model executes. A compiled model runs a two-rung
+/// ladder, compiled SIMD → compiled scalar; a model whose compilation
+/// failed runs [`execute_fast`] on the format instead. Every path
+/// computes the same product (the scalar rung and `execute_fast` are
+/// bit-identical; SIMD is within an ulp per step), so degrading is
+/// invisible to callers except in latency and the `degrade.*`
+/// counters.
 #[derive(Clone, Debug)]
 pub enum ExecPlan {
     /// The compiled kernel is available. `simd_poisoned` goes sticky
@@ -158,128 +163,69 @@ impl PlannedModel {
         count_degrade("degrade.exec");
     }
 
-    /// Computes `C = W × b` (row-major f32).
+    /// Computes `C = W × b` (row-major f32): the one-part case of
+    /// [`PlannedModel::execute_batch_pooled`] on a fresh pool.
+    ///
+    /// # Panics
+    ///
+    /// If `b` is not a `k`-row matrix with at least one column.
     pub fn execute(&self, b: &Matrix) -> Vec<f32> {
-        match &self.exec {
-            ExecPlan::Compiled {
-                kernel,
-                simd_poisoned,
-            } => {
-                if !simd_poisoned.load(Ordering::Relaxed) {
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        kernel.execute_opts(b, &self.exec_options)
-                    }));
-                    match run {
-                        Ok(c) => return c,
-                        Err(_) => self.poison_after_panic(simd_poisoned),
-                    }
-                }
-                kernel.execute_scalar(b)
-            }
-            ExecPlan::FormatFallback => execute_fast(&self.format, b),
-        }
-    }
-
-    /// Computes `C = W × b` with output and scratch drawn from `pool` —
-    /// the server's zero-allocation steady-state path. A SIMD-path
-    /// panic degrades in place: the buffers are re-zeroed (a partial
-    /// write may have landed) and the scalar rung recomputes.
-    pub fn execute_pooled<'p>(&self, b: &Matrix, pool: &'p WorkspacePool) -> PoolBuf<'p> {
-        match &self.exec {
-            ExecPlan::Compiled {
-                kernel,
-                simd_poisoned,
-            } => {
-                let mut c = pool.acquire(self.m() * b.cols);
-                let mut scratch = pool.acquire(self.k() * b.cols);
-                if !simd_poisoned.load(Ordering::Relaxed) {
-                    let ran = catch_unwind(AssertUnwindSafe(|| {
-                        kernel.execute_into_opts(b, &mut c, &mut scratch, &self.exec_options)
-                    }));
-                    match ran {
-                        Ok(()) => return c,
-                        Err(_) => {
-                            self.poison_after_panic(simd_poisoned);
-                            c.fill(0.0);
-                        }
-                    }
-                }
-                kernel.execute_into_scalar(b, &mut c, &mut scratch);
-                c
-            }
-            ExecPlan::FormatFallback => {
-                let mut c = pool.acquire(self.m() * b.cols);
-                c.copy_from_slice(&execute_fast(&self.format, b));
-                c
-            }
-        }
+        let pool = WorkspacePool::new();
+        let (c, _) = self
+            .execute_batch_pooled(&[b], &pool)
+            .expect("B has the model's K rows and at least one column");
+        c.into_vec()
     }
 
     /// Computes the batch product `C = W × [b₀ | … | bⱼ]` with buffers
-    /// drawn from `pool` — the server's batch hot path. With the
-    /// per-model `fused_assembly` opt-in and a healthy compiled SIMD
-    /// rung, the parts' F16 columns are emitted straight into
-    /// panel-major scratch ([`assemble_panels`]) and executed through
-    /// the prepaneled entry point: the dense operand is touched once,
-    /// in the layout the kernel consumes. Every fused failure — a
-    /// typed assembly error, an injected `serve.assemble` fault, or a
-    /// caught panic — degrades to the two-touch oracle
-    /// ([`concat_columns`] + [`PlannedModel::execute_pooled`]),
-    /// counted on `batch.fused_fallbacks`; fused successes count on
-    /// `batch.fused_runs`. Both paths acquire the same buffer shapes,
-    /// so the server's zero-allocation steady state is preserved
-    /// either way. Returns the product plus whether the fused path
-    /// produced it.
+    /// drawn from `pool` — the one serve execution path. The parts'
+    /// F16 columns are emitted straight into panel-major scratch
+    /// ([`assemble_panels`]) and executed through the prepaneled entry
+    /// point, so the dense operand is touched once, in the layout the
+    /// kernel consumes. A panic out of the SIMD rung poisons it
+    /// ([`ExecPlan`]): C is re-zeroed (a partial write may have
+    /// landed) and the scalar rung reruns over the same panels. A
+    /// typed assembly error, an injected `serve.assemble` error
+    /// included, comes back as a [`BatchError`]; an assembly panic
+    /// unwinds to the caller's batch guard. Returns the product plus
+    /// whether the full-speed SIMD rung produced it.
     pub fn execute_batch_pooled<'p>(
         &self,
         parts: &[&Matrix],
         pool: &'p WorkspacePool,
     ) -> Result<(PoolBuf<'p>, bool), BatchError> {
-        if self.exec_options.fused_assembly() {
-            if let ExecPlan::Compiled {
-                kernel,
-                simd_poisoned,
-            } = &self.exec
-            {
-                if !simd_poisoned.load(Ordering::Relaxed) {
-                    let total_n: usize = parts.iter().map(|p| p.cols).sum();
-                    let mut c = pool.acquire(self.m() * total_n);
-                    let mut scratch = pool.acquire(self.k() * total_n);
-                    // Distinguishes a panic out of assembly (degrade
-                    // only) from one out of the kernel (poison the
-                    // variant, like every other execute path).
-                    let mut assembled = false;
-                    let ran = catch_unwind(AssertUnwindSafe(|| -> Result<(), BatchError> {
-                        let (k, n) = assemble_panels(parts, &mut scratch)?;
-                        assembled = true;
-                        let b = PanelizedB::new(k, n, &scratch)?;
-                        kernel.execute_prepaneled_into_opts(&b, &mut c, &self.exec_options)?;
-                        Ok(())
-                    }));
-                    match ran {
-                        Ok(Ok(())) => {
-                            jigsaw_obs::global().counter("batch.fused_runs").inc();
-                            return Ok((c, true));
-                        }
-                        Ok(Err(_)) => {
-                            jigsaw_obs::global().counter("batch.fused_fallbacks").inc();
-                        }
-                        Err(_) => {
-                            jigsaw_obs::global().counter("batch.fused_fallbacks").inc();
-                            if assembled {
-                                self.poison_after_panic(simd_poisoned);
-                            }
-                        }
-                    }
-                    // `c` and `scratch` drop back to the pool here; the
-                    // two-touch path below re-acquires the same shapes
-                    // (re-zeroed on acquire, so a partial fused write
-                    // cannot leak through).
+        let ExecPlan::Compiled {
+            kernel,
+            simd_poisoned,
+        } = &self.exec
+        else {
+            let b = concat_columns(parts)?;
+            let mut c = pool.acquire(self.m() * b.cols);
+            c.copy_from_slice(&execute_fast(&self.format, &b));
+            return Ok((c, false));
+        };
+        let total_n: usize = parts.iter().map(|p| p.cols).sum();
+        let mut c = pool.acquire(self.m() * total_n);
+        let mut scratch = pool.acquire(self.k() * total_n);
+        let (k, n) = assemble_panels(parts, &mut scratch)?;
+        let b = PanelizedB::new(k, n, &scratch)?;
+        if !simd_poisoned.load(Ordering::Relaxed) {
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                kernel.execute_prepaneled_into_opts(&b, &mut c, &self.exec_options)
+            }));
+            match ran {
+                Ok(done) => {
+                    done?;
+                    return Ok((c, true));
+                }
+                Err(_) => {
+                    self.poison_after_panic(simd_poisoned);
+                    c.fill(0.0);
                 }
             }
         }
-        let bcat = concat_columns(parts)?;
-        Ok((self.execute_pooled(&bcat, pool), false))
+        kernel.execute_prepaneled_into_opts(&b, &mut c, &ExecOptions::scalar())?;
+        Ok((c, false))
     }
 
     /// Simulates one kernel at output width `n`, afresh on every call.
@@ -533,9 +479,8 @@ impl ModelRegistry {
     }
 
     /// [`ModelRegistry::register`] with per-model microkernel
-    /// selection: this model's executions force the given dispatch
-    /// variant / sorted-stream opt-in (DESIGN.md §13) instead of the
-    /// registry default.
+    /// selection: this model's executions use the given kernel policy
+    /// (DESIGN.md §13) instead of the registry default.
     pub fn register_with_options(
         &self,
         name: &str,

@@ -639,8 +639,9 @@ fn execute_batch(
         }
     }
     // One batch subtree, shared by every member's trace: assembly
-    // (fetch — including cold plan phases — plus concat), the kernel
-    // with its simulated cycles, and the split back into responses.
+    // (the fetch, including cold plan phases), the kernel (panel
+    // assembly plus the grid) with its simulated cycles, and the split
+    // back into responses.
     let tracing = members.iter().any(|p| p.trace.is_some());
     let (batch_span, batch_handle) = if tracing {
         let (s, h) = Span::trace("batch");
@@ -662,27 +663,23 @@ fn execute_batch(
     let parts: Vec<&Matrix> = members.iter().map(|p| &p.b).collect();
     let widths: Vec<usize> = parts.iter().map(|p| p.cols).collect();
     let total_n: usize = widths.iter().sum();
-    assemble.attr("fused", planned.exec_options.fused_assembly());
     assemble.finish();
     let kernel = batch_span.child("kernel");
     // Pooled batch execution: the batch's C and panel scratch come
-    // from (and return to) the server-wide workspace pool. With the
-    // model's fused-assembly opt-in the parts are emitted straight
-    // into panel-major scratch inside this call (so the assembly cost
-    // lands in the kernel span — that merge is the fusion); otherwise,
-    // or on any fused failure, it concatenates and runs the two-touch
-    // path. Admission validates K and rejects empty requests, so a
-    // BatchError here is a server logic bug — fail the batch as a
-    // typed error rather than unwinding the worker.
-    let (c, fused) = match planned.execute_batch_pooled(&parts, &shared.pool) {
-        Ok(pair) => pair,
+    // from (and return to) the server-wide workspace pool, and the
+    // parts are emitted straight into panel-major scratch inside this
+    // call, so the assembly cost lands in the kernel span. Admission
+    // validates K and rejects empty requests, so a BatchError here is
+    // a server logic bug or an injected `serve.assemble` fault — fail
+    // the batch as a typed error rather than unwinding the worker.
+    let c = match planned.execute_batch_pooled(&parts, &shared.pool) {
+        Ok((c, _)) => c,
         Err(e) => {
             let err = ServeError::Batch(e.to_string());
             fail_batch(shared, guard, &members, &model, err);
             return;
         }
     };
-    kernel.attr("fused", fused);
     let (stats, memo_hit) = planned.simulate_memoized(total_n, &cfg.spec);
     let batch_cycles = stats.duration_cycles;
     kernel.attr("sim_memo", if memo_hit { "hit" } else { "miss" });
@@ -886,6 +883,10 @@ mod tests {
         server.shutdown();
     }
 
+    /// Every batch draws its C and panel scratch from the server's
+    /// pool and assembles the parts straight into that scratch, so once
+    /// the first batch has allocated both, identical shapes never
+    /// allocate again.
     #[test]
     fn steady_state_serving_allocates_nothing_per_request() {
         let reg = small_registry();
@@ -914,52 +915,6 @@ mod tests {
             "steady-state batches perform zero C/scratch allocations"
         );
         assert!(steady.hits >= cold.hits + 10, "5 batches x 2 buffers hit");
-        server.shutdown();
-    }
-
-    /// The zero-alloc pin holds with fused assembly on: the fused path
-    /// acquires the same C and panel-scratch shapes from the pool as
-    /// the two-touch path, so steady state stays allocation-free — and
-    /// the batches really did run fused (`batch.fused_runs` advanced).
-    #[test]
-    fn steady_state_stays_zero_alloc_with_fused_assembly() {
-        let fused = jigsaw_core::ExecOptions::default().with_fused_assembly(true);
-        let reg = ModelRegistry::new(RegistryConfig {
-            exec_options: fused,
-            ..RegistryConfig::default()
-        })
-        .unwrap();
-        for m in default_zoo(50).into_iter().take(2) {
-            reg.register(&m.name, m.weights(), m.config);
-        }
-        let server = Server::start(
-            Arc::new(reg),
-            ServeConfig {
-                workers: 1,
-                ..ServeConfig::default()
-            },
-        );
-        let fused_runs_before = jigsaw_obs::global().counter("batch.fused_runs").get();
-        let warm_up = |i| {
-            let b = dense_rhs(256, 8, ValueDist::SmallInt, i);
-            server.submit("attention-small", b).unwrap().wait().unwrap();
-        };
-        warm_up(0);
-        let cold = server.pool_stats();
-        assert!(cold.misses >= 2, "first batch allocates: {cold:?}");
-        for i in 1..6 {
-            warm_up(i);
-        }
-        let steady = server.pool_stats();
-        assert_eq!(
-            steady.misses, cold.misses,
-            "fused steady-state batches perform zero C/scratch allocations"
-        );
-        assert!(steady.hits >= cold.hits + 10, "5 batches x 2 buffers hit");
-        assert!(
-            jigsaw_obs::global().counter("batch.fused_runs").get() >= fused_runs_before + 6,
-            "every batch took the fused path"
-        );
         server.shutdown();
     }
 }

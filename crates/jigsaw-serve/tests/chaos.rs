@@ -130,61 +130,50 @@ fn killed_worker_mid_batch_fails_all_waiters_and_respawns() {
     assert!(metrics.conserves(), "admitted = completed + failed + shed");
 }
 
-/// A fault injected at the fused-assembly point (`serve.assemble`)
-/// degrades that batch to the unfused two-touch path — the request
-/// still completes with a bit-identical product, no waiter hangs, and
-/// the degrade is visible on `batch.fused_fallbacks`. Both the typed
-/// error and the panic flavor must degrade, not fail.
+/// A fault injected at the batch-assembly point (`serve.assemble`)
+/// fails only its own batch: an injected error comes back to the
+/// request as a typed `ServeError::Batch`, and an injected panic is
+/// absorbed by the batch guard while the worker respawns. Neither
+/// hangs a waiter, degrades the model or poisons a variant, and the
+/// next batch is bit-identical to the warm-up.
 #[test]
-fn assembly_fault_degrades_to_unfused_path_without_hangs() {
+fn assembly_fault_fails_only_its_batch_without_hangs() {
     let _g = guard();
-    let fused_opts = ExecOptions::default().with_fused_assembly(true);
-    let reg = ModelRegistry::new(RegistryConfig {
-        exec_options: fused_opts,
-        ..RegistryConfig::default()
-    })
-    .unwrap();
-    for m in default_zoo(77).into_iter().take(2) {
-        reg.register(&m.name, m.weights(), m.config);
-    }
+    dispatch::unpoison_all();
+    let reg = registry(2);
     let server = Server::start(
-        Arc::new(reg),
+        reg.clone(),
         ServeConfig {
             workers: 1,
             ..ServeConfig::default()
         },
     );
-    // Warm up on the fused path and keep the product as the oracle.
     let b = dense_rhs(256, 4, ValueDist::SmallInt, 9);
-    let oracle = wait_bounded(server.submit("attention-small", b.clone()).unwrap())
-        .expect("fused warm-up serves");
-    let fallbacks_before = jigsaw_obs::global().counter("batch.fused_fallbacks").get();
+    let oracle =
+        wait_bounded(server.submit("attention-small", b.clone()).unwrap()).expect("warm-up serves");
     for kind in [FaultKind::Error, FaultKind::Panic] {
         // Hit counters persist across `inject` calls, so clear them:
         // otherwise the second spec's `first_hit = 1` can never match.
         fault::reset();
         fault::inject(FaultSpec::once(points::SERVE_ASSEMBLE, kind));
-        let resp = wait_bounded(server.submit("attention-small", b.clone()).unwrap())
-            .expect("assembly fault degrades to the two-touch path, not a failure");
-        assert_eq!(resp.c, oracle.c, "degraded batch is bit-identical");
+        let err = wait_bounded(server.submit("attention-small", b.clone()).unwrap())
+            .expect_err("an assembly fault fails its batch");
+        match kind {
+            FaultKind::Error => assert!(matches!(err, ServeError::Batch(_)), "{err:?}"),
+            _ => assert_eq!(err, ServeError::WorkerPanic),
+        }
+        assert!(!reg.get("attention-small").unwrap().is_degraded());
+        for kind in ALL_KERNELS {
+            assert!(!dispatch::is_poisoned(kind), "{kind:?} stays unpoisoned");
+        }
     }
-    assert!(
-        jigsaw_obs::global().counter("batch.fused_fallbacks").get() >= fallbacks_before + 2,
-        "both degrades were counted"
-    );
     fault::reset();
-    // An assembly fault never poisons the SIMD rung: the next batch is
-    // fused again (fused_runs advances) and still bit-identical.
-    let fused_runs_before = jigsaw_obs::global().counter("batch.fused_runs").get();
     let resp = wait_bounded(server.submit("attention-small", b.clone()).unwrap())
-        .expect("fused path recovered");
-    assert_eq!(resp.c, oracle.c);
-    assert!(
-        jigsaw_obs::global().counter("batch.fused_runs").get() > fused_runs_before,
-        "recovery batch took the fused path"
-    );
+        .expect("the next batch serves");
+    assert_eq!(resp.c, oracle.c, "bit-identical to the warm-up");
     let metrics = server.shutdown();
-    assert_eq!(metrics.failed, 0, "no request failed");
+    assert_eq!(metrics.failed, 2, "exactly the two faulted batches failed");
+    assert!(metrics.worker_panics >= 1, "the panicking worker respawned");
     assert!(metrics.conserves());
 }
 
@@ -554,7 +543,7 @@ fn persistent_artifact_corruption_is_a_typed_error_then_recovers() {
 
 /// Parity satellite: a model degraded by compile failure serves
 /// bit-identical results to both `execute_fast` and the compiled
-/// scalar rung.
+/// scalar kernel.
 #[test]
 fn compile_failure_degrades_with_bit_identical_results() {
     let _g = guard();
@@ -577,9 +566,13 @@ fn compile_failure_degrades_with_bit_identical_results() {
     let b = dense_rhs(degraded.k(), 8, ValueDist::SmallInt, 42);
     let via_fallback = degraded.execute(&b);
     let via_fast = execute_fast(&degraded.format, &b);
-    let via_scalar = CompiledKernel::compile(&healthy.format).execute_scalar(&b);
+    let via_scalar =
+        CompiledKernel::compile(&healthy.format).execute_opts(&b, &ExecOptions::scalar());
     assert_eq!(via_fallback, via_fast, "fallback = execute_fast, bit-exact");
-    assert_eq!(via_fallback, via_scalar, "fallback = compiled scalar rung");
+    assert_eq!(
+        via_fallback, via_scalar,
+        "fallback = compiled scalar kernel"
+    );
     assert_eq!(
         via_fallback,
         healthy.execute(&b),
@@ -589,16 +582,18 @@ fn compile_failure_degrades_with_bit_identical_results() {
 
 /// A SIMD-path panic poisons that rung in place; the scalar rung
 /// recomputes the same batch and every later one. Under the auto
-/// ladder and under a pinned non-auto variant alike, the panic poisons
-/// exactly the variant that ran, process-wide, and no other.
+/// ladder and under every pinned SIMD variant this host runs alike,
+/// the panic poisons exactly the variant that ran, process-wide, and
+/// no other.
 #[test]
 fn simd_panic_poisons_to_scalar_with_correct_results() {
     let _g = guard();
     let m = &default_zoo(77)[0];
-    for policy in [
-        KernelPolicy::Auto,
-        KernelPolicy::Forced(KernelKind::NarrowN),
-    ] {
+    let pinned = dispatch::available_kernels()
+        .into_iter()
+        .filter(|&k| k != KernelKind::Scalar)
+        .map(KernelPolicy::Forced);
+    for policy in std::iter::once(KernelPolicy::Auto).chain(pinned) {
         dispatch::unpoison_all();
         let opts = ExecOptions::from(policy);
         let ran = dispatch::selected_kind(&opts);

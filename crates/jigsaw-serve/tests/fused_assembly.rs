@@ -1,19 +1,29 @@
 //! Differential suite for fused batched-B assembly (`assemble_panels`
-//! + the registry's fused batch path).
+//! + the registry's batch path, the one serve execution path).
 //!
 //! Contract under test (DESIGN.md §16): emitting each part's F16
 //! columns directly into panel-major f32 scratch is **bit-exact** with
 //! the two-touch oracle — `concat_columns` into one `Matrix`, then the
 //! kernel's phase-1 panelization — across ragged part widths, odd
 //! total N, narrow panels (multi-panel batches), and every part count;
-//! and the registry's fused batch execution returns bit-identical
-//! products to the unfused path while reporting which path ran.
+//! and the registry's batch execution returns the oracle's product on
+//! every rung of the degradation ladder while reporting which rung ran.
+
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use proptest::prelude::*;
 
 use dlmc::{dense_rhs, Matrix, ValueDist, VectorSparseSpec};
-use jigsaw_core::{panel_cuts, panel_width, panelize_into, ExecOptions, JigsawConfig};
-use jigsaw_serve::{assemble_panels, concat_columns, BatchError, ModelRegistry, RegistryConfig};
+use jigsaw_core::compiled::dispatch;
+use jigsaw_core::fault::{self, points, FaultKind, FaultSpec};
+use jigsaw_core::{
+    execute_fast, panel_cuts, panel_width, panelize_into, CompiledKernel, ExecOptions,
+    JigsawConfig, KernelKind, WorkspacePool,
+};
+use jigsaw_serve::{
+    assemble_panels, concat_columns, BatchError, ExecPlan, ModelRegistry, PlannedModel,
+    RegistryConfig,
+};
 
 /// The two assembly paths over the same parts, compared bit-for-bit.
 fn assert_fused_matches_two_touch(parts: &[&Matrix]) {
@@ -102,12 +112,19 @@ fn fused_emit_rejects_empty_batches_and_short_scratch() {
     );
 }
 
-/// End to end through the registry: a model registered with the
-/// fused-assembly opt-in produces a bit-identical batch product to the
-/// same model running the two-touch path, and each run reports which
-/// path produced it.
-#[test]
-fn registry_fused_batch_matches_unfused_bit_exactly() {
+/// Serializes the registry tests below: the fault registry and the
+/// variant poison flags are process-global.
+static LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::reset();
+    dispatch::unpoison_all();
+    g
+}
+
+/// A fresh registry's one model, registered with `opts` and fetched.
+fn model(opts: ExecOptions) -> Arc<PlannedModel> {
     let weights = VectorSparseSpec {
         rows: 64,
         cols: 96,
@@ -117,22 +134,85 @@ fn registry_fused_batch_matches_unfused_bit_exactly() {
         seed: 11,
     }
     .generate();
-    let fused_opts = ExecOptions::default().with_fused_assembly(true);
     let reg = ModelRegistry::new(RegistryConfig::default()).unwrap();
-    reg.register_with_options("fused", weights.clone(), JigsawConfig::v4(32), fused_opts);
-    reg.register("unfused", weights, JigsawConfig::v4(32));
+    reg.register_with_options("m", weights, JigsawConfig::v4(32), opts);
+    reg.get("m").unwrap()
+}
 
-    let parts: Vec<Matrix> = (0..4)
+/// `count` ragged parts of one batch (widths 3, 5, 7, …).
+fn ragged_parts(count: usize) -> Vec<Matrix> {
+    (0..count)
         .map(|i| dense_rhs(96, 3 + 2 * i, ValueDist::Uniform, 40 + i as u64))
-        .collect();
-    let refs: Vec<&Matrix> = parts.iter().collect();
-    let pool = jigsaw_core::WorkspacePool::new();
+        .collect()
+}
 
-    let (fused_model, _) = reg.fetch("fused").unwrap();
-    let (unfused_model, _) = reg.fetch("unfused").unwrap();
-    let (c_fused, ran_fused) = fused_model.execute_batch_pooled(&refs, &pool).unwrap();
-    let (c_unfused, ran_unfused) = unfused_model.execute_batch_pooled(&refs, &pool).unwrap();
-    assert!(ran_fused, "fused opt-in takes the fused path");
-    assert!(!ran_unfused, "default options take the two-touch path");
-    assert_eq!(&c_fused[..], &c_unfused[..], "products are bit-identical");
+/// End to end through the registry: the batch path (parts assembled
+/// straight into panel-major scratch, then the prepaneled grid) is
+/// bit-identical to the unfused oracle, `concat_columns` followed by
+/// the two-phase `execute_opts` under the same options, on the
+/// full-speed rung and on the scalar one (which also equals
+/// `execute_fast`).
+#[test]
+fn registry_fused_batch_matches_unfused_bit_exactly() {
+    let _g = lock();
+    let parts = ragged_parts(4);
+    let refs: Vec<&Matrix> = parts.iter().collect();
+    let cat = concat_columns(&refs).unwrap();
+    let pool = WorkspacePool::new();
+    for opts in [ExecOptions::default(), ExecOptions::scalar()] {
+        let model = model(opts);
+        let (c, simd) = model.execute_batch_pooled(&refs, &pool).unwrap();
+        assert!(simd, "{opts:?}: a healthy model runs its top rung");
+        let kernel = CompiledKernel::compile(&model.format);
+        assert_eq!(&c[..], &kernel.execute_opts(&cat, &opts)[..], "{opts:?}");
+        if opts == ExecOptions::scalar() {
+            assert_eq!(&c[..], &execute_fast(&model.format, &cat)[..]);
+        }
+    }
+}
+
+/// A panic out of the SIMD rung mid-batch: the batch is recomputed on
+/// the scalar rung over the same panels, so a ragged 3-part batch
+/// still returns the `execute_fast`-on-concat product bit for bit,
+/// flagged as not produced by the SIMD rung, and the model stays
+/// degraded.
+#[test]
+fn simd_panic_mid_batch_reruns_the_same_panels_on_scalar() {
+    let _g = lock();
+    if dispatch::selected_kind(&ExecOptions::default()) == KernelKind::Scalar {
+        return; // No SIMD rung on this host: nothing to poison.
+    }
+    let model = model(ExecOptions::default());
+    let parts = ragged_parts(3);
+    let refs: Vec<&Matrix> = parts.iter().collect();
+    let expect = execute_fast(&model.format, &concat_columns(&refs).unwrap());
+    let pool = WorkspacePool::new();
+    // Every SIMD execution panics while armed, so the batch only
+    // completes if the rerun really is pinned to scalar.
+    fault::inject(FaultSpec::always(points::EXECUTE, FaultKind::Panic));
+    let (c, simd) = model.execute_batch_pooled(&refs, &pool).unwrap();
+    fault::reset();
+    assert!(!simd, "the scalar rung produced the batch");
+    assert_eq!(&c[..], &expect[..], "bit-exact with execute_fast on concat");
+    assert!(model.is_degraded(), "the SIMD rung stays poisoned");
+    dispatch::unpoison_all();
+}
+
+/// A model whose compilation failed (`ExecPlan::FormatFallback`)
+/// serves the same ragged batch bit for bit, off the format.
+#[test]
+fn compile_failure_serves_the_batch_bit_exactly() {
+    let _g = lock();
+    fault::inject(FaultSpec::always(points::COMPILE, FaultKind::Error));
+    let model = model(ExecOptions::default());
+    fault::reset();
+    assert!(matches!(model.exec, ExecPlan::FormatFallback));
+    assert!(model.is_degraded());
+    let parts = ragged_parts(3);
+    let refs: Vec<&Matrix> = parts.iter().collect();
+    let expect = execute_fast(&model.format, &concat_columns(&refs).unwrap());
+    let pool = WorkspacePool::new();
+    let (c, simd) = model.execute_batch_pooled(&refs, &pool).unwrap();
+    assert!(!simd);
+    assert_eq!(&c[..], &expect[..]);
 }
