@@ -16,12 +16,14 @@
 //! then:
 //!
 //! 1. **N-panel blocking** — B is converted F16→f32 once per
-//!    cache-sized column panel into pooled scratch (the legacy path
-//!    converted per call at best, per nonzero at worst),
-//! 2. a **2-D `(row block × N panel)` rayon grid** — finer-grained
-//!    than the strip-only parallelism of `execute_fast`, so one tall
-//!    or dense strip no longer serializes the whole multiply, making
-//!    one microkernel call per group,
+//!    cache-sized column panel into pooled scratch, one
+//!    [`sptc::f16::f16_to_f32_rows`] call per panel (F16C where the
+//!    host has it, bit-identical to `F16::to_f32` everywhere),
+//! 2. a **2-D `(row block × N panel)` grid** of tasks over disjoint C
+//!    rectangles, making one microkernel call per group. The tasks
+//!    are written as `rayon` parallel iterators, but the offline
+//!    `rayon` shim this workspace builds against runs them
+//!    sequentially, so the grid runs on the calling thread,
 //! 3. a **group microkernel**, resolved per execution by the
 //!    [`dispatch`] layer: a registry of named variants (`scalar`,
 //!    `avx2_fma`, `avx512f`, `neon`) with runtime ISA
@@ -50,6 +52,7 @@ use std::time::Instant;
 
 use dlmc::Matrix;
 use rayon::prelude::*;
+use sptc::f16::f16_to_f32_rows;
 use sptc::metadata::{unpack_row_metadata, ROWS};
 
 use crate::config::MMA_TILE;
@@ -597,8 +600,10 @@ impl<'a> PanelizedB<'a> {
 /// of the two-phase execute path, exported so tests and benches can
 /// produce the exact image [`CompiledKernel::execute_prepaneled_into_opts`]
 /// consumes (and diff it against [`panelize_parts_into`]'s fused
-/// assembly). Returns [`ExecError::ScratchTooSmall`] when `scratch`
-/// cannot hold `b.rows * b.cols` f32.
+/// assembly). Each panel widens in one
+/// [`sptc::f16::f16_to_f32_rows`] call. Returns
+/// [`ExecError::ScratchTooSmall`] when `scratch` cannot hold
+/// `b.rows * b.cols` f32.
 pub fn panelize_into(b: &Matrix, scratch: &mut [f32]) -> Result<(), ExecError> {
     let (k, n) = (b.rows, b.cols);
     if scratch.len() < k * n {
@@ -611,23 +616,11 @@ pub fn panelize_into(b: &Matrix, scratch: &mut [f32]) -> Result<(), ExecError> {
         return Ok(());
     }
     let panels = panel_cuts(k, n);
-    let mut slabs: Vec<&mut [f32]> = Vec::with_capacity(panels.len());
-    let mut rest = &mut scratch[..k * n];
-    for &(_, w) in &panels {
-        let (head, tail) = rest.split_at_mut(k * w);
-        slabs.push(head);
-        rest = tail;
-    }
-    slabs
+    panel_slabs(&mut scratch[..k * n], k, &panels)
         .into_par_iter()
         .zip(panels.par_iter())
         .for_each(|(slab, &(col0, w))| {
-            for (r, out_row) in slab.chunks_mut(w).enumerate() {
-                let b_row = &b.row(r)[col0..col0 + w];
-                for (o, &v) in out_row.iter_mut().zip(b_row) {
-                    *o = v.to_f32();
-                }
-            }
+            f16_to_f32_rows(&b.data[col0..], n, slab, w, w, k);
         });
     Ok(())
 }
@@ -638,15 +631,13 @@ pub fn panelize_into(b: &Matrix, scratch: &mut [f32]) -> Result<(), ExecError> {
 /// concatenated `Matrix` entirely — the dense operand is touched once,
 /// in the layout the grid consumes. Bit-exact with
 /// `concat_columns(parts)` followed by [`panelize_into`]: both write
-/// the same `F16::to_f32` conversion of the same element to the same
-/// slot.
+/// the same f16→f32 widening of the same element to the same slot.
 ///
-/// Parallelism: rayon over `panel × part` intersection rectangles.
-/// Each task owns the columns of one part that fall inside one panel,
-/// across all `k` rows — panels partition the global column space and
-/// parts partition it too, so the rectangles are pairwise disjoint and
-/// the raw-pointer writes never alias (the same argument as the
-/// execute grid's `(row block × panel)` rectangles of C).
+/// Tasks: one per panel, written as a `rayon` parallel iterator (which
+/// the offline shim runs sequentially); each owns its panel's slab.
+/// Inside a panel, each part's columns widen in one
+/// [`sptc::f16::f16_to_f32_rows`] call across all `k` rows, so a
+/// narrow part costs one call per panel, not one per row.
 ///
 /// Typed edges: parts of disagreeing heights are
 /// [`ExecError::BRowsMismatch`] (index-free — the serve assembler
@@ -689,44 +680,45 @@ pub fn panelize_parts_into(
         })
         .collect();
     let panels = panel_cuts(k, total);
-    // One task per non-empty panel × part intersection rectangle,
-    // panel-major so concurrent tasks share a hot destination slab.
-    let mut tasks: Vec<(usize, usize)> = Vec::new();
-    for (pi, &(col0, w)) in panels.iter().enumerate() {
-        for (qi, p) in parts.iter().enumerate() {
-            if offsets[qi] < col0 + w && offsets[qi] + p.cols > col0 {
-                tasks.push((pi, qi));
+    panel_slabs(&mut scratch[..k * total], k, &panels)
+        .into_par_iter()
+        .zip(panels.par_iter())
+        .for_each(|(slab, &(col0, w))| {
+            for (part, &poff) in parts.iter().zip(&offsets) {
+                // The part's columns inside this panel, in global
+                // coordinates.
+                let lo = col0.max(poff);
+                let hi = (col0 + w).min(poff + part.cols);
+                if lo < hi {
+                    f16_to_f32_rows(
+                        &part.data[lo - poff..],
+                        part.cols,
+                        &mut slab[lo - col0..],
+                        w,
+                        hi - lo,
+                        k,
+                    );
+                }
             }
-        }
-    }
-    let base = SendPtr(scratch.as_mut_ptr());
-    let base = &base;
-    tasks.into_par_iter().for_each(|(pi, qi)| {
-        let (col0, w) = panels[pi];
-        let part = parts[qi];
-        let poff = offsets[qi];
-        // This rectangle's global column range.
-        let lo = col0.max(poff);
-        let hi = (col0 + w).min(poff + part.cols);
-        for r in 0..k {
-            let src = &part.row(r)[lo - poff..hi - poff];
-            // SAFETY: rectangles are pairwise disjoint — panels
-            // partition [0, total) and parts partition [0, total), so
-            // (panel, part, row) addresses a unique slab range; the
-            // capacity check above bounds every write inside
-            // scratch[..k*total].
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(
-                    base.0.add(k * col0 + r * w + (lo - col0)),
-                    src.len(),
-                )
-            };
-            for (o, &v) in dst.iter_mut().zip(src) {
-                *o = v.to_f32();
-            }
-        }
-    });
+        });
     Ok((k, total))
+}
+
+/// Splits a panel-major `k × n` image into one slab per panel of
+/// `panels` (`k × w` each, in column order).
+fn panel_slabs<'a>(
+    image: &'a mut [f32],
+    k: usize,
+    panels: &[(usize, usize)],
+) -> Vec<&'a mut [f32]> {
+    let mut slabs = Vec::with_capacity(panels.len());
+    let mut rest = image;
+    for &(_, w) in panels {
+        let (head, tail) = rest.split_at_mut(k * w);
+        slabs.push(head);
+        rest = tail;
+    }
+    slabs
 }
 
 /// Shared raw base pointer for the disjoint-rectangle writes of the

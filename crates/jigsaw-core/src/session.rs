@@ -4,10 +4,12 @@
 //! stack of stationary weight matrices once, then runs forward passes
 //! where each layer's SpMM output feeds the next layer's B operand.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use dlmc::Matrix;
 use gpu_sim::{GpuSpec, KernelStats};
+use sptc::f16::f32_to_f16_slice;
 use sptc::F16;
 
 use crate::config::JigsawConfig;
@@ -99,8 +101,10 @@ pub struct Layer {
 pub struct Session {
     layers: Vec<Layer>,
     spec: GpuSpec,
-    /// Reused C/scratch buffers across layers and passes: after the
-    /// first pass warms it, forward passes allocate nothing.
+    /// Reused C/scratch buffers across layers and passes. After the
+    /// first pass warms it, a forward pass allocates only one
+    /// activation matrix per layer; C and the B-conversion scratch
+    /// come from the pool.
     pool: WorkspacePool,
     /// Cumulative simulated cycles across all forward passes.
     pub total_cycles: f64,
@@ -175,7 +179,9 @@ impl Session {
             });
         }
         let n = input.cols;
-        let mut activations = input.clone();
+        // The first layer reads the caller's input in place; each later
+        // layer reads the activations the one before it produced.
+        let mut activations = Cow::Borrowed(input);
         let mut report = ForwardReport {
             layers: Vec::with_capacity(self.layers.len()),
             total_cycles: 0.0,
@@ -193,15 +199,17 @@ impl Session {
             report.total_cycles += stats.duration_cycles;
             report.layers.push((layer.name.clone(), stats));
             // f32 accumulators round back to f16 activations.
-            activations = Matrix {
+            let mut data = vec![F16::ZERO; c.len()];
+            f32_to_f16_slice(&c, &mut data);
+            activations = Cow::Owned(Matrix {
                 rows: layer.rows,
                 cols: n,
-                data: c.iter().map(|&v| F16::from_f32(v)).collect(),
-            };
+                data,
+            });
         }
         self.total_cycles += report.total_cycles;
         self.passes += 1;
-        Ok((activations, report))
+        Ok((activations.into_owned(), report))
     }
 
     /// Workspace-pool accounting: after the first forward pass warms
@@ -227,12 +235,16 @@ mod tests {
     use dlmc::{dense_rhs, ValueDist, VectorSparseSpec};
 
     fn weights(rows: usize, cols: usize, seed: u64) -> Matrix {
+        weights_of(ValueDist::SmallInt, rows, cols, seed)
+    }
+
+    fn weights_of(dist: ValueDist, rows: usize, cols: usize, seed: u64) -> Matrix {
         VectorSparseSpec {
             rows,
             cols,
             sparsity: 0.9,
             v: 4,
-            dist: ValueDist::SmallInt,
+            dist,
             seed,
         }
         .generate()
@@ -272,6 +284,41 @@ mod tests {
             .map(|&v| F16::from_f32(v))
             .collect();
         assert_eq!(y.data, y_ref);
+    }
+
+    #[test]
+    fn forward_rounds_uniform_activations_like_from_f32() {
+        // Real-valued data, so most f32 outputs are not f16 values and
+        // every layer boundary really rounds.
+        let w0 = weights_of(ValueDist::Uniform, 64, 32, 1);
+        let w1 = weights_of(ValueDist::Uniform, 32, 64, 2);
+        let mut session = Session::new(GpuSpec::a100());
+        session.add_layer("up", &w0, JigsawConfig::v4(32)).unwrap();
+        session
+            .add_layer("down", &w1, JigsawConfig::v4(16))
+            .unwrap();
+        let x = dense_rhs(32, 13, ValueDist::Uniform, 3);
+
+        // Reference: the oracle executor, rounded per element.
+        let mut h = x.clone();
+        let mut inexact = 0;
+        for layer in &session.layers {
+            let c = crate::exec::execute_fast(&layer.spmm.format, &h);
+            inexact += c
+                .iter()
+                .filter(|&&v| F16::from_f32(v).to_f32() != v)
+                .count();
+            h = Matrix {
+                rows: layer.rows,
+                cols: h.cols,
+                data: c.iter().map(|&v| F16::from_f32(v)).collect(),
+            };
+        }
+        assert!(inexact > 0, "uniform data must need rounding");
+        for _ in 0..2 {
+            let (y, _) = session.forward(&x).unwrap();
+            assert_eq!(y.data, h.data);
+        }
     }
 
     #[test]

@@ -29,9 +29,8 @@ pub struct JigsawSpmm {
     /// Reorder quality statistics (Figure 11's signals).
     pub reorder_stats: ReorderStats,
     /// Microkernel selection for [`JigsawSpmm::run`]: which dispatch
-    /// variant executes and whether the opt-in sorted stream is
-    /// allowed (defaults to auto selection, bit-exact guarantees
-    /// intact).
+    /// variant executes (defaults to `Auto`, the widest un-poisoned
+    /// ISA the host has).
     pub exec_options: ExecOptions,
     /// Lazily compiled execution plan (built on first run, shared by
     /// clones made after that point).

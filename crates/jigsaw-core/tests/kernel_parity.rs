@@ -24,13 +24,15 @@
 //! (not silently passed) so CI output shows exactly what ran.
 
 use proptest::prelude::*;
+use rand::prelude::*;
 
 use dlmc::{dense_rhs, Matrix, ValueDist, VectorSparseSpec};
 use jigsaw_core::compiled::dispatch::{self, ALL_KERNELS};
 use jigsaw_core::{
-    execute_fast, max_relative_error, CompiledKernel, ExecOptions, JigsawConfig, JigsawFormat,
-    KernelKind, KernelPolicy, ReorderPlan,
+    execute_fast, max_relative_error, panel_cuts, CompiledKernel, ExecOptions, JigsawConfig,
+    JigsawFormat, KernelKind, KernelPolicy, ReorderPlan,
 };
+use sptc::F16;
 
 /// Options pinning one variant through the typed policy API.
 fn forced(kind: KernelKind) -> ExecOptions {
@@ -189,6 +191,110 @@ proptest! {
             prop_assert_eq!(&got, chain, "variant {} n={}", kind.name(), n);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Panelization widens every F16 bit pattern (signed zeros,
+    /// subnormals, ±inf, quiet and signalling NaN payloads) exactly as
+    /// `F16::to_f32` does, element by element: whole
+    /// (`panelize_into`) and split into ragged parts
+    /// (`panelize_parts_into`). Widths 1..=33 make every row segment
+    /// reach the 8-lane converter's body and its tail. K = 16,400
+    /// forces 32-column panels, so n = 33 also leaves a 1-column panel.
+    #[test]
+    fn panel_images_widen_every_f16_pattern_like_to_f32(
+        k in prop_oneof![1usize..=40, Just(16_400usize)],
+        n in 1usize..=33,
+        cuts in proptest::collection::vec(1usize..=32, 0..4),
+        seed in any::<u64>(),
+    ) {
+        let b = random_bit_patterns(k, n, seed);
+        let oracle = per_element_panel_image(&b);
+
+        let mut whole = vec![0.0f32; k * n];
+        jigsaw_core::panelize_into(&b, &mut whole).unwrap();
+        prop_assert_eq!(bits(&whole), bits(&oracle));
+
+        let parts = split_columns(&b, &cuts);
+        let refs: Vec<&Matrix> = parts.iter().collect();
+        let mut fused = vec![0.0f32; k * n];
+        prop_assert_eq!(
+            jigsaw_core::panelize_parts_into(&refs, &mut fused).unwrap(),
+            (k, n)
+        );
+        prop_assert_eq!(bits(&fused), bits(&oracle));
+    }
+}
+
+/// A `k × n` B of raw F16 bit patterns: one element in four is a
+/// special value, the rest are drawn from all 65,536 patterns.
+fn random_bit_patterns(k: usize, n: usize, seed: u64) -> Matrix {
+    const SPECIALS: [u16; 12] = [
+        0x0000, 0x8000, // ±0
+        0x0001, 0x83FF, // smallest and largest subnormal
+        0x0400, 0xFBFF, // smallest normal, -MAX
+        0x7C00, 0xFC00, // ±inf
+        0x7E00, 0xFE01, // quiet NaNs
+        0x7C01, 0xFDFF, // signalling NaNs
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data = (0..k * n)
+        .map(|_| {
+            let bits = if rng.gen_bool(0.25) {
+                SPECIALS[rng.gen_range(0..SPECIALS.len())]
+            } else {
+                rng.gen::<u16>()
+            };
+            F16::from_bits(bits)
+        })
+        .collect();
+    Matrix {
+        rows: k,
+        cols: n,
+        data,
+    }
+}
+
+/// The panel-major image of `b`, one `F16::to_f32` per element: element
+/// `(r, c)` of panel `(col0, w)` sits at `k·col0 + r·w + (c − col0)`.
+fn per_element_panel_image(b: &Matrix) -> Vec<f32> {
+    let k = b.rows;
+    let mut image = vec![0.0f32; k * b.cols];
+    for (col0, w) in panel_cuts(k, b.cols) {
+        for r in 0..k {
+            for c in col0..col0 + w {
+                image[k * col0 + r * w + (c - col0)] = b.row(r)[c].to_f32();
+            }
+        }
+    }
+    image
+}
+
+/// Splits `b` into consecutive column parts at the distinct cut points
+/// `cuts` (taken modulo the width), so part widths are ragged.
+fn split_columns(b: &Matrix, cuts: &[usize]) -> Vec<Matrix> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % b.cols).filter(|&c| c > 0).collect();
+    at.extend([0, b.cols]);
+    at.sort_unstable();
+    at.dedup();
+    at.windows(2)
+        .map(|w| {
+            let (lo, hi) = (w[0], w[1]);
+            Matrix {
+                rows: b.rows,
+                cols: hi - lo,
+                data: (0..b.rows)
+                    .flat_map(|r| b.row(r)[lo..hi].to_vec())
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Output widths that reach every register-block tail: N=1, every
