@@ -35,7 +35,7 @@ use dlmc::{dense_rhs, Matrix, ValueDist, VectorSparseSpec};
 use jigsaw_core::compiled::dispatch;
 use jigsaw_core::{
     execute_fast, max_relative_error, panelize_into, ExecOptions, JigsawConfig, JigsawSpmm,
-    KernelPolicy, PanelizedB,
+    KernelPolicy, PanelizedB, WorkspacePool,
 };
 use serde::Serialize;
 
@@ -155,6 +155,7 @@ fn main() {
     );
 
     let mut shapes = Vec::new();
+    let pool = WorkspacePool::new();
     for &n in &[16usize, 64, 256] {
         let b: Matrix = dense_rhs(k, n, ValueDist::Uniform, 7);
         let oracle = execute_fast(&spmm.format, &b);
@@ -197,11 +198,14 @@ fn main() {
         // fused hot path — batch assembly already emitted B
         // panel-major, so the kernel skips phase 1. The gap between an
         // `on` row and its `off` twin is the panelization share the
-        // fusion removes from the execute.
-        let mut panels = vec![0.0f32; k * n];
+        // fusion removes from the execute. Both buffers come from a
+        // `WorkspacePool`, as on the serve path, so they start on a
+        // cache line just as `execute_opts`'s buffers do for the `off`
+        // rows.
+        let mut panels = pool.acquire(k * n);
         panelize_into(&b, &mut panels).expect("panel scratch sized k*n");
         let prepaneled = PanelizedB::new(k, n, &panels).expect("prepaneled layout");
-        let mut c_buf = vec![0.0f32; m * n];
+        let mut c_buf = pool.acquire(m * n);
         for &kind in &variants {
             let opts = ExecOptions::from(KernelPolicy::Forced(kind));
             // The stream kernels accumulate into C, so the reused
@@ -212,7 +216,7 @@ fn main() {
                 .execute_prepaneled_into_opts(&prepaneled, &mut c_buf, &opts)
                 .expect("prepaneled execute");
             if kind.bit_exact() {
-                assert_eq!(c_buf, oracle, "{} prepaneled parity", kind.name());
+                assert_eq!(*c_buf, *oracle, "{} prepaneled parity", kind.name());
             } else {
                 let err = max_relative_error(&c_buf, &oracle);
                 assert!(err < 1e-4, "{} prepaneled parity, err {err}", kind.name());

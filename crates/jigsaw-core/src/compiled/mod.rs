@@ -47,7 +47,6 @@ mod kernels_aarch64;
 mod kernels_scalar;
 mod kernels_x86;
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use dlmc::Matrix;
@@ -59,7 +58,7 @@ use crate::config::MMA_TILE;
 use crate::errors::{CompileError, ExecError};
 use crate::fault::{self, points};
 use crate::format::{format_source_column, JigsawFormat};
-use crate::pool::{PoolBuf, WorkspacePool};
+use crate::pool::{AlignedBuf, PoolBuf, WorkspacePool};
 
 use dispatch::GroupC;
 pub use dispatch::{ExecOptions, KernelKind, KernelPolicy, Selection};
@@ -68,15 +67,18 @@ pub use dispatch::{ExecOptions, KernelKind, KernelPolicy, Selection};
 const ROW_BLOCK: usize = 128;
 
 /// Target footprint of one converted B panel (`k × panel_width` f32):
-/// sized to sit in the last-level cache while a row block streams
-/// against it. Every extra panel re-walks the whole nonzero stream
-/// once, so panels are cut as wide as the cache budget allows.
+/// half of a 2 MiB per-core L2, so the slab stays in L2 while every
+/// row block's groups gather rows of it, with the other half left for
+/// the group stream passing through and the C rows being written.
+/// Every extra panel re-walks the whole nonzero stream once, so panels
+/// are cut as wide as this budget allows (`panel_width(4096, ·) = 64`,
+/// `panel_width(2048, ·) = 128`).
 ///
 /// Public as the **single source of truth** for panel-major layout:
 /// serve-side fused assembly ([`panelize_parts_into`]) and kernel-side
 /// blocking both derive their cuts from this constant through
 /// [`panel_width`], so the two can never drift apart.
-pub const PANEL_TARGET_BYTES: usize = 2 << 20;
+pub const PANEL_TARGET_BYTES: usize = 1 << 20;
 
 /// Most rows one vector-row group holds: a group is cut at this height
 /// (a v=8 run becomes two groups of 4), sized so a 4-row register
@@ -324,11 +326,14 @@ impl CompiledKernel {
     }
 
     /// [`CompiledKernel::execute`] with explicit microkernel options.
+    /// C and the panel scratch are allocated 64-byte aligned, like the
+    /// [`WorkspacePool`]'s buffers, so this path runs the grid over the
+    /// same layout as [`CompiledKernel::execute_pooled`].
     pub fn execute_opts(&self, b: &Matrix, opts: &ExecOptions) -> Vec<f32> {
-        let mut c = vec![0.0f32; self.m * b.cols];
-        let mut scratch = vec![0.0f32; self.k * b.cols];
+        let mut c = AlignedBuf::zeroed(self.m * b.cols);
+        let mut scratch = AlignedBuf::zeroed(self.k * b.cols);
         self.execute_into_opts(b, &mut c, &mut scratch, opts);
-        c
+        c.into_vec()
     }
 
     /// Computes `C = A × B` with the output and conversion scratch
@@ -727,12 +732,6 @@ struct SendPtr(*mut f32);
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
-/// Compiles (or returns the cached) kernel behind an `Arc`, for
-/// callers that share one compiled plan across threads.
-pub fn compile_shared(format: &JigsawFormat) -> Arc<CompiledKernel> {
-    Arc::new(CompiledKernel::compile(format))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1011,7 +1010,8 @@ mod tests {
 
     #[test]
     fn panel_width_is_sane() {
-        assert_eq!(panel_width(4096, 256), 128);
+        assert_eq!(panel_width(4096, 256), 64);
+        assert_eq!(panel_width(2048, 256), 128);
         assert_eq!(panel_width(64, 256), 256);
         assert_eq!(panel_width(4096, 8), 8);
         assert!(panel_width(1, 1) >= 1);

@@ -7,6 +7,11 @@
 //! allocation: a warm server performs **zero** per-request C/scratch
 //! allocations, observable through [`WorkspacePool::stats`] (and the
 //! global `pool.hits` / `pool.misses` counters when tracing is on).
+//!
+//! Every slice the pool hands out starts on a 64-byte cache line, on
+//! hits and misses alike, so the vector-row microkernels' 16-lane B
+//! loads never straddle two lines because of where the allocator
+//! happened to place the buffer (DESIGN.md §11).
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
@@ -18,6 +23,84 @@ use crate::sync::lock_recover;
 
 /// Default number of buffers a pool retains.
 const DEFAULT_MAX_RETAINED: usize = 16;
+
+/// Byte alignment of every slice an [`AlignedBuf`] (and so every
+/// [`PoolBuf`]) exposes: one cache line.
+pub(crate) const ALIGN_BYTES: usize = 64;
+
+/// Spare floats reserved so an aligned start always fits: a
+/// `Vec<f32>` is 4-byte aligned, so its first line boundary lies at
+/// most 15 floats in. At most 60 bytes per buffer.
+const ALIGN_SLACK: usize = ALIGN_BYTES / 4 - 1;
+
+/// Zeroed f32 storage whose slice starts on an [`ALIGN_BYTES`]
+/// boundary: a plain `Vec` whose first `off` floats (before its first
+/// line boundary) are skipped. The one aligned-buffer implementation:
+/// the pool shelves its `Vec`s, and
+/// [`crate::CompiledKernel::execute_opts`] allocates through it.
+#[derive(Debug, Default)]
+pub(crate) struct AlignedBuf {
+    buf: Vec<f32>,
+    off: usize,
+}
+
+impl AlignedBuf {
+    /// A freshly allocated zeroed aligned slice of `len` floats.
+    pub(crate) fn zeroed(len: usize) -> AlignedBuf {
+        // `vec!` of zeros allocates pre-zeroed memory; only the unused
+        // tail past the aligned slice is truncated away.
+        let padded = len
+            .checked_add(ALIGN_SLACK)
+            .expect("buffer length fits in usize");
+        let mut buf = vec![0.0f32; padded];
+        let off = lead(&buf);
+        buf.truncate(off + len);
+        AlignedBuf { buf, off }
+    }
+
+    /// `buf`'s allocation re-zeroed as an aligned slice of `len`
+    /// floats. `buf` must [`fits`] `len`, so nothing reallocates and the
+    /// start stays where `lead` found it.
+    fn reuse(mut buf: Vec<f32>, len: usize) -> AlignedBuf {
+        debug_assert!(fits(&buf, len));
+        let off = lead(&buf);
+        buf.clear();
+        buf.resize(off + len, 0.0);
+        AlignedBuf { buf, off }
+    }
+
+    /// The contents as a plain `Vec` (shifted to its start when the
+    /// aligned slice did not begin there).
+    pub(crate) fn into_vec(mut self) -> Vec<f32> {
+        self.buf.drain(..self.off);
+        self.buf
+    }
+}
+
+impl Deref for AlignedBuf {
+    type Target = [f32];
+    fn deref(&self) -> &[f32] {
+        &self.buf[self.off..]
+    }
+}
+
+impl DerefMut for AlignedBuf {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.buf[self.off..]
+    }
+}
+
+/// Floats from `buf`'s start to its first [`ALIGN_BYTES`] boundary.
+fn lead(buf: &[f32]) -> usize {
+    buf.as_ptr().align_offset(ALIGN_BYTES)
+}
+
+/// Whether `buf`'s allocation holds `len` floats from its first line
+/// boundary. An unallocated `Vec` fits nothing: its dangling pointer
+/// would move on the first write.
+fn fits(buf: &Vec<f32>, len: usize) -> bool {
+    buf.capacity() > 0 && lead(buf) + len <= buf.capacity()
+}
 
 /// Snapshot of a pool's accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,10 +129,11 @@ impl PoolStats {
 /// A thread-safe shelf of reusable `Vec<f32>` buffers.
 ///
 /// Acquire with [`WorkspacePool::acquire`]; the returned [`PoolBuf`]
-/// hands its storage back on drop. Capacity-based matching means one
-/// pool serves mixed sizes (different models, different batch widths):
-/// a buffer big enough for the largest request satisfies every smaller
-/// one without reallocating.
+/// is zeroed, starts on a 64-byte cache line, and hands its storage
+/// back on drop. Capacity-based matching means one pool serves mixed
+/// sizes (different models, different batch widths): a buffer big
+/// enough for the largest request satisfies every smaller one without
+/// reallocating.
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
     shelf: Mutex<Vec<Vec<f32>>>,
@@ -75,15 +159,18 @@ impl WorkspacePool {
         }
     }
 
-    /// Acquires a zeroed buffer of exactly `len` elements.
+    /// Acquires a zeroed buffer of exactly `len` elements whose first
+    /// element sits on a 64-byte (cache-line) boundary.
     ///
-    /// A shelved buffer whose capacity already covers `len` is a *hit*
-    /// (re-zeroed, never reallocated); anything else is a *miss* that
-    /// allocates. Matching is best-fit — the smallest adequate buffer
-    /// is taken — so a small acquisition (C) never consumes the shelf's
-    /// large buffer (scratch) and forces the next large acquisition to
-    /// reallocate. Mirrored onto the global `pool.hits` /
-    /// `pool.misses` counters when `jigsaw_obs` tracing is enabled.
+    /// A shelved buffer whose capacity already covers `len` past its
+    /// first line boundary is a *hit* (re-zeroed, never reallocated);
+    /// anything else is a *miss* that allocates `len` plus at most 15
+    /// floats of alignment slack. Matching is best-fit — the smallest
+    /// adequate buffer is taken — so a small acquisition (C) never
+    /// consumes the shelf's large buffer (scratch) and forces the next
+    /// large acquisition to reallocate. Mirrored onto the global
+    /// `pool.hits` / `pool.misses` counters when `jigsaw_obs` tracing
+    /// is enabled.
     pub fn acquire(&self, len: usize) -> PoolBuf<'_> {
         fault::trip(points::POOL_ACQUIRE);
         let reused = {
@@ -91,7 +178,7 @@ impl WorkspacePool {
             let found = shelf
                 .iter()
                 .enumerate()
-                .filter(|(_, b)| b.capacity() >= len)
+                .filter(|(_, b)| fits(b, len))
                 .min_by_key(|(_, b)| b.capacity())
                 .map(|(i, _)| i);
             found.map(|i| shelf.swap_remove(i))
@@ -107,9 +194,10 @@ impl WorkspacePool {
                 .counter(if hit { "pool.hits" } else { "pool.misses" })
                 .inc();
         }
-        let mut buf = reused.unwrap_or_default();
-        buf.clear();
-        buf.resize(len, 0.0);
+        let buf = match reused {
+            Some(buf) => AlignedBuf::reuse(buf, len),
+            None => AlignedBuf::zeroed(len),
+        };
         PoolBuf { buf, pool: self }
     }
 
@@ -133,19 +221,21 @@ impl WorkspacePool {
     }
 }
 
-/// A pooled buffer; derefs to `[f32]` and returns its storage to the
-/// pool on drop. Use [`PoolBuf::into_vec`] to keep the storage instead
-/// (counts as permanently borrowing it from the pool).
+/// A pooled buffer; derefs to a 64-byte-aligned `[f32]` and returns
+/// its storage to the pool on drop. Use [`PoolBuf::into_vec`] to keep
+/// the storage instead (counts as permanently borrowing it from the
+/// pool).
 #[derive(Debug)]
 pub struct PoolBuf<'p> {
-    buf: Vec<f32>,
+    buf: AlignedBuf,
     pool: &'p WorkspacePool,
 }
 
 impl PoolBuf<'_> {
-    /// Detaches the buffer from the pool, keeping its contents.
+    /// Detaches the buffer from the pool, keeping its contents (the
+    /// returned `Vec` carries no alignment promise).
     pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.buf)
+        std::mem::take(&mut self.buf).into_vec()
     }
 }
 
@@ -164,8 +254,9 @@ impl DerefMut for PoolBuf<'_> {
 
 impl Drop for PoolBuf<'_> {
     fn drop(&mut self) {
-        if self.buf.capacity() > 0 {
-            self.pool.give_back(std::mem::take(&mut self.buf));
+        let buf = std::mem::take(&mut self.buf.buf);
+        if buf.capacity() > 0 {
+            self.pool.give_back(buf);
         }
     }
 }
@@ -245,5 +336,100 @@ mod tests {
         let v = pool.acquire(4).into_vec();
         assert_eq!(v.len(), 4);
         assert_eq!(pool.stats().resident, 0, "detached buffer never returns");
+    }
+
+    /// Lengths around the 16-float line (0, 1, 15, 17) and the largest
+    /// kernel_sweep scratch (K = 4096, N = 256), which the allocator
+    /// serves from its own mapping rather than the heap.
+    const LENS: [usize; 5] = [0, 1, 15, 17, 4096 * 256];
+
+    fn line_aligned(b: &[f32]) -> bool {
+        (b.as_ptr() as usize).is_multiple_of(ALIGN_BYTES)
+    }
+
+    /// Asserts `b` is a zeroed, line-aligned slice of `len` floats, then
+    /// dirties it so a later reuse must re-zero it.
+    fn check_fresh(b: &mut [f32], len: usize) {
+        assert_eq!(b.len(), len);
+        assert!(line_aligned(b), "len {len} at {:p}", b.as_ptr());
+        assert!(b.iter().all(|&v| v == 0.0), "len {len} is zeroed");
+        b.fill(7.0);
+    }
+
+    #[test]
+    fn every_acquire_is_line_aligned_and_zeroed() {
+        let pool = WorkspacePool::new();
+        // Cold: every acquisition misses (all are held at once).
+        let mut held: Vec<PoolBuf<'_>> = LENS.iter().map(|&len| pool.acquire(len)).collect();
+        for (b, &len) in held.iter_mut().zip(&LENS) {
+            check_fresh(b, len);
+        }
+        drop(held);
+        assert_eq!(pool.stats().misses, LENS.len() as u64);
+        // Warm: the same lengths, largest first, all hit their own
+        // (dirtied) buffers.
+        for &len in LENS.iter().rev() {
+            check_fresh(&mut pool.acquire(len), len);
+        }
+        let s = pool.stats();
+        assert_eq!(s.misses, LENS.len() as u64, "warm pool only hits: {s:?}");
+
+        // One shelved buffer serves every shorter length, each still
+        // starting on the line.
+        let one = WorkspacePool::with_max_retained(1);
+        drop(one.acquire(4096 * 256));
+        for len in [4096 * 256 - 5, 4096 * 64 + 3, 31, 16, 1, 0] {
+            check_fresh(&mut one.acquire(len), len);
+        }
+        assert_eq!(one.stats().misses, 1);
+    }
+
+    #[test]
+    fn mixed_size_sequences_stay_aligned_and_warm_pools_only_hit() {
+        // (C, scratch) pairs of a serve mix: widths on and off the
+        // 16-float grid, smaller and larger than what came before.
+        let pairs = [
+            (100, 1000),
+            (37, 4096),
+            (1, 17),
+            (512 * 64, 2048 * 64),
+            (2048 * 13, 512 * 13),
+            (0, 15),
+        ];
+        let pool = WorkspacePool::new();
+        for round in 0..3 {
+            let misses = pool.stats().misses;
+            for &(c_len, s_len) in &pairs {
+                let mut c = pool.acquire(c_len);
+                let mut scratch = pool.acquire(s_len);
+                check_fresh(&mut c, c_len);
+                check_fresh(&mut scratch, s_len);
+            }
+            if round > 0 {
+                let s = pool.stats();
+                assert_eq!(s.misses, misses, "round {round} allocated: {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn into_vec_keeps_the_contents() {
+        let pool = WorkspacePool::new();
+        for pass in ["miss", "hit"] {
+            for &len in &LENS {
+                let mut b = pool.acquire(len);
+                for (i, v) in b.iter_mut().enumerate() {
+                    *v = i as f32;
+                }
+                let want: Vec<f32> = (0..len).map(|i| i as f32).collect();
+                assert_eq!(b.into_vec(), want, "{pass} len {len}");
+                // Shelve a buffer of this length for the hit pass.
+                drop(pool.acquire(len));
+            }
+        }
+        let mut b = AlignedBuf::zeroed(4096 * 256);
+        b[4096 * 256 - 1] = 1.0;
+        let v = b.into_vec();
+        assert_eq!((v.len(), v[4096 * 256 - 1]), (4096 * 256, 1.0));
     }
 }

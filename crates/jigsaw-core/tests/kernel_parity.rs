@@ -378,3 +378,66 @@ fn every_variant_handles_empty_strips_and_odd_n() {
         }
     }
 }
+
+/// `v[start..start + len]`, where `start` lies `byte_offset` bytes past
+/// the first 64-byte boundary inside `v`.
+fn at_line_offset(v: &mut [f32], byte_offset: usize, len: usize) -> &mut [f32] {
+    let lead = (64 - v.as_ptr() as usize % 64) % 64 / 4;
+    let start = lead + byte_offset / 4;
+    let out = &mut v[start..start + len];
+    assert_eq!(out.as_ptr() as usize % 64, byte_offset);
+    out
+}
+
+/// Alignment is a speed property only: the grid over the same panel
+/// image and C, placed 0/16/32/48 bytes past a cache line, writes
+/// bit-identical products for every variant — on non-integer values,
+/// widths on and off the 16-float grid, and (at K = 8192, 32-wide
+/// panels) several panels with a ragged last one.
+#[test]
+fn prepaneled_output_is_independent_of_panel_alignment() {
+    for (rows, k, widths) in [
+        (64, 96, &[13usize, 16, 40, 64][..]),
+        (32, 8192, &[70usize, 80][..]),
+    ] {
+        let a = VectorSparseSpec {
+            rows,
+            cols: k,
+            sparsity: 0.9,
+            v: 4,
+            dist: ValueDist::Uniform,
+            seed: 53,
+        }
+        .generate();
+        let (_, kernel) = compile(&a, true);
+        for &n in widths {
+            let b = dense_rhs(k, n, ValueDist::Uniform, 59);
+            let mut image = vec![0.0f32; k * n];
+            jigsaw_core::panelize_into(&b, &mut image).unwrap();
+            for &kind in available_for_proptest() {
+                let mut outputs = Vec::new();
+                for byte_offset in [0, 16, 32, 48] {
+                    let mut b_store = vec![0.0f32; k * n + 32];
+                    let panels = at_line_offset(&mut b_store, byte_offset, k * n);
+                    panels.copy_from_slice(&image);
+                    let pb = jigsaw_core::PanelizedB::new(k, n, panels).unwrap();
+                    let mut c_store = vec![0.0f32; rows * n + 32];
+                    let c = at_line_offset(&mut c_store, byte_offset, rows * n);
+                    kernel
+                        .execute_prepaneled_into_opts(&pb, c, &forced(kind))
+                        .unwrap();
+                    outputs.push(bits(c));
+                }
+                for (i, out) in outputs.iter().enumerate() {
+                    assert_eq!(
+                        out,
+                        &outputs[0],
+                        "variant {} k={k} n={n} offset {}",
+                        kind.name(),
+                        16 * i
+                    );
+                }
+            }
+        }
+    }
+}
