@@ -12,6 +12,13 @@ pub(crate) fn count(name: &str) {
     }
 }
 
+/// Nearest-rank quantile of the ascending, non-empty `sorted`, `q` in
+/// [0, 1]: the sample at rank `⌈q·len⌉`, clamped to `[1, len]`.
+pub(crate) fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// Exact-percentile sample store. Serving runs are bounded (thousands
 /// of requests), so keeping every sample and computing nearest-rank
 /// percentiles exactly is cheaper than being clever.
@@ -43,8 +50,7 @@ impl Histogram {
         }
         let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        nearest_rank(&sorted, p / 100.0)
     }
 
     /// Arithmetic mean (0 when empty).

@@ -15,8 +15,8 @@
 //! Like the breaker, the clock is an abstract `f64` so one
 //! implementation serves both runtimes: the threaded
 //! [`crate::shard::router`] feeds host nanoseconds, the virtual-clock
-//! [`crate::shard::sim`] feeds cycles. Not internally synchronized —
-//! callers hold scorers behind their own locks.
+//! [`crate::shard::sim`] feeds cycles. Not internally synchronized:
+//! both runtimes reach the scorers through their one placement state.
 
 use crate::metrics::count;
 
@@ -155,7 +155,7 @@ impl ShardHealth {
 
     /// Routing state at `now`, advancing Ejected → Probing once the
     /// probe window elapses.
-    pub fn state(&mut self, now: f64) -> HealthState {
+    pub fn state(&self, now: f64) -> HealthState {
         if !self.cfg.enabled || !self.ejected {
             return HealthState::Admitted;
         }
@@ -269,9 +269,9 @@ impl ShardHealth {
     }
 }
 
-/// The fleet baseline the router feeds back into each scorer: the
-/// median of the finite per-shard EWMA latencies. Median (not mean)
-/// so one straggler cannot drag the baseline up and mask itself.
+/// The fleet baseline fed back into each scorer: the median of the
+/// finite per-shard EWMA latencies. Median (not mean) so one straggler
+/// cannot drag the baseline up and mask itself.
 pub fn fleet_baseline(ewmas: &[f64]) -> f64 {
     let mut finite: Vec<f64> = ewmas.iter().copied().filter(|l| l.is_finite()).collect();
     if finite.is_empty() {

@@ -20,6 +20,8 @@
 
 use std::collections::VecDeque;
 
+use crate::metrics::nearest_rank;
+
 /// Hedging policy, in the caller's clock units.
 #[derive(Clone, Copy, Debug)]
 pub struct HedgeConfig {
@@ -134,8 +136,7 @@ impl RetryBudget {
 const LATENCY_WINDOW: usize = 256;
 
 /// One deployment's hedging state: the rolling latency window plus the
-/// retry budget. The router holds one behind its own lock; the sim
-/// owns one inline.
+/// retry budget, owned by the deployment's placement state.
 #[derive(Clone, Debug)]
 pub struct HedgePolicy {
     cfg: HedgeConfig,
@@ -190,10 +191,7 @@ impl HedgePolicy {
         }
         let mut sorted: Vec<f64> = self.window.iter().copied().collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies compare"));
-        let p = self.cfg.percentile.clamp(0.0, 1.0);
-        // Nearest-rank, matching metrics::Histogram::percentile.
-        let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1].max(self.cfg.min_delay))
+        Some(nearest_rank(&sorted, self.cfg.percentile).max(self.cfg.min_delay))
     }
 
     /// Tries to fund one hedge from the retry budget. `true` spends a

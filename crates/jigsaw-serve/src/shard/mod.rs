@@ -14,6 +14,8 @@
 //!   and probed re-admission, for gray failures a breaker can't see;
 //! * [`hedge`] — hedged requests past a p95-derived delay, bounded by
 //!   a token-bucket retry budget (DESIGN.md §17);
+//! * `place` — the one placement rule over those policies, which both
+//!   the router and the simulator call;
 //! * [`router`] — the threaded [`router::ShardRouter`] wrapping N full
 //!   server stacks (own registry LRU, workers, breakers, deadlines,
 //!   degrade ladder) with failure isolation across shards;
@@ -28,6 +30,7 @@
 
 pub mod health;
 pub mod hedge;
+mod place;
 pub mod replicate;
 pub mod ring;
 pub mod router;
@@ -62,8 +65,8 @@ pub struct ShardConfig {
 
 impl ShardConfig {
     /// `shards` shards with the module defaults: 64 vnodes, no
-    /// replication, no stealing, no health ejection, no hedging.
-    /// Policies opt in via the builders.
+    /// replication, no stealing (`queue_threshold` = `usize::MAX`), no
+    /// health ejection, no hedging. Policies opt in via the builders.
     pub fn new(shards: usize) -> ShardConfig {
         ShardConfig {
             shards: shards.max(1),

@@ -1,18 +1,14 @@
-//! The threaded shard router: N independent [`Server`] stacks behind a
-//! consistent-hash ring, with hot-model replication, queue-depth
-//! forwarding, shard-down failover, and the tail-tolerance layer
-//! (DESIGN.md §17): per-shard health scoring with outlier ejection,
-//! hedged requests under a token-bucket retry budget, and a
-//! kill→revive shard lifecycle.
+//! The threaded shard router: N independent [`Server`] stacks behind
+//! the placement rule it shares with the simulator (DESIGN.md §14,
+//! §17), with shard-down failover, hedged waits and a kill→revive
+//! shard lifecycle.
 //!
 //! Each shard owns a full server stack — its own registry LRU byte
 //! budget, worker pool, per-model circuit breakers, deadlines, and
 //! degrade ladder — so a shard-local failure never crosses a shard
-//! boundary. The router only *routes*: it holds no model state beyond
-//! the popularity tracker, per-model round-robin cursors, and the
-//! per-shard health scorers.
+//! boundary. The router only *routes*: its one piece of model state is
+//! the placement state, behind one lock.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -26,11 +22,7 @@ use crate::batch::{AdmitError, SpmmResponse};
 use crate::metrics::{count, ServeMetrics};
 use crate::registry::{ModelRegistry, RegistryConfig};
 use crate::server::{ServeConfig, ServeError, Server, Ticket};
-use crate::shard::health::{fleet_baseline, HealthState, ShardHealth};
-use crate::shard::hedge::HedgePolicy;
-use crate::shard::replicate::{HotEvent, HotTracker};
-use crate::shard::ring::HashRing;
-use crate::shard::steal::{least_loaded, should_forward};
+use crate::shard::place::Placement;
 use crate::shard::ShardConfig;
 
 /// Aggregated router metrics: per-shard server snapshots plus the
@@ -80,24 +72,18 @@ struct Lane {
 /// traffic), submit from any thread, and [`ShardRouter::shutdown`] to
 /// drain.
 pub struct ShardRouter {
-    config: ShardConfig,
     /// Kept so [`ShardRouter::revive_shard`] can restart a killed
     /// shard's server stack with the original serving policy.
     serve_cfg: ServeConfig,
-    ring: HashRing,
     lanes: Vec<Lane>,
-    hot: Mutex<HotTracker>,
-    /// Per-model round-robin cursor over the model's replica set.
-    cursors: Mutex<BTreeMap<String, usize>>,
-    /// One health scorer per shard, on the host-nanosecond clock.
-    health: Vec<Mutex<ShardHealth>>,
-    /// Rolling latency window + retry budget for hedged submits.
-    hedge: Mutex<HedgePolicy>,
+    /// Every placement decision, on the host-nanosecond clock. Never
+    /// held across a shard submit, a ticket wait or the `shard.slow`
+    /// sleep: a submit can block behind a shard's cold fetch, and
+    /// holding this lock there would serialize the shards.
+    placement: Mutex<Placement>,
     epoch: Instant,
     forwarded: AtomicU64,
     failovers: AtomicU64,
-    promotions: AtomicU64,
-    demotions: AtomicU64,
     route_faults: AtomicU64,
     hedges: AtomicU64,
     hedge_wins: AtomicU64,
@@ -114,7 +100,6 @@ impl ShardRouter {
         registry_cfg: RegistryConfig,
         serve_cfg: ServeConfig,
     ) -> ShardRouter {
-        let ring = HashRing::new(config.shards, config.vnodes);
         let lanes = (0..config.shards)
             .map(|_| {
                 let registry = Arc::new(
@@ -128,21 +113,12 @@ impl ShardRouter {
             })
             .collect();
         ShardRouter {
-            hot: Mutex::new(HotTracker::new(config.replication.clone())),
-            health: (0..config.shards)
-                .map(|_| Mutex::new(ShardHealth::new(config.health)))
-                .collect(),
-            hedge: Mutex::new(HedgePolicy::new(config.hedge)),
-            config,
+            placement: Mutex::new(Placement::new(&config)),
             serve_cfg,
-            ring,
             lanes,
-            cursors: Mutex::new(BTreeMap::new()),
             epoch: Instant::now(),
             forwarded: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            demotions: AtomicU64::new(0),
             route_faults: AtomicU64::new(0),
             hedges: AtomicU64::new(0),
             hedge_wins: AtomicU64::new(0),
@@ -162,28 +138,23 @@ impl ShardRouter {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.config.shards
+        self.lanes.len()
     }
 
     /// The home shard the ring assigns to `model`.
     pub fn home_shard(&self, model: &str) -> usize {
-        self.ring.shard_for(model)
+        lock_recover(&self.placement).home(model)
     }
 
     /// Whether `model` currently holds replicas.
     pub fn is_hot(&self, model: &str) -> bool {
-        lock_recover(&self.hot).is_hot(model)
+        lock_recover(&self.placement).is_hot(model)
     }
 
     /// The shard ids `model` may be served from right now (home shard
     /// first; grows to the ring-neighbor replica set while hot).
     pub fn replica_set(&self, model: &str) -> Vec<usize> {
-        if self.is_hot(model) {
-            self.ring
-                .replica_set(model, self.config.replication.replicas)
-        } else {
-            vec![self.ring.shard_for(model)]
-        }
+        lock_recover(&self.placement).replica_set(model)
     }
 
     /// Kills one shard: takes its server out of service and drains it
@@ -217,20 +188,16 @@ impl ShardRouter {
                 self.serve_cfg.clone(),
             ));
         }
-        *lock_recover(&self.health[shard]) = ShardHealth::new(self.config.health);
+        lock_recover(&self.placement).revive(shard);
         self.revived.fetch_add(1, Ordering::Relaxed);
         count("shard.revived");
         true
     }
 
-    /// Routes and submits one request. The routing pipeline:
-    /// 1. resolve the model's live replica set (popularity tracker
-    ///    promotes/demotes here),
-    /// 2. round-robin a target replica,
-    /// 3. if the target's queue depth crosses the steal threshold,
-    ///    forward to the least-loaded live replica,
-    /// 4. submit; a shard that refuses because it is down fails over
-    ///    to the next live replica.
+    /// Routes and submits one request: the shared placement rule
+    /// (`Placement::route`, DESIGN.md §14) picks the target and any
+    /// forward among the model's live, healthy replicas; a shard that
+    /// refuses because it is down fails over to the next candidate.
     pub fn submit(&self, model: &str, b: Matrix) -> Result<Ticket, AdmitError> {
         self.submit_with_deadline(model, b, None)
     }
@@ -255,95 +222,38 @@ impl ShardRouter {
         b: Matrix,
         deadline: Option<Duration>,
     ) -> Result<(usize, Ticket), AdmitError> {
-        let home = self.ring.shard_for(model);
+        let unavailable = || AdmitError::ShardUnavailable {
+            model: model.to_string(),
+            shard: self.home_shard(model),
+        };
         // Injected routing fault: the router rejects before touching
         // any shard — typed, counted, isolated.
         if fault::armed() && fault::hit(fault::points::SHARD_ROUTE).is_err() {
             self.route_faults.fetch_add(1, Ordering::Relaxed);
             count("shard.route_faults");
-            return Err(AdmitError::ShardUnavailable {
-                model: model.to_string(),
-                shard: home,
-            });
+            return Err(unavailable());
         }
-        let now_ns = self.epoch.elapsed().as_nanos() as f64;
-        match lock_recover(&self.hot).record(model, now_ns) {
-            HotEvent::Promoted => {
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-                count("shard.promotions");
-            }
-            HotEvent::Demoted => {
-                self.demotions.fetch_add(1, Ordering::Relaxed);
-                count("shard.demotions");
-            }
-            HotEvent::None => {}
-        }
-        let replicas = self.replica_set(model);
-        let live: Vec<usize> = replicas
-            .iter()
-            .copied()
-            .filter(|&s| lock_recover_read(&self.lanes[s].server).is_some())
-            .collect();
-        if live.is_empty() {
-            return Err(AdmitError::ShardUnavailable {
-                model: model.to_string(),
-                shard: home,
-            });
-        }
-
-        // Health-aware steering: drop ejected shards from the
-        // candidate set. If every replica is ejected, fail over to any
-        // healthy live shard (every shard's registry holds every model
-        // — residency is a cache question, not a capability one); if
-        // the whole fleet is ejected, ignore health rather than strand
-        // traffic.
-        let not_ejected =
-            |&s: &usize| lock_recover(&self.health[s]).state(now_ns) != HealthState::Ejected;
-        let mut candidates: Vec<usize> = live.iter().copied().filter(not_ejected).collect();
-        if candidates.is_empty() {
-            candidates = (0..self.config.shards)
-                .filter(|&s| lock_recover_read(&self.lanes[s].server).is_some())
-                .filter(not_ejected)
-                .collect();
-            if candidates.is_empty() {
-                candidates = live.clone();
-            } else {
-                count("health.reroutes");
-            }
-        }
-
-        // Round-robin over the healthy live replicas.
-        let cursor = {
-            let mut cursors = lock_recover(&self.cursors);
-            let c = cursors.entry(model.to_string()).or_insert(0);
-            *c = c.wrapping_add(1);
-            *c
+        let now_ns = self.now_ns();
+        let route = lock_recover(&self.placement).route(
+            model,
+            now_ns,
+            |s| self.is_live(s),
+            |s| self.queue_depth(s),
+        );
+        let Some(route) = route else {
+            return Err(unavailable());
         };
-        let mut target = candidates[cursor % candidates.len()];
-
-        // Queue-depth forwarding: an overloaded target sheds the new
-        // arrival to the least-loaded live replica. An injected
-        // `shard.forward` fault degrades to the original target — the
-        // request still runs, the redirect just doesn't happen.
-        if self.config.steal.enabled && candidates.len() > 1 {
-            let depth_of = |s: usize| {
-                lock_recover_read(&self.lanes[s].server)
-                    .as_ref()
-                    .map_or(usize::MAX, |srv| srv.queue_depth())
-            };
-            let target_depth = depth_of(target);
-            if let Some(best) = least_loaded(&candidates, depth_of) {
-                if best != target
-                    && should_forward(&self.config.steal, target_depth, depth_of(best))
-                {
-                    if fault::armed() && fault::hit(fault::points::SHARD_FORWARD).is_err() {
-                        count("shard.forward_faults");
-                    } else {
-                        target = best;
-                        self.forwarded.fetch_add(1, Ordering::Relaxed);
-                        count("shard.forwarded");
-                    }
-                }
+        let mut target = route.target;
+        // An injected `shard.forward` fault degrades to the original
+        // target — the request still runs, the redirect just doesn't
+        // happen.
+        if let Some(best) = route.forward {
+            if fault::armed() && fault::hit(fault::points::SHARD_FORWARD).is_err() {
+                count("shard.forward_faults");
+            } else {
+                target = best;
+                self.forwarded.fetch_add(1, Ordering::Relaxed);
+                count("shard.forwarded");
             }
         }
 
@@ -361,25 +271,15 @@ impl ShardRouter {
 
         // Submit, failing over across the remaining candidates if a
         // shard shut down between the liveness check and admission.
-        let mut tried = Vec::with_capacity(candidates.len());
-        tried.push(target);
-        for attempt in 0..candidates.len() {
-            let shard = if attempt == 0 {
-                target
-            } else {
-                match candidates.iter().find(|s| !tried.contains(s)) {
-                    Some(&s) => {
-                        tried.push(s);
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                        count("shard.failovers");
-                        s
-                    }
-                    None => break,
-                }
-            };
+        let rest = route.candidates.into_iter().filter(|&s| s != target);
+        for (attempt, shard) in std::iter::once(target).chain(rest).enumerate() {
+            if attempt > 0 {
+                self.failovers.fetch_add(1, Ordering::Relaxed);
+                count("shard.failovers");
+            }
             // Route one request to a probing shard: consuming the probe
             // slot keeps followers off it until the probe reports back.
-            lock_recover(&self.health[shard]).admit(now_ns);
+            lock_recover(&self.placement).admit(shard, now_ns);
             let guard = lock_recover_read(&self.lanes[shard].server);
             let Some(server) = guard.as_ref() else {
                 continue;
@@ -401,10 +301,7 @@ impl ShardRouter {
                 Err(e) => return Err(e),
             }
         }
-        Err(AdmitError::ShardUnavailable {
-            model: model.to_string(),
-            shard: home,
-        })
+        Err(unavailable())
     }
 
     /// Submits one request and waits for it with tail tolerance: if
@@ -434,8 +331,11 @@ impl ShardRouter {
     ) -> Result<Result<SpmmResponse, ServeError>, AdmitError> {
         let t0 = Instant::now();
         let (shard, ticket) = self.route_and_submit(model, b.clone(), deadline)?;
-        lock_recover(&self.hedge).on_primary();
-        let delay = lock_recover(&self.hedge).hedge_delay();
+        let delay = {
+            let mut placement = lock_recover(&self.placement);
+            placement.hedge.on_primary();
+            placement.hedge.hedge_delay()
+        };
         let Some(delay_ns) = delay else {
             // Hedging disarmed (disabled or still warming): plain wait.
             let res = ticket.wait();
@@ -446,24 +346,32 @@ impl ShardRouter {
             self.observe(shard, t0, &res);
             return Ok(res);
         }
-        // Past the hedge delay: fund a duplicate from the retry budget
-        // and place it on a different healthy shard, propagating what
-        // is left of the original deadline.
-        let dup = if lock_recover(&self.hedge).try_hedge() {
-            self.hedge_target(model, shard).and_then(|t| {
-                let remaining = deadline.map(|d| d.saturating_sub(t0.elapsed()));
-                let guard = lock_recover_read(&self.lanes[t].server);
-                let ticket = guard
-                    .as_ref()
-                    .and_then(|srv| srv.submit_with_deadline(model, b.clone(), remaining).ok())?;
-                self.hedges.fetch_add(1, Ordering::Relaxed);
-                count("hedge.launched");
-                Some((t, ticket))
-            })
-        } else {
-            count("hedge.suppressed");
-            None
+        // Past the hedge delay: place a duplicate on a different healthy
+        // shard, fund it from the retry budget (as the simulator does:
+        // target first, so a hedge with nowhere to go spends no token),
+        // and propagate what is left of the original deadline.
+        let target = {
+            let mut placement = lock_recover(&self.placement);
+            let live = |s| self.is_live(s);
+            let target =
+                placement.hedge_target(model, shard, self.now_ns(), live, |s| self.queue_depth(s));
+            if target.is_some() && !placement.hedge.try_hedge() {
+                count("hedge.suppressed");
+                None
+            } else {
+                target
+            }
         };
+        let dup = target.and_then(|t| {
+            let remaining = deadline.map(|d| d.saturating_sub(t0.elapsed()));
+            let guard = lock_recover_read(&self.lanes[t].server);
+            let ticket = guard
+                .as_ref()
+                .and_then(|srv| srv.submit_with_deadline(model, b.clone(), remaining).ok())?;
+            self.hedges.fetch_add(1, Ordering::Relaxed);
+            count("hedge.launched");
+            Some((t, ticket))
+        });
         let Some((dup_shard, dup_ticket)) = dup else {
             let res = ticket.wait();
             self.observe(shard, t0, &res);
@@ -486,50 +394,29 @@ impl ShardRouter {
         }
     }
 
-    /// Feeds one request outcome into the health scorer of the shard
-    /// that produced it, refreshes the fleet latency baseline, and (on
-    /// success) folds the latency into the hedge window.
+    /// Feeds one request outcome, and a fresh fleet baseline, to the
+    /// placement state.
     fn observe(&self, shard: usize, t0: Instant, res: &Result<SpmmResponse, ServeError>) {
-        let now_ns = self.epoch.elapsed().as_nanos() as f64;
+        let now_ns = self.now_ns();
         let latency = t0.elapsed().as_nanos() as f64;
-        let success = res.as_ref().ok().map(|_| latency);
-        lock_recover(&self.health[shard]).record(now_ns, success);
-        if res.is_ok() {
-            lock_recover(&self.hedge).record(latency);
-        }
-        let ewmas: Vec<f64> = self
-            .health
-            .iter()
-            .map(|h| lock_recover(h).ewma_latency())
-            .collect();
-        let baseline = fleet_baseline(&ewmas);
-        for h in &self.health {
-            lock_recover(h).observe_baseline(baseline);
-        }
+        let mut placement = lock_recover(&self.placement);
+        placement.record(shard, now_ns, res.as_ref().ok().map(|_| latency));
+        placement.refresh_baseline();
     }
 
-    /// Picks the shard a hedged duplicate should land on: the
-    /// least-loaded live, non-ejected shard other than the primary,
-    /// preferring the model's replica set (warm plans) over the rest
-    /// of the fleet.
-    fn hedge_target(&self, model: &str, primary: usize) -> Option<usize> {
-        let now_ns = self.epoch.elapsed().as_nanos() as f64;
-        let pick = |set: &[usize]| {
-            let eligible: Vec<usize> = set
-                .iter()
-                .copied()
-                .filter(|&s| s != primary)
-                .filter(|&s| lock_recover_read(&self.lanes[s].server).is_some())
-                .filter(|&s| lock_recover(&self.health[s]).state(now_ns) != HealthState::Ejected)
-                .collect();
-            least_loaded(&eligible, |s| {
-                lock_recover_read(&self.lanes[s].server)
-                    .as_ref()
-                    .map_or(usize::MAX, |srv| srv.queue_depth())
-            })
-        };
-        pick(&self.replica_set(model))
-            .or_else(|| pick(&(0..self.config.shards).collect::<Vec<usize>>()))
+    fn now_ns(&self) -> f64 {
+        self.epoch.elapsed().as_nanos() as f64
+    }
+
+    fn is_live(&self, shard: usize) -> bool {
+        lock_recover_read(&self.lanes[shard].server).is_some()
+    }
+
+    /// `shard`'s queued requests; a dead shard reads as full.
+    fn queue_depth(&self, shard: usize) -> usize {
+        lock_recover_read(&self.lanes[shard].server)
+            .as_ref()
+            .map_or(usize::MAX, |srv| srv.queue_depth())
     }
 
     /// Snapshot of per-shard and router metrics.
@@ -542,17 +429,7 @@ impl ShardRouter {
                 None => lock_recover(&lane.last_metrics).clone(),
             })
             .collect();
-        RouterMetrics {
-            per_shard,
-            forwarded: self.forwarded.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-            route_faults: self.route_faults.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
-            revived: self.revived.load(Ordering::Relaxed),
-        }
+        self.router_metrics(per_shard)
     }
 
     /// Drains and joins every live shard; returns the final metrics.
@@ -565,12 +442,17 @@ impl ShardRouter {
             };
             per_shard.push(final_metrics);
         }
+        self.router_metrics(per_shard)
+    }
+
+    fn router_metrics(&self, per_shard: Vec<ServeMetrics>) -> RouterMetrics {
+        let (promotions, demotions) = lock_recover(&self.placement).stats();
         RouterMetrics {
             per_shard,
             forwarded: self.forwarded.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
+            promotions,
+            demotions,
             route_faults: self.route_faults.load(Ordering::Relaxed),
             hedges: self.hedges.load(Ordering::Relaxed),
             hedge_wins: self.hedge_wins.load(Ordering::Relaxed),

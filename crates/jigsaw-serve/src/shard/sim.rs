@@ -31,11 +31,7 @@ use crate::breaker::{BreakerAdmit, BreakerState, CircuitBreaker};
 use crate::metrics::{count, Histogram, ServeMetrics};
 use crate::registry::ModelRegistry;
 use crate::server::ServeError;
-use crate::shard::health::{fleet_baseline, HealthState, ShardHealth};
-use crate::shard::hedge::HedgePolicy;
-use crate::shard::replicate::{HotEvent, HotTracker};
-use crate::shard::ring::HashRing;
-use crate::shard::steal::{least_loaded, should_forward};
+use crate::shard::place::Placement;
 use crate::shard::ShardConfig;
 use crate::sim::{SimCompletion, SimConfig, SimFailure, SimRequest};
 
@@ -202,14 +198,13 @@ fn decide(shard: &Shard<'_>, now: f64) -> Option<(String, f64)> {
 
 /// Runs a schedule across `cfg.shard.shards` simulated shards.
 ///
-/// Routing per arrival: the popularity tracker records the model
-/// (promoting/demoting), the live replica set is resolved on the ring,
-/// a per-model round-robin cursor picks the target, and an
-/// over-threshold target forwards to the least-loaded replica. Between
+/// Every arrival is placed, and every hedge target picked, by the
+/// placement rule the threaded router also runs (`Placement`,
+/// DESIGN.md §14, §17), with every simulated shard live. Between
 /// dispatches, an idle shard with a free device steals the back half
-/// of the deepest over-threshold peer's queue for a model it
-/// replicates. Every shard runs the same batching rule
-/// ([`pop_batch`]) and per-model breakers.
+/// of the deepest over-threshold peer's queue for a hot model it
+/// replicates. Every shard runs the same batching rule ([`pop_batch`])
+/// and per-model breakers.
 ///
 /// Infallible by construction: registry errors and panics raised at
 /// dispatch (e.g. injected via [`jigsaw_core::fault`]) fail that
@@ -228,7 +223,6 @@ pub fn simulate_sharded(
         max_batch_requests: cfg.sim.max_batch_requests,
     };
     let n_shards = cfg.shard.shards;
-    let ring = HashRing::new(n_shards, cfg.shard.vnodes);
     let mut order: Vec<&SimRequest> = schedule.iter().collect();
     order.sort_by(|a, b| {
         a.arrival_cycle
@@ -247,8 +241,7 @@ pub fn simulate_sharded(
             stolen_from: 0,
         })
         .collect();
-    let mut hot = HotTracker::new(cfg.shard.replication.clone());
-    let mut cursors: BTreeMap<String, usize> = BTreeMap::new();
+    let mut placement = Placement::new(&cfg.shard);
     let mut latency = Histogram::default();
     let mut forwarded = 0u64;
     let mut stolen = 0u64;
@@ -259,13 +252,7 @@ pub fn simulate_sharded(
     let mut failures: Vec<SimFailure> = Vec::new();
     let mut rejected_ids: Vec<usize> = Vec::new();
 
-    // Tail-tolerance state (DESIGN.md §17). All of it is inert when the
-    // health/hedge policies are disabled, so default topologies stay
-    // bit-identical to the pre-§17 simulator.
-    let mut health: Vec<ShardHealth> = (0..n_shards)
-        .map(|_| ShardHealth::new(cfg.shard.health))
-        .collect();
-    let mut hedge = HedgePolicy::new(cfg.shard.hedge);
+    // Hedge bookkeeping (DESIGN.md §17); inert while hedging is off.
     // Ids whose hedge decision is spent (launched, suppressed for lack
     // of budget, or no eligible target) — each id is decided once.
     let mut hedged: BTreeSet<usize> = BTreeSet::new();
@@ -286,56 +273,22 @@ pub fn simulate_sharded(
         while next_arrival < order.len() && order[next_arrival].arrival_cycle <= now {
             let req = order[next_arrival];
             next_arrival += 1;
-            match hot.record(&req.model, req.arrival_cycle) {
-                HotEvent::Promoted => count("shard.promotions"),
-                HotEvent::Demoted => count("shard.demotions"),
-                _ => {}
-            }
-            let replicas = if hot.is_hot(&req.model) {
-                ring.replica_set(&req.model, cfg.shard.replication.replicas)
-            } else {
-                vec![ring.shard_for(&req.model)]
-            };
-            // Health-aware steering: drop ejected shards from the
-            // candidate set. If every replica is ejected, fail over to
-            // any healthy shard (the registry is shared, so capability
-            // is fleet-wide); if the whole fleet is ejected, ignore
-            // health rather than strand the arrival.
-            let mut candidates: Vec<usize> = replicas
-                .iter()
-                .copied()
-                .filter(|&s| health[s].state(now) != HealthState::Ejected)
-                .collect();
-            if candidates.is_empty() {
-                candidates = (0..n_shards)
-                    .filter(|&s| health[s].state(now) != HealthState::Ejected)
-                    .collect();
-                if candidates.is_empty() {
-                    candidates = replicas.clone();
-                } else {
-                    count("health.reroutes");
-                }
-            }
-            let cursor = cursors.entry(req.model.clone()).or_insert(0);
-            *cursor = cursor.wrapping_add(1);
-            let mut target = candidates[*cursor % candidates.len()];
+            // Every simulated shard is live. `now == arrival_cycle`
+            // here, bar a first batch that precedes any health event.
+            let depth = |s: usize| shards[s].depth();
+            let route = placement.route(&req.model, req.arrival_cycle, |_| true, depth);
+            let route = route.expect("a simulated shard is always live");
+            let mut target = route.target;
             // Sender-initiated forwarding off an over-threshold target.
-            if cfg.shard.steal.enabled && candidates.len() > 1 {
-                let target_depth = shards[target].depth();
-                if let Some(best) = least_loaded(&candidates, |s| shards[s].depth()) {
-                    if best != target
-                        && should_forward(&cfg.shard.steal, target_depth, shards[best].depth())
-                    {
-                        shards[target].forwarded_out += 1;
-                        forwarded += 1;
-                        count("shard.forwarded");
-                        target = best;
-                    }
-                }
+            if let Some(best) = route.forward {
+                shards[target].forwarded_out += 1;
+                forwarded += 1;
+                count("shard.forwarded");
+                target = best;
             }
             // Routing one arrival to a probing shard consumes its probe
             // slot: followers see it ejected until the probe reports.
-            health[target].admit(now);
+            placement.admit(target, now);
             let lane = &mut shards[target];
             if let Some(br) = lane.breakers.get_mut(&req.model) {
                 if let BreakerAdmit::Reject { .. } = br.admit(now) {
@@ -351,7 +304,7 @@ pub fn simulate_sharded(
                 .or_default()
                 .push_back(Queued { req, dup: false });
             lane.metrics.submitted += 1;
-            hedge.on_primary();
+            placement.hedge.on_primary();
             let depth = lane.depth();
             lane.metrics.peak_queue_depth = lane.metrics.peak_queue_depth.max(depth);
         }
@@ -359,67 +312,62 @@ pub fn simulate_sharded(
         // --- Receiver-initiated stealing: an idle, free shard pulls
         // the back half of the deepest over-threshold peer queue for a
         // model whose replica set includes it. ---
-        if cfg.shard.steal.enabled && n_shards > 1 {
-            for thief in 0..n_shards {
-                if shards[thief].depth() > 0 || shards[thief].free_at > now {
-                    continue;
-                }
-                // Deepest victim first; ties break low.
-                let Some(victim) = (0..n_shards)
-                    .filter(|&s| s != thief && shards[s].depth() >= cfg.shard.steal.queue_threshold)
-                    .max_by_key(|&s| (shards[s].depth(), usize::MAX - s))
-                else {
-                    continue;
-                };
-                // First model (name order) in the victim's queues that
-                // the thief replicates.
-                let movable: Option<String> = shards[victim]
-                    .queues
-                    .iter()
-                    .find(|(name, q)| {
-                        q.len() > 1
-                            && hot.is_hot(name)
-                            && ring
-                                .replica_set(name, cfg.shard.replication.replicas)
-                                .contains(&thief)
-                    })
-                    .map(|(name, _)| name.clone());
-                let Some(model) = movable else { continue };
-                let q = shards[victim].queues.get_mut(&model).expect("found above");
-                let take = q.len() / 2;
-                let moved: Vec<Queued<'_>> = (0..take).filter_map(|_| q.pop_back()).collect();
-                if q.is_empty() {
-                    shards[victim].queues.remove(&model);
-                }
-                shards[victim].stolen_from += take as u64;
-                stolen += take as u64;
-                if jigsaw_obs::enabled() {
-                    jigsaw_obs::global()
-                        .counter("shard.stolen")
-                        .add(take as u64);
-                }
-                // Stolen work changes accounting shard: admit on the
-                // thief, un-admit on the victim. Hedged duplicates
-                // carry no ledger counts, so only primaries transfer;
-                // a moved hedged primary re-homes its ledger too.
-                let ledgered = moved.iter().filter(|qd| !qd.dup).count() as u64;
-                for qd in moved.iter().filter(|qd| !qd.dup) {
-                    if hedged.contains(&qd.req.id) {
-                        origin.insert(qd.req.id, thief);
-                    }
-                }
-                shards[victim].metrics.submitted -= ledgered;
-                let thief_lane = &mut shards[thief];
-                thief_lane.metrics.submitted += ledgered;
-                let tq = thief_lane.queues.entry(model).or_default();
-                // Preserve arrival order on the thief.
-                for qd in moved.into_iter().rev() {
-                    tq.push_back(qd);
-                }
-                let depth = thief_lane.depth();
-                thief_lane.metrics.peak_queue_depth =
-                    thief_lane.metrics.peak_queue_depth.max(depth);
+        for thief in 0..n_shards {
+            if shards[thief].depth() > 0 || shards[thief].free_at > now {
+                continue;
             }
+            // Deepest victim first; ties break low.
+            let Some(victim) = (0..n_shards)
+                .filter(|&s| s != thief && shards[s].depth() >= cfg.shard.steal.queue_threshold)
+                .max_by_key(|&s| (shards[s].depth(), usize::MAX - s))
+            else {
+                continue;
+            };
+            // First model (name order) in the victim's queues that
+            // the thief replicates.
+            let movable: Option<String> = shards[victim]
+                .queues
+                .iter()
+                .find(|(name, q)| {
+                    q.len() > 1
+                        && placement.is_hot(name)
+                        && placement.replica_set(name).contains(&thief)
+                })
+                .map(|(name, _)| name.clone());
+            let Some(model) = movable else { continue };
+            let q = shards[victim].queues.get_mut(&model).expect("found above");
+            let take = q.len() / 2;
+            let moved: Vec<Queued<'_>> = (0..take).filter_map(|_| q.pop_back()).collect();
+            if q.is_empty() {
+                shards[victim].queues.remove(&model);
+            }
+            shards[victim].stolen_from += take as u64;
+            stolen += take as u64;
+            if jigsaw_obs::enabled() {
+                jigsaw_obs::global()
+                    .counter("shard.stolen")
+                    .add(take as u64);
+            }
+            // Stolen work changes accounting shard: admit on the
+            // thief, un-admit on the victim. Hedged duplicates
+            // carry no ledger counts, so only primaries transfer;
+            // a moved hedged primary re-homes its ledger too.
+            let ledgered = moved.iter().filter(|qd| !qd.dup).count() as u64;
+            for qd in moved.iter().filter(|qd| !qd.dup) {
+                if hedged.contains(&qd.req.id) {
+                    origin.insert(qd.req.id, thief);
+                }
+            }
+            shards[victim].metrics.submitted -= ledgered;
+            let thief_lane = &mut shards[thief];
+            thief_lane.metrics.submitted += ledgered;
+            let tq = thief_lane.queues.entry(model).or_default();
+            // Preserve arrival order on the thief.
+            for qd in moved.into_iter().rev() {
+                tq.push_back(qd);
+            }
+            let depth = thief_lane.depth();
+            thief_lane.metrics.peak_queue_depth = thief_lane.metrics.peak_queue_depth.max(depth);
         }
 
         // --- Launch due hedges: a primary that has waited past the
@@ -429,7 +377,7 @@ pub fn simulate_sharded(
         // deadline checks anchor at the original submission, never a
         // fresh window. One decision per id; denial (no budget, no
         // target) is final so the scan always makes progress. ---
-        let hedge_delay = hedge.hedge_delay();
+        let hedge_delay = placement.hedge.hedge_delay();
         if let Some(delay) = hedge_delay {
             loop {
                 let mut due: Option<(usize, String, &SimRequest)> = None;
@@ -449,27 +397,12 @@ pub fn simulate_sharded(
                 }
                 let Some((s, model, req)) = due else { break };
                 hedged.insert(req.id);
-                // Target: a healthy shard other than the primary's,
-                // preferring the model's replica set (warm residency).
-                let replica_pool = if hot.is_hot(&model) {
-                    ring.replica_set(&model, cfg.shard.replication.replicas)
-                } else {
-                    Vec::new()
-                };
-                let mut eligible = |pool: &[usize]| -> Vec<usize> {
-                    pool.iter()
-                        .copied()
-                        .filter(|&t| t != s && health[t].state(now) != HealthState::Ejected)
-                        .collect()
-                };
-                let mut pool = eligible(&replica_pool);
-                if pool.is_empty() {
-                    pool = eligible(&(0..n_shards).collect::<Vec<usize>>());
-                }
-                let Some(target) = least_loaded(&pool, |t| shards[t].depth()) else {
+                let Some(target) =
+                    placement.hedge_target(&model, s, now, |_| true, |t| shards[t].depth())
+                else {
                     continue;
                 };
-                if !hedge.try_hedge() {
+                if !placement.hedge.try_hedge() {
                     count("hedge.suppressed");
                     continue;
                 }
@@ -620,7 +553,7 @@ pub fn simulate_sharded(
                     .entry(model.clone())
                     .or_insert_with(|| CircuitBreaker::new(cfg.sim.breaker))
                     .on_failure(dispatch_at);
-                health_ejections += health[s].record(dispatch_at, None);
+                health_ejections += placement.record(s, dispatch_at, None);
                 now = dispatch_at;
                 makespan = makespan.max(dispatch_at);
                 continue;
@@ -676,7 +609,6 @@ pub fn simulate_sharded(
             shards[s].metrics.completed += 1;
             shards[s].metrics.latency_cycles.record(l);
             latency.record(l);
-            hedge.record(l);
             completions.push(SimCompletion {
                 id,
                 model: model.clone(),
@@ -688,18 +620,9 @@ pub fn simulate_sharded(
                 charged_cycles: batch_cycles * qd.req.n as f64 / total_n as f64,
                 cold: fetch.is_cold(),
             });
-            health_ejections += health[s].record(finish, Some(l));
+            health_ejections += placement.record(s, finish, Some(l));
         }
-        // Refresh the fleet baseline the scorers compare against: the
-        // median of per-shard EWMA latencies, so one straggler can't
-        // drag the baseline up and mask itself.
-        if cfg.shard.health.enabled {
-            let ewmas: Vec<f64> = health.iter().map(|h| h.ewma_latency()).collect();
-            let baseline = fleet_baseline(&ewmas);
-            for h in health.iter_mut() {
-                h.observe_baseline(baseline);
-            }
-        }
+        placement.refresh_baseline();
         if let Some(br) = shards[s].breakers.get_mut(&model) {
             br.on_success();
         }
@@ -740,7 +663,7 @@ pub fn simulate_sharded(
             }
         })
         .collect();
-    let (promotions, demotions) = hot.stats();
+    let (promotions, demotions) = placement.stats();
     ShardSimReport {
         lanes,
         latency_cycles: latency,
@@ -790,6 +713,7 @@ mod tests {
     use crate::loadgen::{generate_zipf_schedule, ZipfLoadSpec};
     use crate::registry::{ModelRegistry, RegistryConfig};
     use crate::shard::replicate::ReplicationConfig;
+    use crate::shard::ring::HashRing;
     use crate::shard::steal::StealConfig;
     use crate::zoo::scaled_zoo;
     use gpu_sim::GpuSpec;

@@ -9,14 +9,13 @@
 //!   device is free pulls queued work for a model it replicates from
 //!   the deepest over-threshold peer.
 
-/// Steal/forward policy knobs.
+/// Steal/forward policy.
 #[derive(Clone, Copy, Debug)]
 pub struct StealConfig {
-    /// Master switch; when off, requests always land on the home shard
-    /// (or its failover replica if the home shard is down).
-    pub enabled: bool,
     /// Queue depth at which a shard starts shedding new arrivals to
-    /// replicas, and above which peers may steal from it.
+    /// replicas, and above which peers may steal from it. `usize::MAX`
+    /// turns both off: requests stay on their round-robin target (or
+    /// its failover replica if that shard is down).
     pub queue_threshold: usize,
 }
 
@@ -24,23 +23,15 @@ impl StealConfig {
     /// Forwarding/stealing on, with the given queue-depth trigger.
     pub fn threshold(queue_threshold: usize) -> StealConfig {
         StealConfig {
-            enabled: true,
             queue_threshold: queue_threshold.max(1),
         }
     }
 
-    /// Policy switched off.
+    /// Policy switched off: a threshold no queue reaches.
     pub fn disabled() -> StealConfig {
         StealConfig {
-            enabled: false,
             queue_threshold: usize::MAX,
         }
-    }
-}
-
-impl Default for StealConfig {
-    fn default() -> StealConfig {
-        StealConfig::threshold(32)
     }
 }
 
@@ -56,7 +47,7 @@ pub fn least_loaded(candidates: &[usize], depth_of: impl Fn(usize) -> usize) -> 
 /// be strictly less loaded to be worth it — `least_loaded` plus this
 /// check together prevent ping-ponging between two saturated shards.
 pub fn should_forward(config: &StealConfig, home_depth: usize, target_depth: usize) -> bool {
-    config.enabled && home_depth >= config.queue_threshold && target_depth < home_depth
+    home_depth >= config.queue_threshold && target_depth < home_depth
 }
 
 #[cfg(test)]
