@@ -1,6 +1,6 @@
 //! Serving-layer experiment: batched vs unbatched × warm vs cold on
-//! the virtual-clock scheduler (see `jigsaw_serve::sim`), plus the
-//! sharded zipf sweep over {1, 2, 4, 8} consistent-hash shards.
+//! one virtual-clock shard (`jigsaw_serve::simulate_sharded`), plus
+//! the sharded zipf sweep over {1, 2, 4, 8} consistent-hash shards.
 use bench_harness::experiments::serving::{self, ShardSweepSpec};
 use bench_harness::obs_export::write_bench_json;
 use bench_harness::runner::write_json;

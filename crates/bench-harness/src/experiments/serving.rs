@@ -14,9 +14,9 @@ use serde::{Deserialize, Serialize};
 use jigsaw_core::panelize_into;
 use jigsaw_serve::{
     assemble_panels, concat_columns, default_zoo, generate_schedule, generate_zipf_schedule,
-    scaled_zoo, simulate_schedule, simulate_sharded, HealthConfig, HedgeConfig, LoadSpec,
-    ModelRegistry, RegistryConfig, ReplicationConfig, ShardConfig, ShardSimConfig, SimConfig,
-    SimRequest, StealConfig, ZipfLoadSpec,
+    scaled_zoo, simulate_sharded, HealthConfig, HedgeConfig, LoadSpec, ModelRegistry,
+    RegistryConfig, ReplicationConfig, ShardConfig, ShardSimConfig, SimConfig, SimRequest,
+    StealConfig, ZipfLoadSpec,
 };
 
 use crate::runner::render_table;
@@ -295,25 +295,27 @@ pub fn run_policy(
     } else {
         SimConfig::unbatched(spec.clone())
     };
-    let report = simulate_schedule(&registry, schedule, &cfg);
-    assert!(report.metrics.conserves(), "serving run conserves requests");
+    let cfg = ShardSimConfig::new(ShardConfig::new(1), cfg);
+    let report = simulate_sharded(&registry, schedule, &cfg);
+    let m = &report.totals;
+    assert!(m.conserves(), "serving run conserves requests");
     let stats = registry.stats();
     Row {
         policy: label.to_string(),
-        completed: report.metrics.completed,
-        batches: report.metrics.batches,
-        avg_occupancy: report.metrics.avg_batch_occupancy(),
+        completed: m.completed,
+        batches: m.batches,
+        avg_occupancy: m.avg_batch_occupancy(),
         makespan_cycles: report.makespan_cycles,
         requests_per_gcycle: report.requests_per_gcycle(),
-        p50_latency_cycles: report.metrics.latency_cycles.percentile(50.0),
-        p95_latency_cycles: report.metrics.latency_cycles.percentile(95.0),
-        p99_latency_cycles: report.metrics.latency_cycles.percentile(99.0),
+        p50_latency_cycles: report.latency_cycles.percentile(50.0),
+        p95_latency_cycles: report.latency_cycles.percentile(95.0),
+        p99_latency_cycles: report.latency_cycles.percentile(99.0),
         cache_hits: stats.hits,
         cache_misses: stats.misses,
-        failed: report.metrics.failed,
-        shed_expired: report.metrics.shed_expired,
-        queue_depth: report.metrics.queue_depth,
-        breakers_open: report.metrics.breakers_open,
+        failed: m.failed,
+        shed_expired: m.shed_expired,
+        queue_depth: m.queue_depth,
+        breakers_open: m.breakers_open,
     }
 }
 
@@ -397,21 +399,25 @@ const LOAD_REQUESTS: usize = 2_000;
 /// load. Suite-size independent and bit-deterministic.
 pub fn run_load_sweep(spec: &GpuSpec) -> Vec<LoadRow> {
     let registry = policy_registry(true);
-    let cfg = SimConfig::batched(spec.clone(), MAX_BATCH_N);
+    let cfg = ShardSimConfig::new(
+        ShardConfig::new(1),
+        SimConfig::batched(spec.clone(), MAX_BATCH_N),
+    );
     LOAD_GAPS
         .iter()
         .map(|&gap| {
             let schedule = policy_schedule_at(LOAD_REQUESTS, gap);
-            let report = simulate_schedule(&registry, &schedule, &cfg);
-            assert!(report.metrics.conserves(), "load sweep conserves requests");
+            let report = simulate_sharded(&registry, &schedule, &cfg);
+            let m = &report.totals;
+            assert!(m.conserves(), "load sweep conserves requests");
             LoadRow {
                 mean_gap_cycles: gap,
-                completed: report.metrics.completed,
-                batches: report.metrics.batches,
-                avg_occupancy: report.metrics.avg_batch_occupancy(),
+                completed: m.completed,
+                batches: m.batches,
+                avg_occupancy: m.avg_batch_occupancy(),
                 requests_per_gcycle: report.requests_per_gcycle(),
-                p50_latency_cycles: report.metrics.latency_cycles.percentile(50.0),
-                p99_latency_cycles: report.metrics.latency_cycles.percentile(99.0),
+                p50_latency_cycles: report.latency_cycles.percentile(50.0),
+                p99_latency_cycles: report.latency_cycles.percentile(99.0),
             }
         })
         .collect()
@@ -453,14 +459,16 @@ pub fn run_hedge_sweep(spec: &GpuSpec) -> Vec<HedgeRow> {
     let hedge = HedgeConfig::cycles();
     let budget_fraction = hedge.budget_fraction;
     let cfg = |tolerant: bool| {
-        let mut shard = ShardConfig::new(HEDGE_SHARDS)
+        let shard = ShardConfig::new(HEDGE_SHARDS)
             .with_replication(ReplicationConfig::cycles(32, 2, 500_000.0))
             .with_steal(StealConfig::threshold(8));
+        let cfg = ShardSimConfig::new(shard, SimConfig::batched(spec.clone(), 128))
+            .with_straggler(STRAGGLER_SHARD, STRAGGLER_FACTOR);
         if tolerant {
-            shard = shard.with_health(HealthConfig::cycles()).with_hedge(hedge);
+            cfg.with_health(HealthConfig::cycles()).with_hedge(hedge)
+        } else {
+            cfg
         }
-        ShardSimConfig::new(shard, SimConfig::batched(spec.clone(), 128))
-            .with_straggler(STRAGGLER_SHARD, STRAGGLER_FACTOR)
     };
     let unhedged = simulate_sharded(&registry, &schedule, &cfg(false));
     let hedged = simulate_sharded(&registry, &schedule, &cfg(true));

@@ -19,8 +19,10 @@
 //!    occupancy, cache hit rates, and p50/p95/p99 latency in the same
 //!    text style as `gpu_sim`'s kernel reports.
 //!
-//! A deterministic virtual-clock twin of the policy ([`sim`]) plus a
-//! seeded load generator ([`loadgen`], [`zoo`]) make serving
+//! A deterministic virtual-clock twin of the policy
+//! ([`shard::simulate_sharded`], whose one-shard case is a single
+//! device; [`sim`] holds its per-device policy and per-request records)
+//! plus a seeded load generator ([`loadgen`], [`zoo`]) make serving
 //! experiments reproducible end to end.
 //!
 //! Above the single-server stack, the [`shard`] subsystem scales out:
@@ -28,11 +30,11 @@
 //! independent server shards (each with its own registry LRU, worker
 //! pool, and breakers), replicates hot models onto ring neighbors,
 //! forwards/steals work off overloaded shards, and isolates shard
-//! failures behind typed errors (DESIGN.md §14). A tail-tolerance
-//! layer (DESIGN.md §17) adds per-shard health scoring with outlier
-//! ejection, hedged requests under a token-bucket retry budget, and
-//! kill→revive shard lifecycle, so gray failures (one slow shard)
-//! don't set the fleet's p99.
+//! failures behind typed errors (DESIGN.md §14); a killed shard can be
+//! revived. A tail-tolerance layer (DESIGN.md §17) adds per-shard
+//! health scoring with outlier ejection and hedged requests under a
+//! token-bucket retry budget to the simulator, so gray failures (one
+//! slow shard) don't set the fleet's p99.
 
 #![warn(missing_docs)]
 
@@ -65,5 +67,5 @@ pub use shard::{
     ReplicationConfig, RetryBudget, RouterMetrics, ShardConfig, ShardHealth, ShardLane,
     ShardRouter, ShardSimConfig, ShardSimReport, StealConfig,
 };
-pub use sim::{simulate_schedule, SimCompletion, SimConfig, SimFailure, SimReport, SimRequest};
+pub use sim::{SimCompletion, SimConfig, SimFailure, SimRequest};
 pub use zoo::{default_zoo, scaled_zoo, ZooModel};

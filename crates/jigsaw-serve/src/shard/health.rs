@@ -7,25 +7,25 @@
 //! flakier) than its peers, quietly setting the fleet's p99. Each shard
 //! keeps a [`ShardHealth`] fed by completion/failure events; when its
 //! EWMA latency or failure rate crosses the configured bounds it is
-//! **ejected** and the router steers traffic to other live replicas.
+//! **ejected** and placement steers traffic to other live replicas.
 //! Ejection decays on a probe window: after `probe_window` clock units
 //! one request is admitted as a probe, and a healthy-looking completion
 //! re-admits the shard (DESIGN.md §17).
 //!
-//! Like the breaker, the clock is an abstract `f64` so one
-//! implementation serves both runtimes: the threaded
-//! [`crate::shard::router`] feeds host nanoseconds, the virtual-clock
-//! [`crate::shard::sim`] feeds cycles. Not internally synchronized:
-//! both runtimes reach the scorers through their one placement state.
+//! Health scoring runs in the virtual-clock [`crate::shard::sim`] only,
+//! which feeds it cycles through its placement state; the threaded
+//! router builds its placement with scoring off. Like the breaker, the
+//! clock is an abstract `f64` and nothing here reads a clock of its
+//! own. Not internally synchronized.
 
 use crate::metrics::count;
 
-/// Health-scoring policy, in the caller's clock units.
+/// Health-scoring policy, in the simulator's cycles.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthConfig {
     /// Master switch. Disabled scorers admit everything and record
-    /// nothing, so the default topology stays bit-identical to the
-    /// pre-health router/sim.
+    /// nothing, so a run without health scoring places every request
+    /// as if the scorers did not exist.
     pub enabled: bool,
     /// EWMA smoothing factor for latency and failure rate, in (0, 1].
     /// Higher reacts faster; lower rides out noise.
@@ -34,7 +34,7 @@ pub struct HealthConfig {
     /// shard's first slow request is not an outlier.
     pub min_samples: u64,
     /// Eject when EWMA latency exceeds this multiple of the fleet
-    /// baseline latency the router reports via
+    /// baseline latency the placement state reports via
     /// [`ShardHealth::observe_baseline`].
     pub latency_factor: f64,
     /// Eject when the EWMA failure rate (failures weighted 1.0,
@@ -58,25 +58,17 @@ impl HealthConfig {
         }
     }
 
-    /// Defaults for a host-nanosecond clock: α=0.2, 16 warmup samples,
-    /// eject at 3× fleet latency or 50% failures, probe after 50 ms.
-    pub fn host_ns() -> HealthConfig {
+    /// Defaults for the device-cycle clock: α=0.2, 16 warmup samples,
+    /// eject at 3× fleet latency or 50% failures, probe after 500k
+    /// cycles.
+    pub fn cycles() -> HealthConfig {
         HealthConfig {
             enabled: true,
             alpha: 0.2,
             min_samples: 16,
             latency_factor: 3.0,
             failure_rate: 0.5,
-            probe_window: 50_000_000.0,
-        }
-    }
-
-    /// Defaults for a device-cycle clock: same shape, probe after 500k
-    /// cycles.
-    pub fn cycles() -> HealthConfig {
-        HealthConfig {
             probe_window: 500_000.0,
-            ..HealthConfig::host_ns()
         }
     }
 }
@@ -101,7 +93,7 @@ pub struct ShardHealth {
     ewma_latency: f64,
     /// EWMA of the failure indicator (1.0 = failed, 0.0 = completed).
     ewma_failures: f64,
-    /// Latest fleet-baseline latency the router told us about.
+    /// Latest fleet-baseline latency the placement state reported.
     baseline: f64,
     samples: u64,
     ejected: bool,
@@ -134,11 +126,6 @@ impl ShardHealth {
         self.ewma_latency
     }
 
-    /// EWMA failure rate in [0, 1].
-    pub fn failure_rate(&self) -> f64 {
-        self.ewma_failures
-    }
-
     /// How many times this shard has been ejected so far.
     pub fn ejections(&self) -> u64 {
         self.ejections
@@ -165,7 +152,7 @@ impl ShardHealth {
         HealthState::Ejected
     }
 
-    /// Whether the router should send this shard traffic at `now`. A
+    /// Whether placement should send this shard traffic at `now`. A
     /// `true` from the Probing state consumes the probe slot —
     /// followers see `Ejected` until the probe reports back through
     /// [`on_success`](ShardHealth::on_success) /

@@ -11,22 +11,21 @@
 //! the offered load no matter how hard the tail misbehaves. No tokens,
 //! no hedge, no retry storm.
 //!
-//! Clock-agnostic like [`crate::breaker`] and [`crate::shard::health`]:
-//! latencies and delays are plain `f64`s in whatever units the caller's
-//! clock ticks (host nanoseconds in the router, cycles in the sim), and
-//! the policy contains no clock reads of its own, so the virtual-clock
-//! sim replays hedge decisions bit-identically. Not internally
-//! synchronized.
+//! Hedging runs in the virtual-clock [`crate::shard::sim`] only: the
+//! threaded router builds its placement with hedging off. Latencies
+//! and delays are plain `f64` cycles, and the policy contains no clock
+//! reads of its own, so the simulator replays hedge decisions
+//! bit-identically. Not internally synchronized.
 
 use std::collections::VecDeque;
 
 use crate::metrics::nearest_rank;
 
-/// Hedging policy, in the caller's clock units.
+/// Hedging policy, in the simulator's cycles.
 #[derive(Clone, Copy, Debug)]
 pub struct HedgeConfig {
-    /// Master switch. Disabled policies never arm a hedge, so default
-    /// topologies stay bit-identical to the pre-hedging router/sim.
+    /// Master switch. Disabled policies never arm a hedge, so a run
+    /// without hedging launches no duplicate and spends no token.
     pub enabled: bool,
     /// Latency percentile (0, 1) that sets the hedge delay: a request
     /// older than this quantile of recent completions is hedged.
@@ -57,34 +56,17 @@ impl HedgeConfig {
         }
     }
 
-    /// Defaults for a host-nanosecond clock: hedge past the rolling
-    /// p95 (≥ 1 ms), budget 10% extra load, burst 16.
-    pub fn host_ns() -> HedgeConfig {
+    /// Defaults for the device-cycle clock: hedge past the rolling p95
+    /// (≥ 10k cycles), budget 10% extra load, burst 16.
+    pub fn cycles() -> HedgeConfig {
         HedgeConfig {
             enabled: true,
             percentile: 0.95,
-            min_delay: 1_000_000.0,
+            min_delay: 10_000.0,
             budget_fraction: 0.1,
             burst: 16.0,
             min_samples: 16,
         }
-    }
-
-    /// Defaults for a device-cycle clock: same shape, delay floor 10k
-    /// cycles.
-    pub fn cycles() -> HedgeConfig {
-        HedgeConfig {
-            min_delay: 10_000.0,
-            ..HedgeConfig::host_ns()
-        }
-    }
-
-    /// Overrides the budget fraction (and scales the burst to match a
-    /// 160-request horizon), for sweeps that vary amplification.
-    pub fn with_budget(mut self, fraction: f64) -> HedgeConfig {
-        self.budget_fraction = fraction.max(0.0);
-        self.burst = (self.budget_fraction * 160.0).max(1.0);
-        self
     }
 }
 
@@ -152,16 +134,6 @@ impl HedgePolicy {
             window: VecDeque::with_capacity(LATENCY_WINDOW.min(1024)),
             budget: RetryBudget::new(cfg.budget_fraction, cfg.burst),
         }
-    }
-
-    /// The policy's configuration.
-    pub fn config(&self) -> &HedgeConfig {
-        &self.cfg
-    }
-
-    /// Tokens currently in the retry budget.
-    pub fn tokens(&self) -> f64 {
-        self.budget.tokens()
     }
 
     /// Accounts one primary submission (accrues budget).

@@ -18,9 +18,12 @@
 //!   the router and the simulator call;
 //! * [`router`] — the threaded [`router::ShardRouter`] wrapping N full
 //!   server stacks (own registry LRU, workers, breakers, deadlines,
-//!   degrade ladder) with failure isolation across shards;
+//!   degrade ladder) with failure isolation across shards: it routes,
+//!   forwards, fails over, kills and revives;
 //! * [`sim`] — the deterministic multi-shard virtual-clock simulator
-//!   behind `results/BENCH_serving.json`.
+//!   behind `results/BENCH_serving.json`, and the only runtime of the
+//!   tail policies: health ejection and hedging are
+//!   [`sim::ShardSimConfig`] fields.
 //!
 //! The failure-isolation contract: a shard-local failure (worker
 //! panic, open breaker, or the whole shard killed) never crosses a
@@ -45,8 +48,8 @@ pub use router::{RouterMetrics, ShardRouter};
 pub use sim::{simulate_sharded, ShardLane, ShardSimConfig, ShardSimReport};
 pub use steal::{least_loaded, should_forward, StealConfig};
 
-/// Topology + policy for one sharded deployment, shared by the
-/// threaded router and the simulator.
+/// Topology + placement policy for one sharded deployment, shared by
+/// the threaded router and the simulator.
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
     /// Number of shards.
@@ -57,24 +60,18 @@ pub struct ShardConfig {
     pub replication: ReplicationConfig,
     /// Forward/steal policy.
     pub steal: StealConfig,
-    /// Per-shard health scoring / outlier-ejection policy.
-    pub health: HealthConfig,
-    /// Hedged-request policy with its token-bucket retry budget.
-    pub hedge: HedgeConfig,
 }
 
 impl ShardConfig {
     /// `shards` shards with the module defaults: 64 vnodes, no
-    /// replication, no stealing (`queue_threshold` = `usize::MAX`), no
-    /// health ejection, no hedging. Policies opt in via the builders.
+    /// replication, no stealing (`queue_threshold` = `usize::MAX`).
+    /// Policies opt in via the builders.
     pub fn new(shards: usize) -> ShardConfig {
         ShardConfig {
             shards: shards.max(1),
             vnodes: 64,
             replication: ReplicationConfig::disabled(),
             steal: StealConfig::disabled(),
-            health: HealthConfig::disabled(),
-            hedge: HedgeConfig::disabled(),
         }
     }
 
@@ -87,18 +84,6 @@ impl ShardConfig {
     /// Enables forwarding/stealing with the given policy.
     pub fn with_steal(mut self, steal: StealConfig) -> ShardConfig {
         self.steal = steal;
-        self
-    }
-
-    /// Enables health scoring / outlier ejection with the given policy.
-    pub fn with_health(mut self, health: HealthConfig) -> ShardConfig {
-        self.health = health;
-        self
-    }
-
-    /// Enables hedged requests with the given policy.
-    pub fn with_hedge(mut self, hedge: HedgeConfig) -> ShardConfig {
-        self.hedge = hedge;
         self
     }
 }

@@ -1,15 +1,17 @@
 //! Shard placement (DESIGN.md §14, §17): the one rule that picks the
-//! shard of every request, forward and hedged duplicate, for both the
-//! threaded [`crate::shard::router::ShardRouter`] and the virtual-clock
+//! shard of every request and forward, for both the threaded
+//! [`crate::shard::router::ShardRouter`] and the virtual-clock
 //! [`crate::shard::sim::simulate_sharded`]. What differs between the
-//! two runtimes comes in as arguments: the clock value `now`, which
-//! shards are live, and each shard's queue depth.
+//! two comes in as arguments: the clock value `now`, which shards are
+//! live, and each shard's queue depth. The tail policies (health
+//! ejection, and the hedge window, budget and target) run in the
+//! simulator only: the router builds its placement with both off.
 
 use std::collections::BTreeMap;
 
 use crate::metrics::count;
 use crate::shard::health::{fleet_baseline, HealthConfig, HealthState, ShardHealth};
-use crate::shard::hedge::HedgePolicy;
+use crate::shard::hedge::{HedgeConfig, HedgePolicy};
 use crate::shard::replicate::{HotEvent, HotTracker};
 use crate::shard::ring::HashRing;
 use crate::shard::steal::{least_loaded, should_forward, StealConfig};
@@ -38,7 +40,7 @@ pub(crate) struct Placement {
     cursors: BTreeMap<String, usize>,
     /// One health scorer per shard, on the caller's clock.
     health: Vec<ShardHealth>,
-    health_cfg: HealthConfig,
+    health_enabled: bool,
     /// The hedge window and retry budget.
     pub hedge: HedgePolicy,
     steal: StealConfig,
@@ -46,16 +48,14 @@ pub(crate) struct Placement {
 
 impl Placement {
     /// Fresh state: every shard admitted, no model hot.
-    pub fn new(cfg: &ShardConfig) -> Placement {
+    pub fn new(cfg: &ShardConfig, health: HealthConfig, hedge: HedgeConfig) -> Placement {
         Placement {
             ring: HashRing::new(cfg.shards, cfg.vnodes),
             hot: HotTracker::new(cfg.replication.clone()),
             cursors: BTreeMap::new(),
-            health: (0..cfg.shards)
-                .map(|_| ShardHealth::new(cfg.health))
-                .collect(),
-            health_cfg: cfg.health,
-            hedge: HedgePolicy::new(cfg.hedge),
+            health: (0..cfg.shards).map(|_| ShardHealth::new(health)).collect(),
+            health_enabled: health.enabled,
+            hedge: HedgePolicy::new(hedge),
             steal: cfg.steal,
         }
     }
@@ -176,7 +176,7 @@ impl Placement {
     /// Tells every scorer the fleet baseline ([`fleet_baseline`]). A
     /// no-op with health scoring off.
     pub fn refresh_baseline(&mut self) {
-        if !self.health_cfg.enabled {
+        if !self.health_enabled {
             return;
         }
         let ewmas: Vec<f64> = self.health.iter().map(|h| h.ewma_latency()).collect();
@@ -184,11 +184,6 @@ impl Placement {
         for h in &mut self.health {
             h.observe_baseline(baseline);
         }
-    }
-
-    /// Resets a revived shard's health scorer.
-    pub fn revive(&mut self, shard: usize) {
-        self.health[shard] = ShardHealth::new(self.health_cfg);
     }
 
     fn admitted(&self, shard: usize, now: f64) -> bool {
@@ -208,15 +203,16 @@ mod tests {
         Placement::new(
             &ShardConfig::new(4)
                 .with_replication(ReplicationConfig::cycles(2, 2, 1e12))
-                .with_steal(StealConfig::threshold(4))
-                .with_health(HealthConfig {
-                    enabled: true,
-                    alpha: 1.0,
-                    min_samples: 2,
-                    latency_factor: 3.0,
-                    failure_rate: 0.5,
-                    probe_window: 1_000.0,
-                }),
+                .with_steal(StealConfig::threshold(4)),
+            HealthConfig {
+                enabled: true,
+                alpha: 1.0,
+                min_samples: 2,
+                latency_factor: 3.0,
+                failure_rate: 0.5,
+                probe_window: 1_000.0,
+            },
+            HedgeConfig::disabled(),
         )
     }
 
@@ -329,6 +325,8 @@ mod tests {
         }
         let mut off = Placement::new(
             &ShardConfig::new(4).with_replication(ReplicationConfig::cycles(2, 2, 1e12)),
+            HealthConfig::disabled(),
+            HedgeConfig::disabled(),
         );
         let (model, _) = hot_model(&mut off);
         for _ in 0..2 {

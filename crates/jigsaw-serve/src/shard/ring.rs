@@ -47,11 +47,6 @@ impl HashRing {
         HashRing { points, shards }
     }
 
-    /// Number of shards on the ring.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The shard owning `key`: the first virtual node at or clockwise
     /// of the key's ring position (wrapping).
     pub fn shard_for(&self, key: &str) -> usize {

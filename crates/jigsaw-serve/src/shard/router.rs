@@ -1,7 +1,7 @@
 //! The threaded shard router: N independent [`Server`] stacks behind
-//! the placement rule it shares with the simulator (DESIGN.md §14,
-//! §17), with shard-down failover, hedged waits and a kill→revive
-//! shard lifecycle.
+//! the placement rule it shares with the simulator (DESIGN.md §14),
+//! with shard-down failover and a kill→revive shard lifecycle. Health
+//! ejection and hedging run in the simulator only (DESIGN.md §17).
 //!
 //! Each shard owns a full server stack — its own registry LRU byte
 //! budget, worker pool, per-model circuit breakers, deadlines, and
@@ -18,12 +18,12 @@ use jigsaw_core::fault;
 use jigsaw_core::sync::lock_recover;
 use jigsaw_core::JigsawConfig;
 
-use crate::batch::{AdmitError, SpmmResponse};
+use crate::batch::AdmitError;
 use crate::metrics::{count, ServeMetrics};
 use crate::registry::{ModelRegistry, RegistryConfig};
-use crate::server::{ServeConfig, ServeError, Server, Ticket};
+use crate::server::{ServeConfig, Server, Ticket};
 use crate::shard::place::Placement;
-use crate::shard::ShardConfig;
+use crate::shard::{HealthConfig, HedgeConfig, ShardConfig};
 
 /// Aggregated router metrics: per-shard server snapshots plus the
 /// router's own routing counters.
@@ -44,10 +44,6 @@ pub struct RouterMetrics {
     pub demotions: u64,
     /// Requests rejected by an injected `shard.route` fault.
     pub route_faults: u64,
-    /// Hedged duplicates launched by [`ShardRouter::submit_hedged`].
-    pub hedges: u64,
-    /// Hedged duplicates that completed before their primary.
-    pub hedge_wins: u64,
     /// Shards brought back by [`ShardRouter::revive_shard`].
     pub revived: u64,
 }
@@ -76,17 +72,16 @@ pub struct ShardRouter {
     /// shard's server stack with the original serving policy.
     serve_cfg: ServeConfig,
     lanes: Vec<Lane>,
-    /// Every placement decision, on the host-nanosecond clock. Never
-    /// held across a shard submit, a ticket wait or the `shard.slow`
-    /// sleep: a submit can block behind a shard's cold fetch, and
-    /// holding this lock there would serialize the shards.
+    /// Every placement decision, on the host-nanosecond clock, with
+    /// health scoring and hedging off. Never held across a shard submit
+    /// or the `shard.slow` sleep: a submit can block behind a shard's
+    /// cold fetch, and holding this lock there would serialize the
+    /// shards.
     placement: Mutex<Placement>,
     epoch: Instant,
     forwarded: AtomicU64,
     failovers: AtomicU64,
     route_faults: AtomicU64,
-    hedges: AtomicU64,
-    hedge_wins: AtomicU64,
     revived: AtomicU64,
 }
 
@@ -113,15 +108,17 @@ impl ShardRouter {
             })
             .collect();
         ShardRouter {
-            placement: Mutex::new(Placement::new(&config)),
+            placement: Mutex::new(Placement::new(
+                &config,
+                HealthConfig::disabled(),
+                HedgeConfig::disabled(),
+            )),
             serve_cfg,
             lanes,
             epoch: Instant::now(),
             forwarded: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             route_faults: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
-            hedge_wins: AtomicU64::new(0),
             revived: AtomicU64::new(0),
         }
     }
@@ -172,8 +169,7 @@ impl ShardRouter {
 
     /// Revives a killed shard: restarts a fresh server stack on the
     /// shard's retained registry (plans persisted to the artifact dir
-    /// rewarm from disk) and resets its health scorer so the revived
-    /// shard is routable immediately. The pre-kill metrics stay
+    /// rewarm from disk), routable immediately. The pre-kill metrics stay
     /// available through [`ShardRouter::metrics`] until the new stack's
     /// first snapshot replaces them. Idempotent: returns `false` if the
     /// shard is already live.
@@ -188,7 +184,6 @@ impl ShardRouter {
                 self.serve_cfg.clone(),
             ));
         }
-        lock_recover(&self.placement).revive(shard);
         self.revived.fetch_add(1, Ordering::Relaxed);
         count("shard.revived");
         true
@@ -196,8 +191,8 @@ impl ShardRouter {
 
     /// Routes and submits one request: the shared placement rule
     /// (`Placement::route`, DESIGN.md §14) picks the target and any
-    /// forward among the model's live, healthy replicas; a shard that
-    /// refuses because it is down fails over to the next candidate.
+    /// forward among the model's live replicas; a shard that refuses
+    /// because it is down fails over to the next candidate.
     pub fn submit(&self, model: &str, b: Matrix) -> Result<Ticket, AdmitError> {
         self.submit_with_deadline(model, b, None)
     }
@@ -210,18 +205,6 @@ impl ShardRouter {
         b: Matrix,
         deadline: Option<Duration>,
     ) -> Result<Ticket, AdmitError> {
-        self.route_and_submit(model, b, deadline).map(|(_, t)| t)
-    }
-
-    /// The full routing pipeline; returns the shard that admitted the
-    /// request alongside its ticket so the hedging/health layer can
-    /// attribute the outcome.
-    fn route_and_submit(
-        &self,
-        model: &str,
-        b: Matrix,
-        deadline: Option<Duration>,
-    ) -> Result<(usize, Ticket), AdmitError> {
         let unavailable = || AdmitError::ShardUnavailable {
             model: model.to_string(),
             shard: self.home_shard(model),
@@ -233,10 +216,9 @@ impl ShardRouter {
             count("shard.route_faults");
             return Err(unavailable());
         }
-        let now_ns = self.now_ns();
         let route = lock_recover(&self.placement).route(
             model,
-            now_ns,
+            self.epoch.elapsed().as_nanos() as f64,
             |s| self.is_live(s),
             |s| self.queue_depth(s),
         );
@@ -258,9 +240,8 @@ impl ShardRouter {
         }
 
         // Injected straggler latency: a `shard.slow` fault stalls the
-        // submit path (host sleep), inflating the observed latency the
-        // health scorer and hedge window see — the threaded twin of the
-        // sim's per-shard cost multiplier.
+        // submit path (host sleep) and so the request's latency. The
+        // simulator reads the same fault as a per-batch cycle stretch.
         if fault::armed() {
             if let Some(fired) = fault::fire(fault::points::SHARD_SLOW) {
                 if let fault::FaultKind::Latency { ns } = fired.kind {
@@ -277,15 +258,12 @@ impl ShardRouter {
                 self.failovers.fetch_add(1, Ordering::Relaxed);
                 count("shard.failovers");
             }
-            // Route one request to a probing shard: consuming the probe
-            // slot keeps followers off it until the probe reports back.
-            lock_recover(&self.placement).admit(shard, now_ns);
             let guard = lock_recover_read(&self.lanes[shard].server);
             let Some(server) = guard.as_ref() else {
                 continue;
             };
             match server.submit_with_deadline(model, b.clone(), deadline) {
-                Ok(ticket) => return Ok((shard, ticket)),
+                Ok(ticket) => return Ok(ticket),
                 // The shard died under us: try the next replica.
                 Err(AdmitError::ShuttingDown) => continue,
                 // Attribute the tripped breaker to its owning shard.
@@ -302,110 +280,6 @@ impl ShardRouter {
             }
         }
         Err(unavailable())
-    }
-
-    /// Submits one request and waits for it with tail tolerance: if
-    /// the response sits past the hedge delay (the rolling p95 of
-    /// recent completions, floored by the config), a speculative
-    /// duplicate is submitted to a different healthy shard and the
-    /// first completion wins. The duplicate carries the **remainder of
-    /// the original deadline** — never a fresh window — and every hedge
-    /// spends a token from the retry budget, so hedging can never
-    /// amplify offered load past `1 + budget_fraction`.
-    ///
-    /// Cancellation is cooperative: the loser's ticket is dropped and
-    /// its shard finishes (or sheds) the work unobserved — SpMM
-    /// requests are read-only against registry state, so a duplicated
-    /// execution is wasted cycles, never a correctness hazard.
-    ///
-    /// The outer `Result` is admission (routing/queue/breaker), the
-    /// inner one execution. Completion latency and outcome feed the
-    /// winning shard's health scorer and the hedge window; the plain
-    /// [`ShardRouter::submit`] ticket path stays fire-and-forget and
-    /// feeds neither.
-    pub fn submit_hedged(
-        &self,
-        model: &str,
-        b: Matrix,
-        deadline: Option<Duration>,
-    ) -> Result<Result<SpmmResponse, ServeError>, AdmitError> {
-        let t0 = Instant::now();
-        let (shard, ticket) = self.route_and_submit(model, b.clone(), deadline)?;
-        let delay = {
-            let mut placement = lock_recover(&self.placement);
-            placement.hedge.on_primary();
-            placement.hedge.hedge_delay()
-        };
-        let Some(delay_ns) = delay else {
-            // Hedging disarmed (disabled or still warming): plain wait.
-            let res = ticket.wait();
-            self.observe(shard, t0, &res);
-            return Ok(res);
-        };
-        if let Some(res) = ticket.wait_timeout(Duration::from_nanos(delay_ns as u64)) {
-            self.observe(shard, t0, &res);
-            return Ok(res);
-        }
-        // Past the hedge delay: place a duplicate on a different healthy
-        // shard, fund it from the retry budget (as the simulator does:
-        // target first, so a hedge with nowhere to go spends no token),
-        // and propagate what is left of the original deadline.
-        let target = {
-            let mut placement = lock_recover(&self.placement);
-            let live = |s| self.is_live(s);
-            let target =
-                placement.hedge_target(model, shard, self.now_ns(), live, |s| self.queue_depth(s));
-            if target.is_some() && !placement.hedge.try_hedge() {
-                count("hedge.suppressed");
-                None
-            } else {
-                target
-            }
-        };
-        let dup = target.and_then(|t| {
-            let remaining = deadline.map(|d| d.saturating_sub(t0.elapsed()));
-            let guard = lock_recover_read(&self.lanes[t].server);
-            let ticket = guard
-                .as_ref()
-                .and_then(|srv| srv.submit_with_deadline(model, b.clone(), remaining).ok())?;
-            self.hedges.fetch_add(1, Ordering::Relaxed);
-            count("hedge.launched");
-            Some((t, ticket))
-        });
-        let Some((dup_shard, dup_ticket)) = dup else {
-            let res = ticket.wait();
-            self.observe(shard, t0, &res);
-            return Ok(res);
-        };
-        // First-completion-wins: poll both tickets; the loser is
-        // dropped (its shard completes the work unobserved).
-        let poll = Duration::from_micros(100);
-        loop {
-            if let Some(res) = ticket.wait_timeout(poll) {
-                self.observe(shard, t0, &res);
-                return Ok(res);
-            }
-            if let Some(res) = dup_ticket.wait_timeout(poll) {
-                self.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                count("hedge.wins");
-                self.observe(dup_shard, t0, &res);
-                return Ok(res);
-            }
-        }
-    }
-
-    /// Feeds one request outcome, and a fresh fleet baseline, to the
-    /// placement state.
-    fn observe(&self, shard: usize, t0: Instant, res: &Result<SpmmResponse, ServeError>) {
-        let now_ns = self.now_ns();
-        let latency = t0.elapsed().as_nanos() as f64;
-        let mut placement = lock_recover(&self.placement);
-        placement.record(shard, now_ns, res.as_ref().ok().map(|_| latency));
-        placement.refresh_baseline();
-    }
-
-    fn now_ns(&self) -> f64 {
-        self.epoch.elapsed().as_nanos() as f64
     }
 
     fn is_live(&self, shard: usize) -> bool {
@@ -454,8 +328,6 @@ impl ShardRouter {
             promotions,
             demotions,
             route_faults: self.route_faults.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
             revived: self.revived.load(Ordering::Relaxed),
         }
     }
@@ -603,20 +475,6 @@ mod tests {
             .expect("revived shard serves");
         let metrics = router.shutdown();
         assert_eq!(metrics.revived, 1);
-    }
-
-    #[test]
-    fn hedged_submit_serves_plain_when_hedging_is_disabled() {
-        let (router, zoo) = router(2, ReplicationConfig::disabled());
-        let m = &zoo[0];
-        let b = dense_rhs(m.k(), 2, ValueDist::SmallInt, 3);
-        let res = router
-            .submit_hedged(&m.name, b.clone(), None)
-            .expect("admitted")
-            .expect("served");
-        assert_eq!(res.c, m.weights().matmul_reference(&b), "result exact");
-        let metrics = router.shutdown();
-        assert_eq!(metrics.hedges, 0, "hedging is opt-in");
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! Deterministic multi-shard virtual-clock simulation: N simulated
 //! devices behind the consistent-hash ring, with hot-model
-//! replication, queue-depth forwarding, and idle-shard work stealing —
-//! the policy engine behind `results/BENCH_serving.json`.
+//! replication, queue-depth forwarding, idle-shard work stealing,
+//! health ejection and hedged requests — the policy engine behind
+//! `results/BENCH_serving.json`.
 //!
-//! The only virtual-clock serving event loop: the single-device
-//! [`crate::sim::simulate_schedule`] is its one-shard case, and every
-//! shard batches by the work-conserving rule in [`crate::batch`] the
-//! server also runs: a shard dispatches its oldest queued head the
-//! cycle its device is free, taking every queued request that fits.
+//! The only virtual-clock serving event loop: a single device is a
+//! one-shard [`ShardConfig`], and every shard batches by the
+//! work-conserving rule in [`crate::batch`] the server also runs: a
+//! shard dispatches its oldest queued head the cycle its device is
+//! free, taking every queued request that fits. It is also the only
+//! runtime of the tail policies (DESIGN.md §17): the threaded router
+//! routes, fails over, kills and revives, but neither scores health
+//! nor hedges.
 //!
 //! Determinism contract: the only clock is the cycle counter; shard
 //! state lives in `BTreeMap`s; every tie (event time, head age, steal
 //! victim) breaks by id/name; and kernel costs come through each
 //! model's simulation memo. Same `(schedule, config, warm registry)` ⇒
-//! bit-identical report (a cold fetch charges measured host time when
-//! [`SimConfig::charge_cold_fetch`] is set).
+//! bit-identical report (a cold fetch charges measured host time).
 //!
 //! Scale: requests only carry `(model, arrival, n)` — no operand
 //! bytes — and each model's memo collapses repeated batch widths into
@@ -32,11 +35,12 @@ use crate::metrics::{count, Histogram, ServeMetrics};
 use crate::registry::ModelRegistry;
 use crate::server::ServeError;
 use crate::shard::place::Placement;
-use crate::shard::ShardConfig;
+use crate::shard::{HealthConfig, HedgeConfig, ShardConfig};
 use crate::sim::{SimCompletion, SimConfig, SimFailure, SimRequest};
 
-/// Multi-shard simulation config: the shard topology/policies plus the
-/// per-shard serving policy (batch caps, breaker, device spec).
+/// Multi-shard simulation config: the shard topology/policies, the
+/// tail policies, and the per-shard serving policy (batch caps,
+/// breaker, device spec).
 #[derive(Clone, Debug)]
 pub struct ShardSimConfig {
     /// Topology and replication/steal policies. The replication window
@@ -44,6 +48,11 @@ pub struct ShardSimConfig {
     pub shard: ShardConfig,
     /// Per-shard serving policy; every shard gets an identical device.
     pub sim: SimConfig,
+    /// Per-shard health scoring / outlier-ejection policy, in cycles.
+    pub health: HealthConfig,
+    /// Hedged-request policy with its token-bucket retry budget, in
+    /// cycles.
+    pub hedge: HedgeConfig,
     /// Straggler injection: per-shard device-cycle cost multipliers
     /// (shard → factor). Config-driven rather than wall-clock-driven —
     /// `FaultKind::Latency` sleeps host time, which would break the
@@ -52,13 +61,28 @@ pub struct ShardSimConfig {
 }
 
 impl ShardSimConfig {
-    /// A sharded sim with no stragglers injected.
+    /// A sharded sim with no health ejection, no hedging and no
+    /// stragglers injected.
     pub fn new(shard: ShardConfig, sim: SimConfig) -> ShardSimConfig {
         ShardSimConfig {
             shard,
             sim,
+            health: HealthConfig::disabled(),
+            hedge: HedgeConfig::disabled(),
             stragglers: BTreeMap::new(),
         }
+    }
+
+    /// Enables health scoring / outlier ejection with the given policy.
+    pub fn with_health(mut self, health: HealthConfig) -> ShardSimConfig {
+        self.health = health;
+        self
+    }
+
+    /// Enables hedged requests with the given policy.
+    pub fn with_hedge(mut self, hedge: HedgeConfig) -> ShardSimConfig {
+        self.hedge = hedge;
+        self
     }
 
     /// Injects `shard` as a straggler: every batch it executes costs
@@ -198,9 +222,9 @@ fn decide(shard: &Shard<'_>, now: f64) -> Option<(String, f64)> {
 
 /// Runs a schedule across `cfg.shard.shards` simulated shards.
 ///
-/// Every arrival is placed, and every hedge target picked, by the
-/// placement rule the threaded router also runs (`Placement`,
-/// DESIGN.md §14, §17), with every simulated shard live. Between
+/// Every arrival is placed by the placement rule the threaded router
+/// also runs (`Placement`, DESIGN.md §14), with every simulated shard
+/// live; the same state picks every hedge target (§17). Between
 /// dispatches, an idle shard with a free device steals the back half
 /// of the deepest over-threshold peer's queue for a hot model it
 /// replicates. Every shard runs the same batching rule ([`pop_batch`])
@@ -241,7 +265,7 @@ pub fn simulate_sharded(
             stolen_from: 0,
         })
         .collect();
-    let mut placement = Placement::new(&cfg.shard);
+    let mut placement = Placement::new(&cfg.shard, cfg.health, cfg.hedge);
     let mut latency = Histogram::default();
     let mut forwarded = 0u64;
     let mut stolen = 0u64;
@@ -579,7 +603,7 @@ pub fn simulate_sharded(
         // A cold fetch's planning time (ns → cycles at the device
         // clock) stalls this shard's timeline — the end-to-end cost a
         // cold-start batch actually pays.
-        if cfg.sim.charge_cold_fetch && fetch.is_cold() {
+        if fetch.is_cold() {
             batch_cycles += planned.plan_host_ns as f64 * cfg.sim.spec.clock_ghz;
         }
         let finish = dispatch_at + batch_cycles;
@@ -862,16 +886,17 @@ mod tests {
         let (reg, zoo) = warm_registry(8);
         let schedule = zipf(1200, 47, &zoo);
         let cfg = |tail: bool| {
-            let mut shard = ShardConfig::new(4)
+            let shard = ShardConfig::new(4)
                 .with_replication(ReplicationConfig::cycles(32, 2, 500_000.0))
                 .with_steal(StealConfig::threshold(8));
+            let cfg = ShardSimConfig::new(shard, SimConfig::batched(GpuSpec::a100(), 128))
+                .with_straggler(0, 10.0);
             if tail {
-                shard = shard
-                    .with_health(crate::shard::HealthConfig::cycles())
-                    .with_hedge(crate::shard::HedgeConfig::cycles());
+                cfg.with_health(HealthConfig::cycles())
+                    .with_hedge(HedgeConfig::cycles())
+            } else {
+                cfg
             }
-            ShardSimConfig::new(shard, SimConfig::batched(GpuSpec::a100(), 128))
-                .with_straggler(0, 10.0)
         };
         let unprotected = simulate_sharded(&reg, &schedule, &cfg(false));
         let protected = simulate_sharded(&reg, &schedule, &cfg(true));
@@ -911,11 +936,11 @@ mod tests {
         let cfg = ShardSimConfig::new(
             ShardConfig::new(4)
                 .with_replication(ReplicationConfig::cycles(32, 2, 500_000.0))
-                .with_steal(StealConfig::threshold(8))
-                .with_health(crate::shard::HealthConfig::cycles())
-                .with_hedge(crate::shard::HedgeConfig::cycles()),
+                .with_steal(StealConfig::threshold(8)),
             SimConfig::batched(GpuSpec::a100(), 128),
         )
+        .with_health(HealthConfig::cycles())
+        .with_hedge(HedgeConfig::cycles())
         .with_straggler(1, 10.0);
         let a = simulate_sharded(&reg, &schedule, &cfg);
         let b = simulate_sharded(&reg, &schedule, &cfg);
@@ -992,7 +1017,7 @@ mod tests {
             deadline_cycles: Some(40_000.0),
         });
 
-        let hedge = crate::shard::HedgeConfig {
+        let hedge = HedgeConfig {
             enabled: true,
             percentile: 0.95,
             min_delay: 60_000.0,
@@ -1001,9 +1026,10 @@ mod tests {
             min_samples: 4,
         };
         let cfg = ShardSimConfig::new(
-            ShardConfig::new(2).with_hedge(hedge),
+            ShardConfig::new(2),
             SimConfig::batched(GpuSpec::a100(), 128),
         )
+        .with_hedge(hedge)
         .with_straggler(0, 10_000.0);
         let report = simulate_sharded(&reg, &schedule, &cfg);
         assert_eq!(

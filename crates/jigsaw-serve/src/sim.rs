@@ -1,28 +1,24 @@
-//! Deterministic discrete-event serving simulation on a virtual cycle
-//! clock with a single simulated device. Two runs over the same
-//! schedule produce identical reports — this is what the `serving`
-//! experiment sweeps, so its batched-vs-unbatched and warm-vs-cold
-//! comparisons are reproducible.
+//! Per-device policy and per-request records of the deterministic
+//! virtual-clock serving simulation. Two runs over the same schedule
+//! produce identical reports — this is what the `serving` experiment
+//! sweeps, so its batched-vs-unbatched and warm-vs-cold comparisons are
+//! reproducible.
 //!
-//! There is one serving event loop: [`simulate_schedule`] is the
-//! one-shard case of [`crate::shard::simulate_sharded`], which batches
-//! with the same work-conserving rule the threaded [`crate::server`]
-//! calls ([`crate::batch::pop_batch`]): a free device dispatches the
-//! oldest queued head at once and takes every queued request that
-//! fits. This module owns the single-device policy knobs and
-//! per-request records.
+//! There is one serving event loop, [`crate::shard::simulate_sharded`];
+//! a single device is its one-shard case (`ShardConfig::new(1)`). It
+//! batches with the same work-conserving rule the threaded
+//! [`crate::server`] calls ([`crate::batch::pop_batch`]): a free device
+//! dispatches the oldest queued head at once and takes every queued
+//! request that fits.
 //!
-//! Cold fetches (planning or artifact loads) charge their measured
-//! host time to the virtual timeline, converted at the device clock —
-//! the end-to-end cost a cold-start request actually pays.
+//! Cold fetches (planning or artifact loads) always charge their
+//! measured host time to the virtual timeline, converted at the device
+//! clock — the end-to-end cost a cold-start request actually pays.
 
 use gpu_sim::GpuSpec;
 
 use crate::breaker::BreakerConfig;
-use crate::metrics::ServeMetrics;
-use crate::registry::ModelRegistry;
 use crate::server::ServeError;
-use crate::shard::{simulate_sharded, ShardConfig, ShardSimConfig};
 
 /// Virtual-clock serving policy knobs.
 #[derive(Clone, Debug)]
@@ -33,9 +29,6 @@ pub struct SimConfig {
     pub max_batch_n: usize,
     /// Maximum requests per batch (`1` disables batching).
     pub max_batch_requests: usize,
-    /// Charge cold-fetch host time (ns → cycles at the device clock)
-    /// to the virtual timeline.
-    pub charge_cold_fetch: bool,
     /// Per-model circuit breaker, on the cycle clock.
     pub breaker: BreakerConfig,
 }
@@ -47,7 +40,6 @@ impl SimConfig {
             spec,
             max_batch_n,
             max_batch_requests: usize::MAX,
-            charge_cold_fetch: true,
             breaker: BreakerConfig::cycles(),
         }
     }
@@ -58,7 +50,6 @@ impl SimConfig {
             spec,
             max_batch_n: usize::MAX,
             max_batch_requests: 1,
-            charge_cold_fetch: true,
             breaker: BreakerConfig::cycles(),
         }
     }
@@ -122,80 +113,20 @@ pub struct SimFailure {
     pub error: ServeError,
 }
 
-/// Result of a virtual-clock run.
-#[derive(Clone, Debug)]
-pub struct SimReport {
-    /// Per-request completions, in completion order.
-    pub completions: Vec<SimCompletion>,
-    /// Admitted requests that did not complete (shed or failed), in
-    /// terminal order. Every admitted request appears in exactly one of
-    /// `completions` / `failures` — `metrics.conserves()` checks this.
-    pub failures: Vec<SimFailure>,
-    /// Ids rejected at admission by an open circuit breaker (never
-    /// admitted, so outside the conservation sum).
-    pub rejected_ids: Vec<usize>,
-    /// Aggregated metrics (`latency_host_ns` stays empty — there is no
-    /// host time on a virtual clock).
-    pub metrics: ServeMetrics,
-    /// Cycles the device spent busy (kernels + charged cold fetches).
-    pub busy_cycles: f64,
-    /// Finish time of the last batch, cycles.
-    pub makespan_cycles: f64,
-}
-
-impl SimReport {
-    /// Completed requests per 10⁹ cycles of *elapsed* virtual time —
-    /// the experiment's headline throughput (uses the makespan, so idle
-    /// gaps and cold stalls count against it).
-    pub fn requests_per_gcycle(&self) -> f64 {
-        if self.makespan_cycles <= 0.0 {
-            0.0
-        } else {
-            self.completions.len() as f64 / (self.makespan_cycles / 1e9)
-        }
-    }
-}
-
-/// Runs the schedule to completion on the virtual clock: the
-/// one-shard case of [`simulate_sharded`], reported per request.
-///
-/// Deterministic: queues iterate in model-name order, ties in arrival
-/// order break by request id, and the only clock is the cycle counter.
-/// (Cold-fetch charges use measured host time, so *magnitudes* vary
-/// run to run when `charge_cold_fetch` is set and the registry is
-/// cold; the schedule itself does not.) Infallible: every request in
-/// the schedule reaches exactly one terminal state.
-///
-/// Assembly-mode neutral: the virtual clock charges only simulated
-/// device cycles — host-side assembly cost is a real-`Server` (and
-/// `exp serving`) concern.
-pub fn simulate_schedule(
-    registry: &ModelRegistry,
-    schedule: &[SimRequest],
-    cfg: &SimConfig,
-) -> SimReport {
-    let sharded = simulate_sharded(
-        registry,
-        schedule,
-        &ShardSimConfig::new(ShardConfig::new(1), cfg.clone()),
-    );
-    let lane = sharded.lanes.into_iter().next().expect("one shard");
-    SimReport {
-        completions: sharded.completions,
-        failures: sharded.failures,
-        rejected_ids: sharded.rejected_ids,
-        metrics: lane.metrics,
-        busy_cycles: lane.busy_cycles,
-        makespan_cycles: sharded.makespan_cycles,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loadgen::{generate_schedule, LoadSpec};
+    use crate::metrics::ServeMetrics;
     use crate::registry::{ModelRegistry, RegistryConfig};
+    use crate::shard::{simulate_sharded, ShardConfig, ShardSimConfig, ShardSimReport};
     use crate::zoo::default_zoo;
+
+    /// One simulated device: the one-shard case of [`simulate_sharded`].
+    fn simulate(reg: &ModelRegistry, schedule: &[SimRequest], cfg: &SimConfig) -> ShardSimReport {
+        let cfg = ShardSimConfig::new(ShardConfig::new(1), cfg.clone());
+        simulate_sharded(reg, schedule, &cfg)
+    }
 
     fn registry() -> ModelRegistry {
         let reg = ModelRegistry::new(RegistryConfig::default()).unwrap();
@@ -223,12 +154,12 @@ mod tests {
         reg.warm_all().unwrap();
         let schedule = burst("attention-small", 16, 16, 100.0);
         let spec = GpuSpec::a100();
-        let batched = simulate_schedule(&reg, &schedule, &SimConfig::batched(spec.clone(), 256));
-        let unbatched = simulate_schedule(&reg, &schedule, &SimConfig::unbatched(spec));
+        let batched = simulate(&reg, &schedule, &SimConfig::batched(spec.clone(), 256));
+        let unbatched = simulate(&reg, &schedule, &SimConfig::unbatched(spec));
         assert_eq!(batched.completions.len(), 16);
         assert_eq!(unbatched.completions.len(), 16);
-        assert!(unbatched.metrics.batches == 16, "one kernel per request");
-        assert!(batched.metrics.batches < 16, "requests were coalesced");
+        assert!(unbatched.totals.batches == 16, "one kernel per request");
+        assert!(batched.totals.batches < 16, "requests were coalesced");
         assert!(
             batched.makespan_cycles < unbatched.makespan_cycles,
             "batched {} vs unbatched {}",
@@ -252,9 +183,9 @@ mod tests {
                 }),
         );
         let cfg = SimConfig::batched(GpuSpec::a100(), 64);
-        let a = simulate_schedule(&reg, &schedule, &cfg);
-        let b = simulate_schedule(&reg, &schedule, &cfg);
-        let key = |r: &SimReport| -> Vec<(usize, u64, u64)> {
+        let a = simulate(&reg, &schedule, &cfg);
+        let b = simulate(&reg, &schedule, &cfg);
+        let key = |r: &ShardSimReport| -> Vec<(usize, u64, u64)> {
             r.completions
                 .iter()
                 .map(|c| (c.id, c.dispatch_cycle.to_bits(), c.finish_cycle.to_bits()))
@@ -270,10 +201,10 @@ mod tests {
         let cfg = SimConfig::batched(GpuSpec::a100(), 64);
 
         let cold_reg = registry();
-        let cold = simulate_schedule(&cold_reg, &schedule, &cfg);
+        let cold = simulate(&cold_reg, &schedule, &cfg);
         let warm_reg = registry();
         warm_reg.warm_all().unwrap();
-        let warm = simulate_schedule(&warm_reg, &schedule, &cfg);
+        let warm = simulate(&warm_reg, &schedule, &cfg);
         assert!(cold.completions.iter().any(|c| c.cold));
         assert!(warm.completions.iter().all(|c| !c.cold));
         assert!(
@@ -290,7 +221,7 @@ mod tests {
         // Two requests far apart: each finds the device idle and
         // dispatches the cycle it arrives, alone.
         let apart = burst("attention-small", 2, 8, 1e7);
-        let report = simulate_schedule(&reg, &apart, &cfg);
+        let report = simulate(&reg, &apart, &cfg);
         for (c, r) in report.completions.iter().zip(&apart) {
             assert_eq!((c.dispatch_cycle, c.batch_requests), (r.arrival_cycle, 1));
         }
@@ -298,8 +229,8 @@ mod tests {
         // and the three that arrive while its kernel runs share the
         // next batch, dispatched the cycle the device frees up.
         let schedule = burst("attention-small", 4, 8, 100.0);
-        let report = simulate_schedule(&reg, &schedule, &cfg);
-        assert_eq!(report.metrics.batches, 2);
+        let report = simulate(&reg, &schedule, &cfg);
+        assert_eq!(report.totals.batches, 2);
         let (head, rest) = report.completions.split_first().unwrap();
         assert_eq!((head.dispatch_cycle, head.batch_requests), (0.0, 1));
         for c in rest {
@@ -328,8 +259,8 @@ mod tests {
                     mean_gap_cycles: gap,
                 };
                 let schedule = generate_schedule(&zoo, &load);
-                let report = simulate_schedule(&reg, &schedule, &cfg);
-                assert!(report.metrics.conserves(), "seed {seed} gap {gap}");
+                let report = simulate(&reg, &schedule, &cfg);
+                assert!(report.totals.conserves(), "seed {seed} gap {gap}");
                 assert_eq!(report.completions.len(), schedule.len());
                 // On one device, dispatch instants are distinct: group
                 // completions into batches by them, in dispatch order.
@@ -340,7 +271,7 @@ mod tests {
                         _ => batches.push((c.dispatch_cycle, c.finish_cycle, c.arrival_cycle)),
                     }
                 }
-                assert_eq!(batches.len() as u64, report.metrics.batches);
+                assert_eq!(batches.len() as u64, report.totals.batches);
                 let mut free_at = 0.0f64;
                 for &(dispatch, finish, oldest) in &batches {
                     assert_eq!(
@@ -364,16 +295,13 @@ mod tests {
         for r in schedule.iter_mut().skip(2) {
             r.deadline_cycles = Some(50.0);
         }
-        let report = simulate_schedule(&reg, &schedule, &SimConfig::batched(GpuSpec::a100(), 32));
-        assert!(report.metrics.shed_expired > 0, "stragglers were shed");
+        let report = simulate(&reg, &schedule, &SimConfig::batched(GpuSpec::a100(), 32));
+        assert!(report.totals.shed_expired > 0, "stragglers were shed");
         assert!(report
             .failures
             .iter()
             .all(|f| f.error == ServeError::DeadlineExceeded));
-        assert!(
-            report.metrics.conserves(),
-            "admitted = done + failed + shed"
-        );
+        assert!(report.totals.conserves(), "admitted = done + failed + shed");
         assert_eq!(
             report.completions.len() + report.failures.len(),
             schedule.len(),
@@ -385,21 +313,88 @@ mod tests {
     fn unknown_model_fails_batch_and_opens_breaker() {
         let reg = registry();
         let schedule = burst("no-such-model", 12, 8, 10_000.0);
-        let report = simulate_schedule(&reg, &schedule, &SimConfig::unbatched(GpuSpec::a100()));
+        let report = simulate(&reg, &schedule, &SimConfig::unbatched(GpuSpec::a100()));
         assert_eq!(report.completions.len(), 0);
-        assert!(report.metrics.failed > 0, "typed failures, no abort");
+        assert!(report.totals.failed > 0, "typed failures, no abort");
         assert!(
-            report.metrics.rejected > 0,
+            report.totals.rejected > 0,
             "breaker opened and fast-rejected later arrivals"
         );
         assert!(report
             .failures
             .iter()
             .all(|f| matches!(f.error, ServeError::Registry(_))));
-        assert!(report.metrics.conserves());
+        assert!(report.totals.conserves());
         assert_eq!(
             report.completions.len() + report.failures.len() + report.rejected_ids.len(),
             schedule.len()
         );
+    }
+
+    /// A one-shard run's totals are its single lane's counters, and its
+    /// cluster histogram holds one latency sample per completion — so a
+    /// single-device caller may read either.
+    #[test]
+    fn one_shard_totals_match_its_lane() {
+        let reg = registry();
+        reg.warm_all().unwrap();
+        // Served, shed (tight deadlines behind a long batch) and failed
+        // plus breaker-rejected (an unknown model) requests, so every
+        // counter below moves.
+        let mut schedule = burst("attention-small", 12, 32, 10.0);
+        for r in schedule.iter_mut().skip(2).step_by(3) {
+            r.deadline_cycles = Some(50.0);
+        }
+        schedule.extend(
+            burst("no-such-model", 12, 8, 10_000.0)
+                .into_iter()
+                .map(|mut r| {
+                    r.id += 100;
+                    r
+                }),
+        );
+        let report = simulate(&reg, &schedule, &SimConfig::batched(GpuSpec::a100(), 64));
+        let [lane] = &report.lanes[..] else {
+            panic!("one lane per shard");
+        };
+        let counters = |m: &ServeMetrics| {
+            [
+                m.submitted,
+                m.completed,
+                m.rejected,
+                m.breaker_rejects,
+                m.failed,
+                m.shed_expired,
+                m.worker_panics,
+                m.breakers_open,
+                m.batches,
+                m.batch_requests_total,
+                m.batch_n_total,
+                m.peak_queue_depth as u64,
+                m.queue_depth as u64,
+                m.device_cycles.to_bits(),
+            ]
+        };
+        assert_eq!(counters(&report.totals), counters(&lane.metrics));
+        assert_eq!(
+            lane.busy_cycles.to_bits(),
+            report.totals.device_cycles.to_bits()
+        );
+        let m = &report.totals;
+        assert!(m.completed > 0 && m.shed_expired > 0 && m.failed > 0 && m.rejected > 0);
+        let done = report.completions.len();
+        assert_eq!(done as u64, m.completed);
+        assert_eq!(
+            report.latency_cycles.len(),
+            done,
+            "one sample per completion"
+        );
+        assert_eq!(lane.metrics.latency_cycles.len(), done);
+        for p in [50.0, 95.0, 99.0] {
+            assert_eq!(
+                report.latency_cycles.percentile(p).to_bits(),
+                lane.metrics.latency_cycles.percentile(p).to_bits()
+            );
+        }
     }
 }

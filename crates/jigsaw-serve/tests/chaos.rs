@@ -23,10 +23,10 @@ use jigsaw_core::compiled::dispatch::{self, ALL_KERNELS};
 use jigsaw_core::fault::{self, points, FaultKind, FaultSpec};
 use jigsaw_core::{execute_fast, CompiledKernel, ExecOptions, KernelKind, KernelPolicy};
 use jigsaw_serve::{
-    default_zoo, generate_zipf_schedule, scaled_zoo, simulate_schedule, simulate_sharded,
-    AdmitError, BreakerConfig, BreakerState, HealthConfig, HedgeConfig, ModelRegistry,
-    RegistryConfig, RegistryError, ReplicationConfig, ServeConfig, ServeError, Server, ShardConfig,
-    ShardRouter, ShardSimConfig, SimConfig, SimRequest, StealConfig, ZipfLoadSpec,
+    default_zoo, generate_zipf_schedule, scaled_zoo, simulate_sharded, AdmitError, BreakerConfig,
+    BreakerState, HealthConfig, HedgeConfig, ModelRegistry, RegistryConfig, RegistryError,
+    ReplicationConfig, ServeConfig, ServeError, Server, ShardConfig, ShardRouter, ShardSimConfig,
+    ShardSimReport, SimConfig, SimRequest, StealConfig, ZipfLoadSpec,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -997,11 +997,9 @@ fn hedging_bounds_p99_under_straggler_within_work_budget() {
     let protected = simulate_sharded(
         &reg,
         &schedule,
-        &base(
-            ShardConfig::new(4)
-                .with_health(HealthConfig::cycles())
-                .with_hedge(HedgeConfig::cycles()),
-        ),
+        &base(ShardConfig::new(4))
+            .with_health(HealthConfig::cycles())
+            .with_hedge(HedgeConfig::cycles()),
     );
     assert!(unprotected.totals.conserves() && protected.totals.conserves());
     assert!(
@@ -1016,8 +1014,7 @@ fn hedging_bounds_p99_under_straggler_within_work_budget() {
         pp99 <= 0.5 * up99,
         "hedged p99 {pp99:.0} vs unhedged p99 {up99:.0}: tail not bounded"
     );
-    let work =
-        |r: &jigsaw_serve::ShardSimReport| r.lanes.iter().map(|l| l.busy_cycles).sum::<f64>();
+    let work = |r: &ShardSimReport| r.lanes.iter().map(|l| l.busy_cycles).sum::<f64>();
     assert!(
         work(&protected) <= 1.1 * work(&unprotected),
         "work amplification {:.3} exceeds the retry budget",
@@ -1083,6 +1080,12 @@ fn sim_registry() -> ModelRegistry {
     reg
 }
 
+/// One batched A100 shard: the single-device simulator.
+fn simulate_one_shard(reg: &ModelRegistry, schedule: &[SimRequest]) -> ShardSimReport {
+    let cfg = ShardSimConfig::new(ShardConfig::new(1), SimConfig::batched(GpuSpec::a100(), 64));
+    simulate_sharded(reg, schedule, &cfg)
+}
+
 /// Pinned fault schedules through the simulator: plan errors, plan
 /// panics, and deadline pressure — every request terminal, every
 /// failure typed, the ledger conserved.
@@ -1107,11 +1110,11 @@ fn pinned_sim_fault_schedules_conserve_requests() {
                     r
                 }),
         );
-        let report = simulate_schedule(&reg, &schedule, &SimConfig::batched(GpuSpec::a100(), 64));
+        let report = simulate_one_shard(&reg, &schedule);
         fault::reset();
-        assert!(report.metrics.failed > 0, "seed {seed:#x}: faults fired");
-        assert!(report.metrics.completed > 0, "seed {seed:#x}: recovered");
-        assert!(report.metrics.conserves(), "seed {seed:#x}: conservation");
+        assert!(report.totals.failed > 0, "seed {seed:#x}: faults fired");
+        assert!(report.totals.completed > 0, "seed {seed:#x}: recovered");
+        assert!(report.totals.conserves(), "seed {seed:#x}: conservation");
         assert_eq!(
             report.completions.len() + report.failures.len() + report.rejected_ids.len(),
             schedule.len(),
@@ -1125,7 +1128,7 @@ fn pinned_sim_fault_schedules_conserve_requests() {
             }
         }
         if kind == FaultKind::Panic {
-            assert!(report.metrics.worker_panics > 0);
+            assert!(report.totals.worker_panics > 0);
         }
     }
 }
@@ -1159,13 +1162,9 @@ proptest! {
                 r.deadline_cycles = Some(20_000.0);
             }
         }
-        let report = simulate_schedule(
-            &reg,
-            &schedule,
-            &SimConfig::batched(GpuSpec::a100(), 64),
-        );
+        let report = simulate_one_shard(&reg, &schedule);
         fault::reset();
-        prop_assert!(report.metrics.conserves(), "conservation: {:?}", report.metrics);
+        prop_assert!(report.totals.conserves(), "conservation: {:?}", report.totals);
         prop_assert_eq!(
             report.completions.len() + report.failures.len() + report.rejected_ids.len(),
             schedule.len()
@@ -1182,7 +1181,7 @@ proptest! {
         }
         // A compile fault degrades, never fails: the model still serves.
         if kind_sel == 3 {
-            prop_assert_eq!(report.metrics.failed, 0, "compile faults degrade, not fail");
+            prop_assert_eq!(report.totals.failed, 0, "compile faults degrade, not fail");
         }
     }
 }

@@ -7,10 +7,9 @@ use std::sync::Arc;
 
 use jigsaw::data::{dense_rhs, ValueDist};
 use jigsaw::serve::{
-    default_zoo, generate_schedule, generate_zipf_schedule, scaled_zoo, simulate_schedule,
-    simulate_sharded, LoadSpec, ModelRegistry, RegistryConfig, RegistryError, ReplicationConfig,
-    ServeConfig, Server, ShardConfig, ShardSimConfig, SimConfig, SimRequest, StealConfig,
-    ZipfLoadSpec,
+    default_zoo, generate_schedule, generate_zipf_schedule, scaled_zoo, simulate_sharded, LoadSpec,
+    ModelRegistry, RegistryConfig, RegistryError, ReplicationConfig, ServeConfig, Server,
+    ShardConfig, ShardSimConfig, SimConfig, SimRequest, StealConfig, ZipfLoadSpec,
 };
 use jigsaw::sim::GpuSpec;
 
@@ -175,18 +174,23 @@ fn simulated_batching_beats_unbatched_on_mixed_traffic() {
         },
     );
 
+    let one_shard = |sim| ShardSimConfig::new(ShardConfig::new(1), sim);
     let warm = zoo_registry(55);
     warm.warm_all().unwrap();
-    let batched = simulate_schedule(&warm, &schedule, &SimConfig::batched(spec.clone(), 256));
+    let batched = simulate_sharded(
+        &warm,
+        &schedule,
+        &one_shard(SimConfig::batched(spec.clone(), 256)),
+    );
 
     let warm2 = zoo_registry(55);
     warm2.warm_all().unwrap();
-    let unbatched = simulate_schedule(&warm2, &schedule, &SimConfig::unbatched(spec));
+    let unbatched = simulate_sharded(&warm2, &schedule, &one_shard(SimConfig::unbatched(spec)));
 
     assert_eq!(batched.completions.len(), 48);
     assert_eq!(unbatched.completions.len(), 48);
-    assert!(batched.metrics.conserves() && unbatched.metrics.conserves());
-    assert!(batched.metrics.batches < unbatched.metrics.batches);
+    assert!(batched.totals.conserves() && unbatched.totals.conserves());
+    assert!(batched.totals.batches < unbatched.totals.batches);
     assert!(
         batched.requests_per_gcycle() > unbatched.requests_per_gcycle(),
         "batched {:.0} vs unbatched {:.0} req/Gcycle",
