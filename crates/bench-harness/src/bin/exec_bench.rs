@@ -74,6 +74,9 @@ pub struct ExecBench {
     /// the number CI floors. Falls back to the overall minimum on
     /// hosts without AVX2.
     pub min_speedup: f64,
+    /// One-time planning cost (`JigsawSpmm::plan`: reorder and format
+    /// build), milliseconds. The `plan` trace splits it by phase.
+    pub plan_ms: f64,
     /// One-time compile cost of the kernel, milliseconds.
     pub compile_ms: f64,
     /// Acceptance floor the suite commits to (gated variant ≥ 2× fast).
@@ -133,7 +136,8 @@ fn main() {
     println!("planning...");
     let t = Instant::now();
     let spmm = JigsawSpmm::plan(&a, JigsawConfig::v4(32)).expect("4096-sq tiles");
-    println!("planned in {:.1} ms", t.elapsed().as_secs_f64() * 1e3);
+    let plan_ms = t.elapsed().as_secs_f64() * 1e3;
+    println!("planned in {plan_ms:.1} ms");
 
     let t = Instant::now();
     let kernel = spmm.compiled().clone();
@@ -266,6 +270,7 @@ fn main() {
     let result = ExecBench {
         shapes,
         min_speedup,
+        plan_ms,
         compile_ms,
         required_speedup: 2.0,
     };

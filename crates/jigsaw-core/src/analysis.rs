@@ -13,6 +13,7 @@ use dlmc::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::config::MMA_TILE;
+use crate::reorder::live_columns;
 
 /// Predicted reorder behaviour for one parameter point.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -80,10 +81,7 @@ pub fn strip_census(a: &Matrix, block_tile: usize) -> StripCensus {
     let mut live_counts = Vec::new();
     for row0 in (0..a.rows).step_by(block_tile) {
         let h = block_tile.min(a.rows - row0);
-        let live = (0..a.cols)
-            .filter(|&c| !a.column_zero_in_strip(c, row0, row0 + h))
-            .count();
-        live_counts.push(live);
+        live_counts.push(live_columns(a, row0, h).0.len());
     }
     let strips = live_counts.len().max(1) as f64;
     let mean = live_counts.iter().sum::<usize>() as f64 / strips;

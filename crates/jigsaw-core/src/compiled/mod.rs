@@ -51,14 +51,16 @@ use std::time::Instant;
 
 use dlmc::Matrix;
 use rayon::prelude::*;
-use sptc::f16::f16_to_f32_rows;
-use sptc::metadata::{unpack_row_metadata, ROWS};
+use sptc::f16::{f16_to_f32_rows, f16_to_f32_slice};
+use sptc::metadata::ROWS;
 
 use crate::config::MMA_TILE;
 use crate::errors::{CompileError, ExecError};
 use crate::fault::{self, points};
-use crate::format::{format_source_column, JigsawFormat};
+use crate::format::JigsawFormat;
 use crate::pool::{AlignedBuf, PoolBuf, WorkspacePool};
+use crate::reorder::PAD;
+use crate::swizzle::{zorder, BLOCK_COLS, BLOCK_ELEMS};
 
 use dispatch::GroupC;
 pub use dispatch::{ExecOptions, KernelKind, KernelPolicy, Selection};
@@ -171,52 +173,64 @@ impl CompiledKernel {
             cols: Vec::new(),
         };
         let mut pending = PendingGroup::default();
-        let mut row_vals: Vec<f32> = Vec::new();
-        let mut row_cols: Vec<u32> = Vec::new();
+        // The streams of the current tile row's 16 rows, filled block
+        // by block: each (window, tile_row) block is decoded once.
+        let mut tile_vals: [Vec<f32>; MMA_TILE] = Default::default();
+        let mut tile_cols: [Vec<u32>; MMA_TILE] = Default::default();
         let mut row = 0usize;
         for (si, strip) in format.strips.iter().enumerate() {
             let tile_rows = strip.height / MMA_TILE;
-            let pairs = strip.windows.div_ceil(2);
             for tr in 0..tile_rows {
-                // Metadata words per k-step, decoded once per tile row.
-                let words: Vec<[u32; ROWS]> = (0..pairs)
-                    .map(|p| format.metadata_words(si, tr, p))
-                    .collect();
-                // `r` also picks the lane out of each pair's metadata
-                // word array, so indexing (not iteration) is the shape.
-                #[allow(clippy::needless_range_loop)]
-                for r in 0..MMA_TILE {
-                    row_vals.clear();
-                    row_cols.clear();
-                    for w in 0..strip.windows {
-                        let idx = unpack_row_metadata(words[w / 2][r]);
-                        let off = (w % 2) * 8;
-                        for slot in 0..8 {
-                            let v = format.value(si, w, tr, r, slot);
-                            if v.is_zero() {
-                                continue;
-                            }
-                            let pos = (slot / 2) * 4 + idx[off + slot] as usize;
-                            let Some(col) = format_source_column(format, si, w, tr, pos) else {
-                                continue;
-                            };
-                            row_vals.push(v.to_f32());
-                            row_cols.push(col as u32);
-                        }
+                tile_vals.iter_mut().for_each(Vec::clear);
+                tile_cols.iter_mut().for_each(Vec::clear);
+                let mut words = [0u32; ROWS];
+                let mut block_f32 = [0f32; BLOCK_ELEMS];
+                for w in 0..strip.windows {
+                    if w % 2 == 0 {
+                        words = format.metadata_words(si, tr, w / 2);
                     }
+                    let block = w * tile_rows + tr;
+                    let perm = &strip.block_col_idx[block * MMA_TILE..(block + 1) * MMA_TILE];
+                    let window_cols = &strip.col_idx[w * MMA_TILE..(w + 1) * MMA_TILE];
+                    f16_to_f32_slice(
+                        &strip.values[block * BLOCK_ELEMS..(block + 1) * BLOCK_ELEMS],
+                        &mut block_f32,
+                    );
+                    for r in 0..MMA_TILE {
+                        // This window's half of the row's metadata word:
+                        // 2 bits of in-group position per kept slot.
+                        let half = words[r] >> (16 * (w % 2));
+                        // Keep the row's nonzeros from real columns, in
+                        // slot order, without a branch per slot.
+                        let mut vals = [0f32; BLOCK_COLS];
+                        let mut cols = [0u32; BLOCK_COLS];
+                        let mut n = 0;
+                        for slot in 0..BLOCK_COLS {
+                            let v = block_f32[zorder(r, slot)];
+                            let pos = (slot / 2) * 4 + ((half >> (2 * slot)) & 0b11) as usize;
+                            let col = window_cols[usize::from(perm[pos])];
+                            vals[n] = v;
+                            cols[n] = col;
+                            n += usize::from(v != 0.0 && col != PAD);
+                        }
+                        tile_vals[r].extend_from_slice(&vals[..n]);
+                        tile_cols[r].extend_from_slice(&cols[..n]);
+                    }
+                }
+                for (row_vals, row_cols) in tile_vals.iter_mut().zip(&mut tile_cols) {
                     let joins = pending.h > 0
                         && pending.h < GROUP_ROWS
                         && !row.is_multiple_of(ROW_BLOCK)
-                        && pending.cols == row_cols;
+                        && pending.cols == *row_cols;
                     if joins {
-                        pending.vals.extend_from_slice(&row_vals);
+                        pending.vals.extend_from_slice(row_vals);
                         pending.h += 1;
                     } else {
                         kernel.push_group(&pending)?;
                         pending.row = row;
                         pending.h = 1;
-                        std::mem::swap(&mut pending.cols, &mut row_cols);
-                        std::mem::swap(&mut pending.vals, &mut row_vals);
+                        std::mem::swap(&mut pending.cols, row_cols);
+                        std::mem::swap(&mut pending.vals, row_vals);
                     }
                     row += 1;
                 }

@@ -15,7 +15,7 @@
 //!   contiguously in Z-swizzled order.
 
 use dlmc::Matrix;
-use sptc::compress::compress_row_2_4;
+use sptc::compress::{compress_group_2_4, GROUP, KEPT_PER_GROUP};
 use sptc::metadata::{interleave_two_ops, ROWS};
 use sptc::F16;
 
@@ -157,48 +157,49 @@ fn build_strip(a: &Matrix, sp: &StripPlan, interleaved: bool) -> StripFormat {
     let mut block_col_idx = Vec::with_capacity(windows * tile_rows * MMA_TILE);
     let mut values = Vec::with_capacity(windows * tile_rows * BLOCK_ELEMS);
 
-    // Per-(window, tile_row): compress the reordered tile.
+    // Per-(window, tile_row): compress the reordered tile in one pass.
     // Metadata is assembled per k-step (window pair) afterwards.
-    // meta_half[tile_row][window][r] = 16-bit half-word of row r.
-    let mut meta_half = vec![vec![[0u16; ROWS]; windows]; tile_rows];
+    // meta_half[tile_row * windows + window][r] = 16-bit half-word of
+    // row r.
+    let mut meta_half = vec![[0u16; ROWS]; tile_rows * windows];
 
-    // Iteration must stay window-major (the value layout depends on
-    // it) while meta_half is tile_row-major, hence the index loops.
-    #[allow(clippy::needless_range_loop)]
+    // Iteration must stay window-major: the value layout depends on it.
     for w in 0..windows {
+        let window_cols = &sp.col_order[w * MMA_TILE..(w + 1) * MMA_TILE];
         for tr in 0..tile_rows {
             let reorder = sp.tile(w, tr);
             block_col_idx.extend_from_slice(&reorder.perm);
+            // Source column of each reordered position, resolved once.
+            let cols = reorder.perm.map(|p| window_cols[usize::from(p)]);
 
-            let mut block = vec![F16::ZERO; BLOCK_ELEMS];
-            for r in 0..MMA_TILE {
-                // Materialize the reordered 16-element row.
+            let mut block = [F16::ZERO; BLOCK_ELEMS];
+            let row0 = sp.row0 + tr * MMA_TILE;
+            for (r, half) in meta_half[tr * windows + w].iter_mut().enumerate() {
+                // Materialize the reordered 16-element row (rows past
+                // the matrix end stay zero).
                 let mut row = [F16::ZERO; MMA_TILE];
-                for (pos, cell) in row.iter_mut().enumerate() {
-                    if let Some(col) = sp.source_column(w, tr, pos) {
-                        let rr = sp.row0 + tr * MMA_TILE + r;
-                        if rr < a.rows {
-                            *cell = a.get(rr, col);
+                if row0 + r < a.rows {
+                    let src = a.row(row0 + r);
+                    for (cell, &col) in row.iter_mut().zip(&cols) {
+                        if col != PAD {
+                            *cell = src[col as usize];
                         }
                     }
                 }
-                let compressed = compress_row_2_4(&row).unwrap_or_else(|| {
-                    panic!(
-                        "plan promised 2:4 at strip row0={} window={w} tile={tr} row={r}",
-                        sp.row0
-                    )
-                });
-                let mut half = 0u16;
-                for (slot, (&v, &idx)) in compressed
-                    .values
-                    .iter()
-                    .zip(compressed.indices.iter())
-                    .enumerate()
-                {
-                    block[zorder(r, slot)] = v;
-                    half |= u16::from(idx & 0b11) << (2 * slot);
+                for (g, group) in row.chunks_exact(GROUP).enumerate() {
+                    let (kept, idx) = compress_group_2_4(group.try_into().expect("group of 4"))
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "plan promised 2:4 at strip row0={} window={w} tile={tr} row={r}",
+                                sp.row0
+                            )
+                        });
+                    for (k, (&v, &i)) in kept.iter().zip(&idx).enumerate() {
+                        let slot = g * KEPT_PER_GROUP + k;
+                        block[zorder(r, slot)] = v;
+                        *half |= u16::from(i) << (2 * slot);
+                    }
                 }
-                meta_half[tr][w][r] = half;
             }
             values.extend_from_slice(&block);
         }
@@ -207,32 +208,28 @@ fn build_strip(a: &Matrix, sp: &StripPlan, interleaved: bool) -> StripFormat {
     // Assemble per-k-step metadata words: low 16 bits = even window,
     // high 16 bits = odd window (the second half of the mma.sp K).
     let pairs = windows.div_ceil(2);
+    let step_words = |tr: usize, p: usize| -> [u32; ROWS] {
+        let mut words = [0u32; ROWS];
+        if p >= pairs {
+            return words;
+        }
+        let lo = &meta_half[tr * windows + 2 * p];
+        let hi = (2 * p + 1 < windows).then(|| &meta_half[tr * windows + 2 * p + 1]);
+        for (r, word) in words.iter_mut().enumerate() {
+            *word = u32::from(lo[r]) | (hi.map_or(0, |h| u32::from(h[r])) << 16);
+        }
+        words
+    };
     let mut metadata = Vec::new();
-    for meta_tr in &meta_half {
-        let step_words: Vec<[u32; ROWS]> = (0..pairs)
-            .map(|p| {
-                let mut words = [0u32; ROWS];
-                for (r, word) in words.iter_mut().enumerate() {
-                    let lo = u32::from(meta_tr[2 * p][r]);
-                    let hi = if 2 * p + 1 < windows {
-                        u32::from(meta_tr[2 * p + 1][r])
-                    } else {
-                        0
-                    };
-                    *word = lo | (hi << 16);
-                }
-                words
-            })
-            .collect();
+    for tr in 0..tile_rows {
         if interleaved {
-            for duo in step_words.chunks(2) {
-                let zero = [0u32; ROWS];
-                let op1 = duo.get(1).unwrap_or(&zero);
-                metadata.extend_from_slice(&interleave_two_ops(&duo[0], op1));
+            for duo in 0..pairs.div_ceil(2) {
+                let (op0, op1) = (step_words(tr, 2 * duo), step_words(tr, 2 * duo + 1));
+                metadata.extend_from_slice(&interleave_two_ops(&op0, &op1));
             }
         } else {
-            for w in &step_words {
-                metadata.extend_from_slice(w);
+            for p in 0..pairs {
+                metadata.extend_from_slice(&step_words(tr, p));
             }
         }
     }

@@ -24,8 +24,8 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{JigsawConfig, MMA_TILE};
+use crate::reorder::strip::{live_columns, window_masks, PAD};
 use crate::reorder::tile::{reorder_tile, TileReorder, DEFAULT_WORK_LIMIT};
-use crate::reorder::{strip::PAD, ColumnMasks};
 
 /// Routing thresholds.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -202,22 +202,6 @@ impl HybridPlan {
     }
 }
 
-fn column_masks(a: &Matrix, row0: usize, slots: &[u32]) -> ColumnMasks {
-    let mut masks = [0u16; MMA_TILE];
-    for (s, &col) in slots.iter().enumerate() {
-        if col == PAD {
-            continue;
-        }
-        for dr in 0..MMA_TILE {
-            let r = row0 + dr;
-            if r < a.rows && !a.get(r, col as usize).is_zero() {
-                masks[s] |= 1 << dr;
-            }
-        }
-    }
-    masks
-}
-
 fn build_strip(
     a: &Matrix,
     row0: usize,
@@ -226,19 +210,10 @@ fn build_strip(
     cuda_max_live: usize,
 ) -> HybridStrip {
     let tile_rows = height / MMA_TILE;
-    let mut live: Vec<u32> = Vec::new();
-    let mut zero_cols = 0usize;
-    let mut nnz = 0usize;
-    for c in 0..a.cols {
-        if a.column_zero_in_strip(c, row0, row0 + height) {
-            zero_cols += 1;
-        } else {
-            live.push(c as u32);
-            nnz += (row0..row0 + height)
-                .filter(|&r| !a.get(r, c).is_zero())
-                .count();
-        }
-    }
+    let (live, zero_cols) = live_columns(a, row0, height);
+    let nnz = (row0..row0 + height)
+        .map(|r| a.row(r).iter().filter(|v| !v.is_zero()).count())
+        .sum();
 
     let mut col_order = Vec::new();
     let mut routes = Vec::new();
@@ -253,7 +228,7 @@ fn build_strip(
             let mut tiles = Vec::with_capacity(tile_rows);
             let mut ok = true;
             for tr in 0..tile_rows {
-                let masks = column_masks(a, row0 + tr * MMA_TILE, &slots);
+                let masks = window_masks(a, row0 + tr * MMA_TILE, &slots);
                 match reorder_tile(&masks, bank_aware, DEFAULT_WORK_LIMIT) {
                     Some(t) => tiles.push(t),
                     None => {

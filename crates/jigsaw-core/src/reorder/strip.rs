@@ -67,22 +67,18 @@ impl StripPlan {
 }
 
 /// Builds the column row-occupancy masks of one 16-row tile over the
-/// window's slots.
-fn window_masks(m: &Matrix, row0: usize, slots: &[u32]) -> ColumnMasks {
+/// window's slots ([`PAD`] slots stay empty; rows past the matrix end
+/// count as zero).
+pub(crate) fn window_masks(m: &Matrix, row0: usize, slots: &[u32]) -> ColumnMasks {
     debug_assert_eq!(slots.len(), TILE);
     let mut masks = [0u16; TILE];
-    for (s, &col) in slots.iter().enumerate() {
-        if col == PAD {
-            continue;
-        }
-        let mut mask = 0u16;
-        for dr in 0..TILE {
-            let r = row0 + dr;
-            if r < m.rows && !m.get(r, col as usize).is_zero() {
-                mask |= 1 << dr;
+    for dr in 0..TILE.min(m.rows.saturating_sub(row0)) {
+        let row = m.row(row0 + dr);
+        for (mask, &col) in masks.iter_mut().zip(slots) {
+            if col != PAD && !row[col as usize].is_zero() {
+                *mask |= 1 << dr;
             }
         }
-        masks[s] = mask;
     }
     masks
 }
@@ -93,15 +89,15 @@ fn window_masks(m: &Matrix, row0: usize, slots: &[u32]) -> ColumnMasks {
 /// exposed so the planner can time the block reorder separately from
 /// the tile reorder.
 pub fn live_columns(m: &Matrix, row0: usize, height: usize) -> (Vec<u32>, usize) {
-    let mut live: Vec<u32> = Vec::new();
-    let mut zero_cols = 0usize;
-    for c in 0..m.cols {
-        if m.column_zero_in_strip(c, row0, row0 + height) {
-            zero_cols += 1;
-        } else {
-            live.push(c as u32);
+    // Row by row, so the strip is read in storage order.
+    let mut live = vec![false; m.cols];
+    for r in row0..(row0 + height).min(m.rows) {
+        for (l, v) in live.iter_mut().zip(m.row(r)) {
+            *l |= !v.is_zero();
         }
     }
+    let live: Vec<u32> = (0..m.cols as u32).filter(|&c| live[c as usize]).collect();
+    let zero_cols = m.cols - live.len();
     (live, zero_cols)
 }
 
@@ -126,28 +122,26 @@ pub fn pack_strip(
     // Process the live queue window by window; evicted columns re-queue
     // and form trailing windows.
     let mut queue = std::collections::VecDeque::from(live);
+    let mut per_tile: Vec<(Option<TileReorder>, ColumnMasks)> = Vec::with_capacity(tile_rows);
     while !queue.is_empty() {
-        let mut slots: Vec<u32> = Vec::with_capacity(TILE);
-        while slots.len() < TILE {
+        let mut slots = [PAD; TILE];
+        for slot in &mut slots {
             match queue.pop_front() {
-                Some(c) => slots.push(c),
-                None => slots.push(PAD),
+                Some(c) => *slot = c,
+                None => break,
             }
         }
 
         // MMA_TILE step with reorder retry.
         loop {
-            let per_tile: Vec<Option<(TileReorder, ColumnMasks)>> = (0..tile_rows)
-                .map(|tr| {
-                    let masks = window_masks(m, row0 + tr * TILE, &slots);
-                    reorder_tile(&masks, bank_aware, DEFAULT_WORK_LIMIT).map(|r| (r, masks))
-                })
-                .collect();
+            per_tile.clear();
+            per_tile.extend((0..tile_rows).map(|tr| {
+                let masks = window_masks(m, row0 + tr * TILE, &slots);
+                (reorder_tile(&masks, bank_aware, DEFAULT_WORK_LIMIT), masks)
+            }));
 
-            if per_tile.iter().all(|t| t.is_some()) {
-                for t in per_tile {
-                    tiles.push(t.unwrap().0);
-                }
+            if per_tile.iter().all(|(t, _)| t.is_some()) {
+                tiles.extend(per_tile.iter().filter_map(|(t, _)| *t));
                 col_order.extend_from_slice(&slots);
                 break;
             }
@@ -155,13 +149,10 @@ pub fn pack_strip(
             // Retry: evict the column least frequent in compatible
             // quads, summed over the failing tiles (never a pad slot).
             let mut freq_total = [0u64; TILE];
-            for (tr, t) in per_tile.iter().enumerate() {
-                if t.is_none() {
-                    let masks = window_masks(m, row0 + tr * TILE, &slots);
-                    let freq = column_compatibility_frequency(&masks);
-                    for (s, &f) in freq.iter().enumerate() {
-                        freq_total[s] += u64::from(f);
-                    }
+            for (_, masks) in per_tile.iter().filter(|(t, _)| t.is_none()) {
+                let freq = column_compatibility_frequency(masks);
+                for (total, &f) in freq_total.iter_mut().zip(&freq) {
+                    *total += u64::from(f);
                 }
             }
             let victim = (0..TILE)

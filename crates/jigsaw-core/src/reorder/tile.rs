@@ -13,7 +13,13 @@
 //! unpartitionable) are never revisited, which dominates the
 //! bidirectional formulation while returning identical answers. A work
 //! limit keeps pathological tiles cheap, mirroring the paper's concern
-//! for reorder overhead.
+//! for reorder overhead. Before any search, a row-count test rejects
+//! tiles with a row of more than 8 nonzeros: four compatible quads hold
+//! at most 8 per row, so no partition exists. Searched, such a tile
+//! runs until the search proves it dead, and the few of them in a plan
+//! would spend most of its compatibility checks. The search itself keeps
+//! its state on the stack (the dead-subset memo is a 65,536-bit set),
+//! so it allocates nothing.
 //!
 //! §3.4.1's bank-conflict-aware preference is implemented as a scoring
 //! pass: among valid partitions, prefer ones whose `ldmatrix` phases
@@ -125,11 +131,34 @@ pub fn column_compatibility_frequency(masks: &ColumnMasks) -> [u32; TILE] {
 
 /// Search budget: compatibility checks allowed per tile before giving
 /// up (treated as reorder failure, like the paper's complexity cap).
+/// Tiles with a row of more than 8 nonzeros are rejected by a row-count
+/// test before any search, so they spend none of it.
 pub const DEFAULT_WORK_LIMIT: u32 = 200_000;
 
 /// How many complete partitions to score when hunting for a
 /// conflict-free one.
 const MAX_SCORED_SOLUTIONS: u32 = 48;
+
+/// True when some row holds more than 8 nonzeros across the tile's 16
+/// columns. A compatible quad keeps at most 2 nonzeros per row, so four
+/// quads keep at most 8 and no partition can exist.
+fn row_exceeds_quad_capacity(masks: &ColumnMasks) -> bool {
+    (0..TILE).any(|r| masks.iter().filter(|&&m| m & (1 << r) != 0).count() > 8)
+}
+
+/// Column subsets (as 16-bit masks) proven unpartitionable: one bit per
+/// possible subset, so lookups and inserts never hash or allocate.
+struct DeadSet([u64; 1 << 10]);
+
+impl DeadSet {
+    fn contains(&self, set: u16) -> bool {
+        self.0[usize::from(set >> 6)] & (1 << (set & 63)) != 0
+    }
+
+    fn insert(&mut self, set: u16) {
+        self.0[usize::from(set >> 6)] |= 1 << (set & 63);
+    }
+}
 
 struct Search<'a> {
     masks: &'a ColumnMasks,
@@ -138,11 +167,14 @@ struct Search<'a> {
     solutions_seen: u32,
     best: Option<TileReorder>,
     bank_aware: bool,
-    dead: std::collections::HashSet<u16>,
+    dead: DeadSet,
+    /// The quads chosen on the current DFS path, `depth` of them.
+    quads: [[u8; 4]; 4],
 }
 
 impl Search<'_> {
-    fn record(&mut self, quads: &[[u8; 4]]) -> bool {
+    fn record(&mut self) -> bool {
+        let quads = &self.quads;
         // A partition leaves the quad *pairing* free: which two quads
         // share an 8-position ldmatrix phase. When bank-aware, pick the
         // pairing with the fewest mod-8 collisions.
@@ -178,20 +210,26 @@ impl Search<'_> {
         cand.conflict_pairs == 0 || !self.bank_aware || self.solutions_seen >= MAX_SCORED_SOLUTIONS
     }
 
+    /// Covers `remaining` with quads after the `depth` already chosen.
     /// Returns true when the search should stop unwinding.
-    fn dfs(&mut self, remaining: u16, quads: &mut Vec<[u8; 4]>) -> bool {
+    fn dfs(&mut self, remaining: u16, depth: usize) -> bool {
         if remaining == 0 {
-            return self.record(quads);
+            return self.record();
         }
-        if self.dead.contains(&remaining) || self.work >= self.limit {
+        if self.dead.contains(remaining) || self.work >= self.limit {
             return false;
         }
         let found_before = self.solutions_seen;
         let first = remaining.trailing_zeros() as u8;
-        let rest: Vec<u8> = (first + 1..TILE as u8)
-            .filter(|&c| remaining & (1 << c) != 0)
-            .collect();
-        let n = rest.len();
+        // The other remaining columns, ascending.
+        let mut rest = [0u8; TILE];
+        let mut n = 0;
+        let mut bits = remaining & (remaining - 1);
+        while bits != 0 {
+            rest[n] = bits.trailing_zeros() as u8;
+            n += 1;
+            bits &= bits - 1;
+        }
         for i in 0..n {
             for j in i + 1..n {
                 for k in j + 1..n {
@@ -206,10 +244,8 @@ impl Search<'_> {
                         continue;
                     }
                     let quad_mask = (1u16 << a) | (1u16 << b) | (1u16 << c) | (1u16 << d);
-                    quads.push([a, b, c, d]);
-                    let stop = self.dfs(remaining & !quad_mask, quads);
-                    quads.pop();
-                    if stop {
+                    self.quads[depth] = [a, b, c, d];
+                    if self.dfs(remaining & !quad_mask, depth + 1) {
                         return true;
                     }
                     if self.work >= self.limit {
@@ -237,6 +273,9 @@ pub fn reorder_tile(masks: &ColumnMasks, bank_aware: bool, work_limit: u32) -> O
     if tile_satisfies_in_place(masks) {
         return Some(TileReorder::identity());
     }
+    if row_exceeds_quad_capacity(masks) {
+        return None;
+    }
     let mut s = Search {
         masks,
         work: 0,
@@ -244,9 +283,10 @@ pub fn reorder_tile(masks: &ColumnMasks, bank_aware: bool, work_limit: u32) -> O
         solutions_seen: 0,
         best: None,
         bank_aware,
-        dead: std::collections::HashSet::new(),
+        dead: DeadSet([0; 1 << 10]),
+        quads: [[0; 4]; 4],
     };
-    s.dfs(u16::MAX, &mut Vec::with_capacity(4));
+    s.dfs(u16::MAX, 0);
     s.best
 }
 
@@ -312,10 +352,210 @@ pub fn reorder_satisfies(masks: &ColumnMasks, reorder: &TileReorder) -> bool {
         .all(|q| quad_compatible(q[0], q[1], q[2], q[3]))
 }
 
+/// The plain search, kept as the test oracle: no row-count test, a
+/// `HashSet` dead memo and a `Vec` of candidate columns per node.
+/// [`reorder_tile`] must return exactly what this returns, for every
+/// tile and work limit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    struct Search<'a> {
+        masks: &'a ColumnMasks,
+        work: u32,
+        limit: u32,
+        solutions_seen: u32,
+        best: Option<TileReorder>,
+        bank_aware: bool,
+        dead: std::collections::HashSet<u16>,
+    }
+
+    impl Search<'_> {
+        fn record(&mut self, quads: &[[u8; 4]]) -> bool {
+            let orders: &[[usize; 4]] = if self.bank_aware {
+                &[[0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]]
+            } else {
+                &[[0, 1, 2, 3]]
+            };
+            let cand = orders
+                .iter()
+                .map(|order| {
+                    let mut perm = [0u8; TILE];
+                    for (slot, &qi) in order.iter().enumerate() {
+                        perm[slot * 4..slot * 4 + 4].copy_from_slice(&quads[qi]);
+                    }
+                    TileReorder {
+                        perm,
+                        conflict_pairs: conflict_pairs_of(&perm),
+                    }
+                })
+                .min_by_key(|r| r.conflict_pairs)
+                .expect("at least one pairing");
+            self.solutions_seen += 1;
+            if self
+                .best
+                .is_none_or(|b| cand.conflict_pairs < b.conflict_pairs)
+            {
+                self.best = Some(cand);
+            }
+            cand.conflict_pairs == 0
+                || !self.bank_aware
+                || self.solutions_seen >= MAX_SCORED_SOLUTIONS
+        }
+
+        fn dfs(&mut self, remaining: u16, quads: &mut Vec<[u8; 4]>) -> bool {
+            if remaining == 0 {
+                return self.record(quads);
+            }
+            if self.dead.contains(&remaining) || self.work >= self.limit {
+                return false;
+            }
+            let found_before = self.solutions_seen;
+            let first = remaining.trailing_zeros() as u8;
+            let rest: Vec<u8> = (first + 1..TILE as u8)
+                .filter(|&c| remaining & (1 << c) != 0)
+                .collect();
+            let n = rest.len();
+            for i in 0..n {
+                for j in i + 1..n {
+                    for k in j + 1..n {
+                        self.work += 1;
+                        let (a, b, c, d) = (first, rest[i], rest[j], rest[k]);
+                        if !quad_compatible(
+                            self.masks[a as usize],
+                            self.masks[b as usize],
+                            self.masks[c as usize],
+                            self.masks[d as usize],
+                        ) {
+                            continue;
+                        }
+                        let quad_mask = (1u16 << a) | (1u16 << b) | (1u16 << c) | (1u16 << d);
+                        quads.push([a, b, c, d]);
+                        let stop = self.dfs(remaining & !quad_mask, quads);
+                        quads.pop();
+                        if stop {
+                            return true;
+                        }
+                        if self.work >= self.limit {
+                            return false;
+                        }
+                    }
+                }
+            }
+            if self.solutions_seen == found_before && self.work < self.limit {
+                self.dead.insert(remaining);
+            }
+            false
+        }
+    }
+
+    pub fn reorder_tile(
+        masks: &ColumnMasks,
+        bank_aware: bool,
+        work_limit: u32,
+    ) -> Option<TileReorder> {
+        if tile_satisfies_in_place(masks) {
+            return Some(TileReorder::identity());
+        }
+        let mut s = Search {
+            masks,
+            work: 0,
+            limit: work_limit,
+            solutions_seen: 0,
+            best: None,
+            bank_aware,
+            dead: std::collections::HashSet::new(),
+        };
+        s.dfs(u16::MAX, &mut Vec::with_capacity(4));
+        s.best
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::prelude::*;
+
+    /// 16 column masks with 1–8 (possibly repeated) row bits each: the
+    /// sparse end is mostly feasible, the dense end mostly not.
+    fn arb_masks() -> impl Strategy<Value = ColumnMasks> {
+        proptest::collection::vec(proptest::collection::vec(0usize..16, 1..=8), 16).prop_map(
+            |cols| {
+                let mut masks = [0u16; TILE];
+                for (m, bits) in masks.iter_mut().zip(cols) {
+                    for b in bits {
+                        *m |= 1 << b;
+                    }
+                }
+                masks
+            },
+        )
+    }
+
+    /// A feasible tile by construction: four quads of two arbitrary and
+    /// two empty columns, shuffled by a seeded permutation.
+    fn arb_feasible_masks() -> impl Strategy<Value = ColumnMasks> {
+        (proptest::collection::vec(any::<u16>(), 8), any::<u64>()).prop_map(|(heavy, seed)| {
+            let mut masks = [0u16; TILE];
+            for (q, &m) in heavy.iter().enumerate() {
+                masks[(q / 2) * 4 + q % 2] = m;
+            }
+            masks.shuffle(&mut StdRng::seed_from_u64(seed));
+            masks
+        })
+    }
+
+    /// Tiles built row by row with at most 8 nonzeros per row, so the
+    /// row-count test passes them and the search itself must decide.
+    /// Dense enough that many have no partition, and some exhaust the
+    /// work limit.
+    fn arb_row_bounded_masks() -> impl Strategy<Value = ColumnMasks> {
+        proptest::collection::vec(
+            proptest::sample::subsequence((0..TILE).collect(), 5..=8),
+            16,
+        )
+        .prop_map(|rows| {
+            let mut masks = [0u16; TILE];
+            for (r, cols) in rows.into_iter().enumerate() {
+                for c in cols {
+                    masks[c] |= 1 << r;
+                }
+            }
+            masks
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn search_matches_reference(
+            masks in prop_oneof![arb_masks(), arb_feasible_masks(), arb_row_bounded_masks()],
+            bank_aware in any::<bool>(),
+            // Small limits make the search give up part-way, so the
+            // work accounting must match check for check.
+            work_limit in prop_oneof![Just(DEFAULT_WORK_LIMIT), 1u32..2_000],
+        ) {
+            prop_assert_eq!(
+                reorder_tile(&masks, bank_aware, work_limit),
+                reference::reorder_tile(&masks, bank_aware, work_limit)
+            );
+        }
+    }
+
+    #[test]
+    fn row_test_rejects_only_infeasible_tiles() {
+        // Nine full columns put 9 nonzeros in every row: rejected.
+        let mut masks = [0u16; TILE];
+        masks[..9].fill(u16::MAX);
+        assert!(row_exceeds_quad_capacity(&masks));
+        assert!(reference::reorder_tile(&masks, true, DEFAULT_WORK_LIMIT).is_none());
+        // Eight full columns fit two per quad: not rejected.
+        masks[8] = 0;
+        assert!(!row_exceeds_quad_capacity(&masks));
+        assert!(reorder_tile(&masks, true, DEFAULT_WORK_LIMIT).is_some());
+    }
 
     fn masks_from_rows(rows: &[[u8; TILE]; TILE]) -> ColumnMasks {
         let mut masks = [0u16; TILE];

@@ -127,6 +127,7 @@ impl ShardHealth {
     }
 
     /// How many times this shard has been ejected so far.
+    #[cfg(test)]
     pub fn ejections(&self) -> u64 {
         self.ejections
     }

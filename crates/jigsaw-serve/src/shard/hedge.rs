@@ -91,6 +91,7 @@ impl RetryBudget {
     }
 
     /// Tokens currently available.
+    #[cfg(test)]
     pub fn tokens(&self) -> f64 {
         self.tokens
     }

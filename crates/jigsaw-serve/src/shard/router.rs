@@ -133,11 +133,6 @@ impl ShardRouter {
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// The home shard the ring assigns to `model`.
     pub fn home_shard(&self, model: &str) -> usize {
         lock_recover(&self.placement).home(model)

@@ -37,13 +37,83 @@ pub struct CompressedRow {
     pub indices: Vec<u8>,
 }
 
-/// Compresses one 2:4-satisfying row.
+/// The keep-and-pad rule for one group of four whose nonzero positions
+/// are the set bits of `nonzeros` (at most two): the kept positions are
+/// the nonzeros in position order, then the lowest unused positions.
 ///
-/// Groups with fewer than two nonzeros are padded with explicit zeros: the
-/// hardware always keeps exactly `k/2` elements, using index positions for
-/// the padded slots that point at (zero) elements. We follow cuSPARSELt's
-/// convention of padding with the first unused position in the group, so
-/// decompression is always well-defined.
+/// Groups with fewer than two nonzeros are padded because the hardware
+/// always keeps exactly two elements per group, using index positions
+/// for the padded slots that point at (zero) elements. We follow
+/// cuSPARSELt's convention of padding with the lowest unused position
+/// in the group, so decompression is always well-defined.
+const fn kept_positions(nonzeros: u8) -> [u8; KEPT_PER_GROUP] {
+    let mut kept = [0u8; KEPT_PER_GROUP];
+    let mut k = 0;
+    let mut pos = 0;
+    while pos < GROUP {
+        if nonzeros & (1 << pos) != 0 && k < KEPT_PER_GROUP {
+            kept[k] = pos as u8;
+            k += 1;
+        }
+        pos += 1;
+    }
+    let mut used = nonzeros;
+    while k < KEPT_PER_GROUP {
+        let pad = (!used).trailing_zeros() as u8;
+        kept[k] = pad;
+        used |= 1 << pad;
+        k += 1;
+    }
+    kept
+}
+
+/// [`kept_positions`] for every nonzero pattern of a group.
+const KEPT_POSITIONS: [[u8; KEPT_PER_GROUP]; 1 << GROUP] = {
+    let mut table = [[0u8; KEPT_PER_GROUP]; 1 << GROUP];
+    let mut nonzeros = 0;
+    while nonzeros < 1 << GROUP {
+        table[nonzeros] = kept_positions(nonzeros as u8);
+        nonzeros += 1;
+    }
+    table
+};
+
+/// Compresses one aligned group of four: its (at most two) nonzeros in
+/// position order, then explicit zeros up to two kept elements (see
+/// [`kept_positions`]).
+///
+/// Returns the kept values and their in-group positions, or `None` if
+/// the group has more than two nonzeros. This is the one keep-and-pad
+/// rule: [`compress_row_2_4`] applies it group by group, and format
+/// builders that compress into fixed arrays call it directly. It is a
+/// table lookup rather than a branch per element, since which elements
+/// are zero is data-dependent and unpredictable.
+#[inline]
+pub fn compress_group_2_4(
+    group: &[F16; GROUP],
+) -> Option<([F16; KEPT_PER_GROUP], [u8; KEPT_PER_GROUP])> {
+    let nonzeros = group
+        .iter()
+        .enumerate()
+        .fold(0u8, |m, (pos, v)| m | (u8::from(!v.is_zero()) << pos));
+    let count = nonzeros.count_ones() as usize;
+    if count > KEPT_PER_GROUP {
+        return None;
+    }
+    let indices = KEPT_POSITIONS[usize::from(nonzeros)];
+    // Padded slots hold an explicit +0, whatever zero the group held.
+    let values = std::array::from_fn(|k| {
+        if k < count {
+            group[usize::from(indices[k])]
+        } else {
+            F16::ZERO
+        }
+    });
+    Some((values, indices))
+}
+
+/// Compresses one 2:4-satisfying row, group by group with
+/// [`compress_group_2_4`].
 ///
 /// Returns `None` if some group has more than two nonzeros.
 pub fn compress_row_2_4(row: &[F16]) -> Option<CompressedRow> {
@@ -51,30 +121,9 @@ pub fn compress_row_2_4(row: &[F16]) -> Option<CompressedRow> {
     let mut values = Vec::with_capacity(row.len() / 2);
     let mut indices = Vec::with_capacity(row.len() / 2);
     for group in row.chunks_exact(GROUP) {
-        let mut kept = 0usize;
-        let mut used = [false; GROUP];
-        for (pos, v) in group.iter().enumerate() {
-            if !v.is_zero() {
-                if kept == KEPT_PER_GROUP {
-                    return None;
-                }
-                values.push(*v);
-                indices.push(pos as u8);
-                used[pos] = true;
-                kept += 1;
-            }
-        }
-        // Pad with the lowest unused positions (their values are zero).
-        let mut pos = 0usize;
-        while kept < KEPT_PER_GROUP {
-            while used[pos] {
-                pos += 1;
-            }
-            values.push(F16::ZERO);
-            indices.push(pos as u8);
-            used[pos] = true;
-            kept += 1;
-        }
+        let (v, i) = compress_group_2_4(group.try_into().expect("chunks of GROUP"))?;
+        values.extend_from_slice(&v);
+        indices.extend_from_slice(&i);
     }
     Some(CompressedRow { values, indices })
 }
@@ -202,6 +251,64 @@ mod tests {
         assert_eq!(c.indices[0], 3);
         assert_ne!(c.indices[1], 3, "pad slot must not collide");
         assert_eq!(decompress_row_2_4(&c, 4), row.to_vec());
+    }
+
+    #[test]
+    fn group_pads_after_the_kept_nonzeros() {
+        // One nonzero at position 0: the pad takes position 1.
+        let (v, i) = compress_group_2_4(&[h(5.0), h(0.0), h(0.0), h(0.0)]).unwrap();
+        assert_eq!((v, i), ([h(5.0), F16::ZERO], [0, 1]));
+        // One nonzero at position 3: the pad takes position 0, after it.
+        let (v, i) = compress_group_2_4(&[h(0.0), h(0.0), h(0.0), h(5.0)]).unwrap();
+        assert_eq!((v, i), ([h(5.0), F16::ZERO], [3, 0]));
+        // An empty group keeps positions 0 and 1.
+        let (v, i) = compress_group_2_4(&[h(0.0); 4]).unwrap();
+        assert_eq!((v, i), ([F16::ZERO; 2], [0, 1]));
+        assert!(compress_group_2_4(&[h(1.0), h(0.0), h(1.0), h(1.0)]).is_none());
+    }
+
+    /// The element-by-element keep-and-pad loop the lookup table
+    /// replaced.
+    fn compress_group_by_loop(group: &[F16; GROUP]) -> Option<(Vec<F16>, Vec<u8>)> {
+        let (mut values, mut indices) = (Vec::new(), Vec::new());
+        let mut used = [false; GROUP];
+        for (pos, v) in group.iter().enumerate() {
+            if !v.is_zero() {
+                if values.len() == KEPT_PER_GROUP {
+                    return None;
+                }
+                values.push(*v);
+                indices.push(pos as u8);
+                used[pos] = true;
+            }
+        }
+        let mut pos = 0usize;
+        while values.len() < KEPT_PER_GROUP {
+            while used[pos] {
+                pos += 1;
+            }
+            values.push(F16::ZERO);
+            indices.push(pos as u8);
+            used[pos] = true;
+        }
+        Some((values, indices))
+    }
+
+    #[test]
+    fn group_table_matches_the_loop_on_every_pattern() {
+        // Each element is +0, -0 or a nonzero: 3^4 groups.
+        let choices = [h(0.0), h(-0.0), h(1.5)];
+        for code in 0..81usize {
+            let group: [F16; GROUP] =
+                std::array::from_fn(|p| choices[code / 3usize.pow(p as u32) % 3]);
+            let got = compress_group_2_4(&group).map(|(v, i)| (v.to_vec(), i.to_vec()));
+            let want = compress_group_by_loop(&group);
+            let bits = |r: &Option<(Vec<F16>, Vec<u8>)>| {
+                r.as_ref()
+                    .map(|(v, i)| (v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), i.clone()))
+            };
+            assert_eq!(bits(&got), bits(&want), "group {group:?}");
+        }
     }
 
     #[test]

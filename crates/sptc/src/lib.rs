@@ -32,8 +32,8 @@ pub mod mma;
 pub mod shape;
 
 pub use compress::{
-    compress_row_2_4, compress_tile_2_4, decompress_row_2_4, matrix_satisfies_2_4,
-    row_satisfies_2_4, CompressedRow,
+    compress_group_2_4, compress_row_2_4, compress_tile_2_4, decompress_row_2_4,
+    matrix_satisfies_2_4, row_satisfies_2_4, CompressedRow,
 };
 pub use f16::F16;
 pub use fragment::{AccFragment, F16Fragment, FragKind};
