@@ -1,7 +1,6 @@
 //! Figure 1: proportion of DLMC-style matrices that natively satisfy
 //! the SpTC 2:4 pattern, per vector width, across sparsity levels.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use sptc::compress::matrix_satisfies_2_4;
 
@@ -41,7 +40,7 @@ pub fn run() -> Fig1 {
         .flat_map(|&s| dlmc::VECTOR_WIDTHS.iter().map(move |&v| (s, v)))
         .collect();
     let points = cells
-        .par_iter()
+        .iter()
         .map(|&(sparsity, v)| {
             let mut total = 0usize;
             let mut ok = 0usize;

@@ -3,7 +3,6 @@
 //! width across sparsity levels (paper §4.3).
 
 use jigsaw_core::{JigsawConfig, ReorderPlan};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use dlmc::{ValueDist, VectorSparseSpec};
@@ -64,7 +63,7 @@ pub fn run() -> Fig11 {
         })
         .collect();
     let points: Vec<Point> = cells
-        .par_iter()
+        .iter()
         .map(|&(sparsity, v, block_tile)| {
             let mut successes = 0usize;
             let mut total = 0usize;

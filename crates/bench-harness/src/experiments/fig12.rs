@@ -4,7 +4,6 @@
 
 use gpu_sim::GpuSpec;
 use jigsaw_core::{JigsawConfig, JigsawSpmm};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use baselines::{CublasGemm, SpmmKernel};
@@ -54,7 +53,7 @@ type VersionSample = (f64, f64, f64, f64, f64, f64);
 pub fn run(spec: &GpuSpec) -> Fig12 {
     // Per shape: cuBLAS reference + all versions.
     let shape_results: Vec<Vec<VersionSample>> = shapes()
-        .par_iter()
+        .iter()
         .map(|shape| {
             let a = dlmc::VectorSparseSpec {
                 rows: shape.m,

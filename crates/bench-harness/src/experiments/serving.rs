@@ -515,8 +515,8 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
 /// once into a concatenated `Matrix` and again through phase-1
 /// panelization. Bit-exactness is asserted before anything is timed.
 /// The two paths are measured **interleaved** (fused, unfused, fused,
-/// …) with best-of-`reps` each, so a transient stall — a rayon pool
-/// wake-up, a scheduler hiccup — cannot land on one side only and
+/// …) with best-of-`reps` each, so a transient stall — a page fault,
+/// a scheduler hiccup — cannot land on one side only and
 /// flip the ratio at these ~100 µs scales.
 fn run_fusion_sweep(batch_sizes: &[usize], reps: usize) -> Vec<FusionRow> {
     batch_sizes

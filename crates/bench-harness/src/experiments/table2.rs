@@ -2,7 +2,6 @@
 //! SOTA SpMM implementations, per sparsity level and vector width.
 
 use gpu_sim::GpuSpec;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::runner::{compare_all, render_table, Comparison};
@@ -109,10 +108,7 @@ pub fn run(spec: &GpuSpec) -> Table2 {
         .into_iter()
         .flat_map(|w| dlmc::N_SWEEP.iter().map(move |&n| (w, n)))
         .collect();
-    let comparisons: Vec<Comparison> = jobs
-        .par_iter()
-        .map(|(w, n)| compare_all(w, *n, spec))
-        .collect();
+    let comparisons: Vec<Comparison> = jobs.iter().map(|(w, n)| compare_all(w, *n, spec)).collect();
 
     let mut cells = Vec::new();
     for &sparsity in dlmc::SPARSITY_LEVELS {

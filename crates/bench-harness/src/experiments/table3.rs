@@ -3,7 +3,6 @@
 
 use gpu_sim::GpuSpec;
 use jigsaw_core::JigsawSpmm;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use baselines::{CuSparseLt, SpmmKernel, Venom};
@@ -81,7 +80,7 @@ pub fn run(spec: &GpuSpec) -> Table3 {
         .flat_map(|&(s, m_blk)| V_VALUES.iter().map(move |&v| (s, m_blk, v)))
         .collect();
     let cells: Vec<Vec<Cell>> = grid
-        .par_iter()
+        .iter()
         .map(|&(sparsity, m_blk, v)| {
             let mut venom_speedups = Vec::new();
             let mut lt_speedups = Vec::new();

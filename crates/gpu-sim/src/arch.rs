@@ -106,13 +106,6 @@ pub struct CacheConfig {
     pub hit_latency: u64,
 }
 
-impl CacheConfig {
-    /// Total data capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.sets * self.ways * self.line_bytes
-    }
-}
-
 /// The two-level hierarchy the engine/device interpose when enabled.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CacheHierarchyConfig {
@@ -186,11 +179,6 @@ impl GpuSpec {
             caches: Some(CacheHierarchyConfig::a100()),
             ..GpuSpec::a100()
         }
-    }
-
-    /// DRAM bandwidth available to a single SM when all SMs stream.
-    pub fn dram_bytes_per_cycle_per_sm(&self) -> f64 {
-        self.dram_bytes_per_cycle / self.num_sms as f64
     }
 
     /// L2 bandwidth available to a single SM when all SMs stream.

@@ -5,8 +5,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use rayon::prelude::*;
-
 use crate::arch::GpuSpec;
 use crate::cache::SlicedCache;
 use crate::engine::{simulate_block_traced, BlockSim, EngineConfig};
@@ -185,7 +183,7 @@ pub fn simulate_kernel(launch: &KernelLaunch, spec: &GpuSpec) -> KernelStats {
         resident_blocks: resident,
     };
     let per_unique: Vec<BlockSim> = unique
-        .par_iter()
+        .iter()
         .map(|b| simulate_block_traced(b, &cfg))
         .collect();
 

@@ -2,7 +2,7 @@
 //! with runtime ISA detection, a typed selection policy, and
 //! per-variant poisoning for the resilience ladder.
 //!
-//! [`CompiledKernel::execute_into_opts`](super::CompiledKernel::execute_into_opts)
+//! [`CompiledKernel::execute_prepaneled_into_opts`](super::CompiledKernel::execute_prepaneled_into_opts)
 //! resolves one [`Selection`] per execution through [`select`].
 //! Selection is governed by the single typed [`KernelPolicy`] on
 //! [`ExecOptions`]:
@@ -33,9 +33,9 @@ pub(crate) type AxpyFn = fn(GroupC<'_>, &[f32], &[u32], &[f32]);
 
 /// The C side of one microkernel call: the `h` rows of one vector-row
 /// group, cut down to one B panel's `w` columns. Row `r` is the `w`
-/// floats starting `r · ldc` past the base pointer, so consecutive
-/// rows never overlap (`w <= ldc`). Only the execution grid builds
-/// one, from the `(row block × panel)` rectangle of C its task owns.
+/// floats starting `r · ldc` into the borrowed tail of C, so
+/// consecutive rows never overlap (`w <= ldc`). The execution grid
+/// builds one per group and panel.
 #[derive(Debug)]
 pub(crate) struct GroupC<'a> {
     base: *mut f32,
@@ -46,29 +46,16 @@ pub(crate) struct GroupC<'a> {
 }
 
 impl<'a> GroupC<'a> {
-    /// The `h × w` rectangle whose row `r` is `c[offset + r·ldc ..][..w]`
-    /// of the `c_len`-float buffer at `c`. Asserts `1 <= h <=
+    /// The `h × w` rectangle whose row `r` is `c[r·ldc..][..w]`, where
+    /// `c` is C from the group's first element on. Asserts `1 <= h <=
     /// GROUP_ROWS`, non-overlapping rows, and that the extent
-    /// `offset + (h−1)·ldc + w` stays inside the buffer.
-    ///
-    /// # Safety
-    ///
-    /// `c` must be valid for reads and writes of `c_len` floats for
-    /// `'a`, and nothing else may access the rectangle's elements
-    /// during `'a`.
-    pub(crate) unsafe fn from_raw(
-        c: *mut f32,
-        c_len: usize,
-        offset: usize,
-        ldc: usize,
-        h: usize,
-        w: usize,
-    ) -> GroupC<'a> {
+    /// `(h−1)·ldc + w` stays inside `c`.
+    pub(crate) fn new(c: &'a mut [f32], ldc: usize, h: usize, w: usize) -> GroupC<'a> {
         assert!((1..=GROUP_ROWS).contains(&h), "group height {h}");
         assert!(h == 1 || w <= ldc, "group rows overlap");
-        assert!(offset + (h - 1) * ldc + w <= c_len, "group extent in C");
+        assert!((h - 1) * ldc + w <= c.len(), "group extent in C");
         GroupC {
-            base: c.add(offset),
+            base: c.as_mut_ptr(),
             ldc,
             h,
             w,
@@ -91,7 +78,7 @@ impl<'a> GroupC<'a> {
     pub(crate) fn row(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.h);
         // SAFETY: the constructor proved row `r` lies inside the
-        // caller-owned rectangle; `&mut self` makes the slice unique.
+        // exclusively borrowed `c`; `&mut self` makes the slice unique.
         unsafe { std::slice::from_raw_parts_mut(self.base.add(r * self.ldc), self.w) }
     }
 

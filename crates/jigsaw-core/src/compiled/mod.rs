@@ -9,21 +9,23 @@
 //! [`CompiledKernel`] resolves it **once**, ahead of time, into a flat
 //! nonzero stream (`(value, source column)` with metadata already
 //! applied) per **vector-row group**: a run of up to `GROUP_ROWS` (4)
-//! consecutive rows, inside one row block, whose streams share one
-//! column sequence. Vector sparsity makes the `v` rows of a vector
+//! consecutive rows whose streams share one column sequence. Vector sparsity makes the `v` rows of a vector
 //! share their columns, so the group stores its columns once and its
 //! rows' values interleaved per nonzero (DESIGN.md §20). Execution is
 //! then:
 //!
-//! 1. **N-panel blocking** — B is converted F16→f32 once per
-//!    cache-sized column panel into pooled scratch, one
-//!    [`sptc::f16::f16_to_f32_rows`] call per panel (F16C where the
-//!    host has it, bit-identical to `F16::to_f32` everywhere),
-//! 2. a **2-D `(row block × N panel)` grid** of tasks over disjoint C
-//!    rectangles, making one microkernel call per group. The tasks
-//!    are written as `rayon` parallel iterators, but the offline
-//!    `rayon` shim this workspace builds against runs them
-//!    sequentially, so the grid runs on the calling thread,
+//! 1. **N-panel blocking** — [`panelize_into`] (or, straight from a
+//!    batch's parts, [`panelize_parts_into`]) converts B F16→f32 once
+//!    per cache-sized column panel into pooled scratch, one
+//!    [`sptc::f16::f16_to_f32_rows`] call per panel and part (F16C
+//!    where the host has it, bit-identical to `F16::to_f32`
+//!    everywhere),
+//! 2. the **grid** — [`CompiledKernel::execute_prepaneled_into_opts`],
+//!    the one grid entry point, walks the panels in column order and,
+//!    inside each, makes one microkernel call per group in row order.
+//!    It runs on the calling thread: the kernel's parallelism (one
+//!    thread block per strip) is what `gpu-sim` models, and this path
+//!    is its functional twin,
 //! 3. a **group microkernel**, resolved per execution by the
 //!    [`dispatch`] layer: a registry of named variants (`scalar`,
 //!    `avx2_fma`, `avx512f`, `neon`) with runtime ISA
@@ -50,7 +52,6 @@ mod kernels_x86;
 use std::time::Instant;
 
 use dlmc::Matrix;
-use rayon::prelude::*;
 use sptc::f16::{f16_to_f32_rows, f16_to_f32_slice};
 use sptc::metadata::ROWS;
 
@@ -65,12 +66,9 @@ use crate::swizzle::{zorder, BLOCK_COLS, BLOCK_ELEMS};
 use dispatch::GroupC;
 pub use dispatch::{ExecOptions, KernelKind, KernelPolicy, Selection};
 
-/// Rows of C per task of the 2-D execution grid.
-const ROW_BLOCK: usize = 128;
-
 /// Target footprint of one converted B panel (`k × panel_width` f32):
 /// half of a 2 MiB per-core L2, so the slab stays in L2 while every
-/// row block's groups gather rows of it, with the other half left for
+/// group gathers rows of it, with the other half left for
 /// the group stream passing through and the C rows being written.
 /// Every extra panel re-walks the whole nonzero stream once, so panels
 /// are cut as wide as this budget allows (`panel_width(4096, ·) = 64`,
@@ -145,19 +143,14 @@ impl CompiledKernel {
         Self::try_compile(format).expect("kernel compiles")
     }
 
-    /// [`CompiledKernel::compile`] with an `exec.compile` span attached
-    /// to `parent` (carrying row/nonzero counts and wall time).
-    pub fn compile_traced(format: &JigsawFormat, parent: &jigsaw_obs::Span) -> CompiledKernel {
-        Self::try_compile_traced(format, parent).expect("kernel compiles")
-    }
-
     /// Fallible compilation: surfaces [`CompileError`] instead of
     /// panicking, including injected `exec.compile` faults.
     pub fn try_compile(format: &JigsawFormat) -> Result<CompiledKernel, CompileError> {
         Self::try_compile_traced(format, &jigsaw_obs::Span::disabled())
     }
 
-    /// [`CompiledKernel::try_compile`] with an `exec.compile` span.
+    /// [`CompiledKernel::try_compile`] with an `exec.compile` span
+    /// attached to `parent` (carrying row/nonzero/group counts).
     pub fn try_compile_traced(
         format: &JigsawFormat,
         parent: &jigsaw_obs::Span,
@@ -218,10 +211,8 @@ impl CompiledKernel {
                     }
                 }
                 for (row_vals, row_cols) in tile_vals.iter_mut().zip(&mut tile_cols) {
-                    let joins = pending.h > 0
-                        && pending.h < GROUP_ROWS
-                        && !row.is_multiple_of(ROW_BLOCK)
-                        && pending.cols == *row_cols;
+                    let joins =
+                        pending.h > 0 && pending.h < GROUP_ROWS && pending.cols == *row_cols;
                     if joins {
                         pending.vals.extend_from_slice(row_vals);
                         pending.h += 1;
@@ -286,16 +277,6 @@ impl CompiledKernel {
         Ok(())
     }
 
-    /// The groups `g` whose rows start in `rows` (every group lies
-    /// inside one `ROW_BLOCK`, so for a row block these are exactly the
-    /// groups covering it).
-    fn groups_in(&self, rows: std::ops::Range<usize>) -> std::ops::Range<usize> {
-        let starts = &self.groups[..self.groups.len() - 1];
-        let first = starts.partition_point(|g| (g.row as usize) < rows.start);
-        let end = starts.partition_point(|g| (g.row as usize) < rows.end);
-        first..end
-    }
-
     /// Group `g`'s first row, height, shared columns and interleaved
     /// values.
     fn group(&self, g: usize) -> (usize, usize, &[u32], &[f32]) {
@@ -346,7 +327,7 @@ impl CompiledKernel {
     pub fn execute_opts(&self, b: &Matrix, opts: &ExecOptions) -> Vec<f32> {
         let mut c = AlignedBuf::zeroed(self.m * b.cols);
         let mut scratch = AlignedBuf::zeroed(self.k * b.cols);
-        self.execute_into_opts(b, &mut c, &mut scratch, opts);
+        self.panelize_and_execute(b, &mut c, &mut scratch, opts);
         c.into_vec()
     }
 
@@ -355,92 +336,41 @@ impl CompiledKernel {
     pub fn execute_pooled<'p>(&self, b: &Matrix, pool: &'p WorkspacePool) -> PoolBuf<'p> {
         let mut c = pool.acquire(self.m * b.cols);
         let mut scratch = pool.acquire(self.k * b.cols);
-        self.execute_into_opts(b, &mut c, &mut scratch, &ExecOptions::default());
+        self.panelize_and_execute(b, &mut c, &mut scratch, &ExecOptions::default());
         c
     }
 
-    /// The core: resolves `opts` through the [`dispatch`] registry
-    /// (forced selection falls back cleanly when the ISA is absent or
-    /// poisoned), then panels B into `scratch` (f32, panel-major) and
-    /// runs the 2-D `(row block × panel)` grid with the chosen axpy,
-    /// writing `c` (row-major `m × n`, fully overwritten).
-    ///
-    /// Infallible convenience over
-    /// [`CompiledKernel::try_execute_into_opts`] — panics on the
-    /// (caller-bug) shape mismatches that the fallible form surfaces
-    /// as a typed [`ExecError`].
-    pub fn execute_into_opts(
+    /// [`panelize_into`] `scratch`, then
+    /// [`CompiledKernel::execute_prepaneled_into_opts`] over it into the
+    /// zeroed `c`; a B of the wrong height is a caller bug and panics.
+    fn panelize_and_execute(
         &self,
         b: &Matrix,
         c: &mut [f32],
         scratch: &mut [f32],
         opts: &ExecOptions,
     ) {
-        self.try_execute_into_opts(b, c, scratch, opts)
-            .expect("execution buffer shapes are valid");
+        let run = panelize_into(b, scratch)
+            .and_then(|()| PanelizedB::new(b.rows, b.cols, scratch))
+            .and_then(|panels| self.execute_prepaneled_into_opts(&panels, c, opts));
+        if let Err(e) = run {
+            panic!("compiled execute: {e}");
+        }
     }
 
-    /// Fallible form of [`CompiledKernel::execute_into_opts`]: the
-    /// buffer-shape preconditions (B height, C size, scratch capacity)
-    /// come back as a typed [`ExecError`] instead of a panic.
-    pub fn try_execute_into_opts(
-        &self,
-        b: &Matrix,
-        c: &mut [f32],
-        scratch: &mut [f32],
-        opts: &ExecOptions,
-    ) -> Result<(), ExecError> {
-        if b.rows != self.k {
-            return Err(ExecError::BRowsMismatch {
-                expected_k: self.k,
-                got: b.rows,
-            });
-        }
-        let n = b.cols;
-        if c.len() != self.m * n {
-            return Err(ExecError::OutputSizeMismatch {
-                expected: self.m * n,
-                got: c.len(),
-            });
-        }
-        if scratch.len() < self.k * n {
-            return Err(ExecError::ScratchTooSmall {
-                needed: self.k * n,
-                got: scratch.len(),
-            });
-        }
-        let sel = dispatch::select(opts);
-        if sel.kind != KernelKind::Scalar {
-            // Only the full-speed paths carry the injection point: the
-            // degraded scalar path must stay fault-free so the ladder
-            // (SIMD → scalar) terminates.
-            fault::trip(points::EXECUTE);
-        }
-        if n == 0 || self.m == 0 {
-            return Ok(());
-        }
-        // Phase 1: convert B F16→f32 once per panel, panel-major.
-        panelize_into(b, scratch)?;
-        // Phase 2: the shared grid over the freshly panelized scratch.
-        self.run_grid(&scratch[..self.k * n], n, c, sel);
-        Ok(())
-    }
-
-    /// Executes over a B that is **already** panel-major f32 — the
-    /// fused batched-B entry point. Phase 1 is skipped entirely: the
-    /// serve assembler ([`panelize_parts_into`]) wrote each request's
-    /// F16 columns straight into `b`'s panel slabs, so the dense
-    /// operand was touched exactly once, in the layout the grid
-    /// consumes. Layout disagreements (a buffer cut for a different K,
-    /// a wrong-sized C) are typed [`ExecError`]s, never panics. Like
-    /// every `*_into` execute, the axpy grid **accumulates** into `c`
-    /// — pass a zeroed buffer (the [`crate::WorkspacePool`] re-zeroes
-    /// on acquire).
-    ///
-    /// The two-phase [`CompiledKernel::execute_into_opts`] stays as the
-    /// differential oracle: for any `b` built by [`panelize_into`] from
-    /// a `Matrix`, both paths run the identical grid over identical
-    /// bits and agree bit-for-bit per variant.
+    /// Executes over a B that is already panel-major f32: the one grid
+    /// entry point. [`CompiledKernel::execute_opts`] and
+    /// [`CompiledKernel::execute_pooled`] call it after
+    /// [`panelize_into`]; the serve assembler calls it after
+    /// [`panelize_parts_into`] wrote each request's F16 columns straight
+    /// into `b`'s panel slabs, so the dense operand is touched once, in
+    /// the layout the grid consumes. Resolves `opts` through the
+    /// [`dispatch`] registry (forced selection falls back cleanly when
+    /// the ISA is absent or poisoned). Layout disagreements (a buffer
+    /// cut for a different K, a wrong-sized C) are typed
+    /// [`ExecError`]s, never panics. The grid **accumulates** into `c`
+    /// (row-major `m × n`) — pass a zeroed buffer (the
+    /// [`crate::WorkspacePool`] re-zeroes on acquire).
     pub fn execute_prepaneled_into_opts(
         &self,
         b: &PanelizedB<'_>,
@@ -462,69 +392,32 @@ impl CompiledKernel {
         }
         let sel = dispatch::select(opts);
         if sel.kind != KernelKind::Scalar {
+            // Only the full-speed paths carry the injection point: the
+            // degraded scalar path must stay fault-free so the ladder
+            // (SIMD → scalar) terminates.
             fault::trip(points::EXECUTE);
         }
-        if jigsaw_obs::enabled() {
-            jigsaw_obs::global().counter("exec.prepaneled_runs").inc();
-        }
-        if n == 0 || self.m == 0 {
+        if n == 0 || self.m == 0 || self.k == 0 {
             return Ok(());
         }
-        self.run_grid(b.data(), n, c, sel);
-        Ok(())
-    }
-
-    /// Phase 2, shared by the two-phase and prepaneled entry points:
-    /// the 2-D `(row block × panel)` grid over a panel-major `k × n`
-    /// f32 image of B, plus the axpy timing and observability counters.
-    /// `scratch` must hold at least `k * n` elements laid out by
-    /// [`panelize_into`]'s contract.
-    fn run_grid(&self, scratch: &[f32], n: usize, c: &mut [f32], sel: Selection) {
-        let panels = panel_cuts(self.k, n);
-
-        // Tasks own disjoint `(row block, panel)` rectangles of C, so
-        // the raw-pointer writes below never alias; panel-major task
-        // order keeps concurrently running tasks on the same hot B
-        // panel.
-        let row_blocks = self.m.div_ceil(ROW_BLOCK);
-        let tasks: Vec<(usize, usize)> = (0..panels.len())
-            .flat_map(|pb| (0..row_blocks).map(move |rb| (pb, rb)))
-            .collect();
-        let axpy = sel.axpy;
-        let c_len = c.len();
-        let c_ptr = SendPtr(c.as_mut_ptr());
-        let c_ptr = &c_ptr;
+        let pw = panel_width(self.k, n);
         let axpy_started = jigsaw_obs::enabled().then(Instant::now);
-        tasks.into_par_iter().for_each(|(pb, rb)| {
-            let (col0, w) = panels[pb];
-            // Panel offsets are uniform (`pw` wide) except the last.
-            let slab = &scratch[self.k * col0..self.k * col0 + self.k * w];
-            let r0 = rb * ROW_BLOCK;
-            let r1 = (r0 + ROW_BLOCK).min(self.m);
-            for g in self.groups_in(r0..r1) {
+        // Panel-major: each slab stays hot in cache while every group
+        // gathers its rows.
+        for (pb, slab) in b.data().chunks(self.k * pw).enumerate() {
+            let (col0, w) = (pb * pw, slab.len() / self.k);
+            for g in 0..self.groups.len() - 1 {
                 let (row, h, cols, vals) = self.group(g);
-                if cols.is_empty() {
-                    continue;
+                if !cols.is_empty() {
+                    let out = GroupC::new(&mut c[row * n + col0..], n, h, w);
+                    (sel.axpy)(out, vals, cols, slab);
                 }
-                // SAFETY: tasks partition C into disjoint rectangles
-                // (`rb` ranges over disjoint row blocks, `pb` over
-                // disjoint column panels). Compilation never lets a
-                // group cross a `ROW_BLOCK` boundary, so the group's
-                // rows `row..row + h` lie in `r0..r1`; each row's `w`
-                // floats at `row·n + col0` lie in the panel's columns
-                // `col0..col0 + w` (stride `n` between rows, `w <= n`).
-                // The `h × w` write is therefore inside this task's
-                // rectangle, which no other task touches; `GroupC`
-                // re-checks the extent against `c_len`.
-                let out = unsafe { GroupC::from_raw(c_ptr.0, c_len, row * n + col0, n, h, w) };
-                axpy(out, vals, cols, slab);
             }
-        });
-
+        }
         if let Some(started) = axpy_started {
             let reg = jigsaw_obs::global();
             reg.counter("exec.compiled_runs").inc();
-            reg.counter("exec.panels").add(panels.len() as u64);
+            reg.counter("exec.panels").add(n.div_ceil(pw) as u64);
             reg.counter("exec.axpy_ns")
                 .add(started.elapsed().as_nanos() as u64);
             reg.counter(match sel.kind {
@@ -535,6 +428,7 @@ impl CompiledKernel {
             })
             .inc();
         }
+        Ok(())
     }
 }
 
@@ -608,40 +502,18 @@ impl<'a> PanelizedB<'a> {
     pub fn data(&self) -> &'a [f32] {
         &self.data[..self.k * self.n]
     }
-
-    /// This buffer's panel cuts (`(first column, width)` pairs).
-    pub fn panels(&self) -> Vec<(usize, usize)> {
-        panel_cuts(self.k, self.n)
-    }
 }
 
-/// Converts one F16 `Matrix` into the panel-major f32 layout — phase 1
-/// of the two-phase execute path, exported so tests and benches can
+/// Converts one F16 `Matrix` into the panel-major f32 layout: phase 1
+/// of [`CompiledKernel::execute_opts`] and
+/// [`CompiledKernel::execute_pooled`], exported so tests and benches can
 /// produce the exact image [`CompiledKernel::execute_prepaneled_into_opts`]
-/// consumes (and diff it against [`panelize_parts_into`]'s fused
-/// assembly). Each panel widens in one
-/// [`sptc::f16::f16_to_f32_rows`] call. Returns
+/// consumes. The one-part case of [`panelize_parts_into`]: each panel
+/// widens in one [`sptc::f16::f16_to_f32_rows`] call. Returns
 /// [`ExecError::ScratchTooSmall`] when `scratch` cannot hold
 /// `b.rows * b.cols` f32.
 pub fn panelize_into(b: &Matrix, scratch: &mut [f32]) -> Result<(), ExecError> {
-    let (k, n) = (b.rows, b.cols);
-    if scratch.len() < k * n {
-        return Err(ExecError::ScratchTooSmall {
-            needed: k * n,
-            got: scratch.len(),
-        });
-    }
-    if k == 0 || n == 0 {
-        return Ok(());
-    }
-    let panels = panel_cuts(k, n);
-    panel_slabs(&mut scratch[..k * n], k, &panels)
-        .into_par_iter()
-        .zip(panels.par_iter())
-        .for_each(|(slab, &(col0, w))| {
-            f16_to_f32_rows(&b.data[col0..], n, slab, w, w, k);
-        });
-    Ok(())
+    panelize_parts_into(&[b], scratch).map(|_| ())
 }
 
 /// Fused batched-B assembly: converts several same-height F16 parts
@@ -652,9 +524,7 @@ pub fn panelize_into(b: &Matrix, scratch: &mut [f32]) -> Result<(), ExecError> {
 /// `concat_columns(parts)` followed by [`panelize_into`]: both write
 /// the same f16→f32 widening of the same element to the same slot.
 ///
-/// Tasks: one per panel, written as a `rayon` parallel iterator (which
-/// the offline shim runs sequentially); each owns its panel's slab.
-/// Inside a panel, each part's columns widen in one
+/// Panel by panel, each part's columns inside the panel widen in one
 /// [`sptc::f16::f16_to_f32_rows`] call across all `k` rows, so a
 /// narrow part costs one call per panel, not one per row.
 ///
@@ -689,62 +559,30 @@ pub fn panelize_parts_into(
     if k == 0 || total == 0 {
         return Ok((k, total));
     }
-    // Global first-column offset of each part.
-    let offsets: Vec<usize> = parts
-        .iter()
-        .scan(0usize, |off, p| {
-            let this = *off;
-            *off += p.cols;
-            Some(this)
-        })
-        .collect();
-    let panels = panel_cuts(k, total);
-    panel_slabs(&mut scratch[..k * total], k, &panels)
-        .into_par_iter()
-        .zip(panels.par_iter())
-        .for_each(|(slab, &(col0, w))| {
-            for (part, &poff) in parts.iter().zip(&offsets) {
-                // The part's columns inside this panel, in global
-                // coordinates.
-                let lo = col0.max(poff);
-                let hi = (col0 + w).min(poff + part.cols);
-                if lo < hi {
-                    f16_to_f32_rows(
-                        &part.data[lo - poff..],
-                        part.cols,
-                        &mut slab[lo - col0..],
-                        w,
-                        hi - lo,
-                        k,
-                    );
-                }
+    let pw = panel_width(k, total);
+    for (pb, slab) in scratch[..k * total].chunks_mut(k * pw).enumerate() {
+        let (col0, w) = (pb * pw, slab.len() / k);
+        // `poff`: the part's first column in global coordinates.
+        let mut poff = 0;
+        for part in parts {
+            // The part's columns inside this panel.
+            let lo = col0.max(poff);
+            let hi = (col0 + w).min(poff + part.cols);
+            if lo < hi {
+                f16_to_f32_rows(
+                    &part.data[lo - poff..],
+                    part.cols,
+                    &mut slab[lo - col0..],
+                    w,
+                    hi - lo,
+                    k,
+                );
             }
-        });
+            poff += part.cols;
+        }
+    }
     Ok((k, total))
 }
-
-/// Splits a panel-major `k × n` image into one slab per panel of
-/// `panels` (`k × w` each, in column order).
-fn panel_slabs<'a>(
-    image: &'a mut [f32],
-    k: usize,
-    panels: &[(usize, usize)],
-) -> Vec<&'a mut [f32]> {
-    let mut slabs = Vec::with_capacity(panels.len());
-    let mut rest = image;
-    for &(_, w) in panels {
-        let (head, tail) = rest.split_at_mut(k * w);
-        slabs.push(head);
-        rest = tail;
-    }
-    slabs
-}
-
-/// Shared raw base pointer for the disjoint-rectangle writes of the
-/// 2-D grid (see the SAFETY note at the use site).
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {
@@ -935,8 +773,7 @@ mod tests {
 
     /// `(first row, height)` of every group, after checking the
     /// grouping rule: groups tile the rows in order, hold 1..=4 rows,
-    /// never cross a `ROW_BLOCK` boundary, and their rows share one
-    /// column stream.
+    /// and their rows share one column stream.
     fn checked_groups(kernel: &CompiledKernel) -> Vec<(usize, usize)> {
         let cols_of =
             |row: usize| -> Vec<usize> { kernel.row_stream(row).map(|(_, c)| c).collect() };
@@ -946,11 +783,6 @@ mod tests {
             let (row, h, cols, vals) = kernel.group(g);
             assert_eq!(row, next, "groups tile the rows in order");
             assert!((1..=GROUP_ROWS).contains(&h), "group at {row} has {h} rows");
-            assert_eq!(
-                row / ROW_BLOCK,
-                (row + h - 1) / ROW_BLOCK,
-                "group at {row} crosses a row block"
-            );
             assert_eq!(vals.len(), h * cols.len());
             for r in row..row + h {
                 assert_eq!(
@@ -987,8 +819,9 @@ mod tests {
         // Hand-built patterns: every row uses columns 0..8 except rows 1
         // and 11..14 (their own patterns). Rows 2..11 are a 9-row run
         // that ends in a short group; the run from row 14 on is off the
-        // 4-row grid, so its group at row 126 is cut short at the row
-        // block boundary 128.
+        // 4-row grid, so it is cut greedily into groups of 4 from row
+        // 14, one of them running across row 128, and ends in a short
+        // group.
         let (m, k) = (144, 32);
         let mut data = vec![0.0f32; m * k];
         for r in 0..m {
@@ -1016,9 +849,10 @@ mod tests {
             (120..136).all(same),
             "precondition: rows 120..136 share a stream"
         );
-        assert!(
-            groups.contains(&(126, 2)) && groups.contains(&(128, 4)),
-            "cut at the row block: {groups:?}"
+        assert_eq!(
+            &groups[groups.len() - 5..],
+            &[(126, 4), (130, 4), (134, 4), (138, 4), (142, 2)],
+            "greedy runs of at most 4 rows: {groups:?}"
         );
     }
 

@@ -122,12 +122,13 @@ impl From<FaultError> for PlanError {
 
 /// Why a compiled-kernel execution could not run over the buffers it
 /// was handed — the typed edges of
-/// `CompiledKernel::try_execute_into_opts`,
-/// `CompiledKernel::execute_prepaneled_into_opts`, and the panel-major
-/// assembly helpers (`panelize_into` / `panelize_parts_into`). The
-/// infallible `execute_into*` conveniences panic on these (documented)
-/// misuse cases; resilient callers — the serve registry's batch path —
-/// use the fallible entry points and fail the batch on an `Err`.
+/// `CompiledKernel::execute_prepaneled_into_opts`, `PanelizedB::new`
+/// and the panel-major assembly helpers (`panelize_into` /
+/// `panelize_parts_into`). `CompiledKernel::execute_opts` and
+/// `execute_pooled` size their own buffers and panic on these misuse
+/// cases (a B of the wrong height); resilient callers — the serve
+/// registry's batch path — use the fallible entry points and fail the
+/// batch on an `Err`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecError {
     /// B's height (or a batch part's height) does not match the

@@ -20,7 +20,6 @@
 //! by the `kernel_parity` cross-ISA test suite.
 
 use dlmc::Matrix;
-use rayon::prelude::*;
 use sptc::fragment::{AccFragment, F16Fragment, FragKind};
 use sptc::metadata::distribute_metadata;
 use sptc::F16;
@@ -38,24 +37,12 @@ pub fn execute_fast(f: &JigsawFormat, b: &Matrix) -> Vec<f32> {
     // it out of the per-nonzero loop cannot change any result bit.
     let bf: Vec<f32> = b.data.iter().map(|v| v.to_f32()).collect();
 
-    // Strips own disjoint row ranges of C: parallelize over strips.
-    let strip_views: Vec<(usize, &mut [f32])> = {
-        let mut views = Vec::new();
-        let mut rest = c.as_mut_slice();
-        let mut offset = 0usize;
-        for (si, s) in f.strips.iter().enumerate() {
-            let len = s.height * n;
-            debug_assert_eq!(s.row0 * n, offset);
-            let (head, tail) = rest.split_at_mut(len);
-            views.push((si, head));
-            rest = tail;
-            offset += len;
-        }
-        views
-    };
-
-    strip_views.into_par_iter().for_each(|(si, c_strip)| {
-        let strip = &f.strips[si];
+    // Strips own consecutive, disjoint row ranges of C.
+    let mut rest = c.as_mut_slice();
+    for (si, strip) in f.strips.iter().enumerate() {
+        debug_assert_eq!(strip.row0 * n + rest.len(), f.m * n);
+        let (c_strip, tail) = rest.split_at_mut(strip.height * n);
+        rest = tail;
         let tile_rows = strip.height / MMA_TILE;
         for tr in 0..tile_rows {
             for w in 0..strip.windows {
@@ -82,7 +69,7 @@ pub fn execute_fast(f: &JigsawFormat, b: &Matrix) -> Vec<f32> {
                 }
             }
         }
-    });
+    }
     c
 }
 

@@ -20,7 +20,6 @@ use dlmc::Matrix;
 use gpu_sim::{
     simulate_kernel, BlockTrace, GpuSpec, KernelLaunch, KernelStats, MmaOp, TokenAlloc, WarpInstr,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{JigsawConfig, MMA_TILE};
@@ -115,7 +114,7 @@ impl HybridPlan {
         let bank_aware = config.base.bank_conflict_elimination;
         let strip_starts: Vec<usize> = (0..a.rows).step_by(bt).collect();
         let strips: Vec<HybridStrip> = strip_starts
-            .par_iter()
+            .iter()
             .map(|&row0| {
                 let height = bt.min(a.rows - row0);
                 build_strip(a, row0, height, bank_aware, config.cuda_max_live)

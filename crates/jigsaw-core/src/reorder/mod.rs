@@ -6,7 +6,6 @@ pub mod strip;
 pub mod tile;
 
 use dlmc::Matrix;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 pub use strip::{live_columns, pack_strip, reorder_strip, StripPlan, PAD};
@@ -83,7 +82,7 @@ impl ReorderPlan {
         // BLOCK_TILE phase: zero-column split, one pass over strips.
         let block_span = parent.child("plan.block_reorder");
         let live_sets: Vec<(usize, Vec<u32>, usize)> = strip_starts
-            .par_iter()
+            .iter()
             .map(|&row0| {
                 let height = bt.min(a.rows - row0);
                 let (live, zero_cols) = strip::live_columns(a, row0, height);
@@ -102,7 +101,7 @@ impl ReorderPlan {
         // MMA_TILE phase: window packing with eviction retry.
         let tile_span = parent.child("plan.tile_reorder");
         let strips: Vec<StripPlan> = live_sets
-            .into_par_iter()
+            .into_iter()
             .map(|(row0, live, zero_cols)| {
                 let height = bt.min(a.rows - row0);
                 strip::pack_strip(a, row0, height, bank_aware, live, zero_cols)

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use jigsaw_obs::Span;
 
-use crate::compiled::{CompiledKernel, ExecOptions};
+use crate::compiled::CompiledKernel;
 use crate::config::{JigsawConfig, MMA_TILE};
 use crate::errors::PlanError;
 use crate::exec::execute_via_fragments;
@@ -28,10 +28,6 @@ pub struct JigsawSpmm {
     pub format: JigsawFormat,
     /// Reorder quality statistics (Figure 11's signals).
     pub reorder_stats: ReorderStats,
-    /// Microkernel selection for [`JigsawSpmm::run`]: which dispatch
-    /// variant executes (defaults to `Auto`, the widest un-poisoned
-    /// ISA the host has).
-    pub exec_options: ExecOptions,
     /// Lazily compiled execution plan (built on first run, shared by
     /// clones made after that point).
     compiled: OnceLock<Arc<CompiledKernel>>,
@@ -102,7 +98,6 @@ impl JigsawSpmm {
             config,
             format,
             reorder_stats,
-            exec_options: ExecOptions::default(),
             compiled: OnceLock::new(),
             sim_memo: Arc::default(),
         })
@@ -162,23 +157,16 @@ impl JigsawSpmm {
             .get_or_init(|| Arc::new(CompiledKernel::compile(&self.format)))
     }
 
-    /// Sets the microkernel selection for later [`JigsawSpmm::run`]
-    /// calls (builder-style; see [`ExecOptions`]).
-    pub fn with_exec_options(mut self, opts: ExecOptions) -> JigsawSpmm {
-        self.exec_options = opts;
-        self
-    }
-
     /// Computes `C = A × B` and reports the kernel's simulated
     /// execution (memoized per `(n, spec)`, see
     /// [`JigsawSpmm::simulate_memoized`]).
     ///
     /// Values come from the compiled plan through the microkernel
-    /// dispatch layer under [`JigsawSpmm::exec_options`] (default:
-    /// auto selection — the scalar rung stays bit-identical to
-    /// [`crate::execute_fast`], the differential-testing oracle).
+    /// dispatch layer's auto selection, the widest un-poisoned ISA the
+    /// host has (forced selection goes through
+    /// [`CompiledKernel::execute_opts`]).
     pub fn run(&self, b: &Matrix, spec: &GpuSpec) -> SpmmRun {
-        let c = self.compiled().execute_opts(b, &self.exec_options);
+        let c = self.compiled().execute(b);
         let (stats, _) = self.simulate_memoized(b.cols, spec);
         SpmmRun { c, stats }
     }

@@ -47,16 +47,6 @@ impl MmaShape {
     pub fn flops(&self) -> usize {
         2 * self.m * self.n * self.k
     }
-
-    /// Elements of A consumed per instruction (uncompressed).
-    pub fn a_elems(&self) -> usize {
-        self.m * self.k
-    }
-
-    /// Elements of B consumed per instruction.
-    pub fn b_elems(&self) -> usize {
-        self.k * self.n
-    }
 }
 
 impl fmt::Display for MmaShape {

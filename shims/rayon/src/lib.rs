@@ -1,134 +1,8 @@
-//! Offline stand-in for `rayon`.
+//! Empty offline stand-in for `rayon`: nothing in the workspace imports
+//! it.
 //!
-//! `par_iter()` / `into_par_iter()` return ordinary sequential `std`
-//! iterators, so every downstream adapter (`map`, `for_each`,
-//! `collect`, `sum`, …) is just the `Iterator` trait. Semantically
-//! identical to rayon for the order-independent uses in this workspace;
-//! only the wall-clock parallel speedup is lost. `join` runs both
-//! closures on real threads so intentionally-parallel callers still
-//! overlap.
-
-/// Parallel-iterator entry points (sequential here).
-pub mod iter {
-    /// Borrowing counterpart of rayon's `par_iter`.
-    pub trait IntoParallelRefIterator<'data> {
-        /// Item yielded by the iterator.
-        type Item: 'data;
-        /// Iterator type returned.
-        type Iter: Iterator<Item = Self::Item>;
-
-        /// Sequential stand-in for `rayon`'s parallel borrow iterator.
-        fn par_iter(&'data self) -> Self::Iter;
-    }
-
-    impl<'data, T: 'data> IntoParallelRefIterator<'data> for [T] {
-        type Item = &'data T;
-        type Iter = std::slice::Iter<'data, T>;
-
-        fn par_iter(&'data self) -> Self::Iter {
-            self.iter()
-        }
-    }
-
-    impl<'data, T: 'data> IntoParallelRefIterator<'data> for Vec<T> {
-        type Item = &'data T;
-        type Iter = std::slice::Iter<'data, T>;
-
-        fn par_iter(&'data self) -> Self::Iter {
-            self.iter()
-        }
-    }
-
-    /// Mutable counterpart of rayon's `par_iter_mut`.
-    pub trait IntoParallelRefMutIterator<'data> {
-        /// Item yielded by the iterator.
-        type Item: 'data;
-        /// Iterator type returned.
-        type Iter: Iterator<Item = Self::Item>;
-
-        /// Sequential stand-in for `rayon`'s parallel mutable iterator.
-        fn par_iter_mut(&'data mut self) -> Self::Iter;
-    }
-
-    impl<'data, T: 'data> IntoParallelRefMutIterator<'data> for [T] {
-        type Item = &'data mut T;
-        type Iter = std::slice::IterMut<'data, T>;
-
-        fn par_iter_mut(&'data mut self) -> Self::Iter {
-            self.iter_mut()
-        }
-    }
-
-    impl<'data, T: 'data> IntoParallelRefMutIterator<'data> for Vec<T> {
-        type Item = &'data mut T;
-        type Iter = std::slice::IterMut<'data, T>;
-
-        fn par_iter_mut(&'data mut self) -> Self::Iter {
-            self.iter_mut()
-        }
-    }
-
-    /// Consuming counterpart of rayon's `into_par_iter`.
-    pub trait IntoParallelIterator {
-        /// Item yielded by the iterator.
-        type Item;
-        /// Iterator type returned.
-        type Iter: Iterator<Item = Self::Item>;
-
-        /// Sequential stand-in for `rayon`'s consuming parallel iterator.
-        fn into_par_iter(self) -> Self::Iter;
-    }
-
-    impl<I: IntoIterator> IntoParallelIterator for I {
-        type Item = I::Item;
-        type Iter = I::IntoIter;
-
-        fn into_par_iter(self) -> Self::Iter {
-            self.into_iter()
-        }
-    }
-}
-
-/// Runs both closures, each on its own thread, and returns both
-/// results — the one primitive where this shim is genuinely parallel.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("join closure panicked"))
-    })
-}
-
-/// The conventional glob import.
-pub mod prelude {
-    pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-
-    #[test]
-    fn sequential_chains_compose() {
-        let v = vec![1u32, 2, 3, 4];
-        let doubled: Vec<u32> = v.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(doubled, vec![2, 4, 6, 8]);
-        let sum: u32 = v.into_par_iter().sum();
-        assert_eq!(sum, 10);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
-    }
-}
+//! Every library path runs on the calling thread (DESIGN.md §7). The
+//! crate remains only because `jigsaw-core` and `gpu-sim` still list
+//! `rayon` in their manifests, which keeps `hostbench/Cargo.lock`
+//! resolving unchanged; those two manifest lines, hostbench's `[patch]`
+//! entry and this crate go together with the next benchmark change.
