@@ -34,8 +34,8 @@ use bench_harness::obs_export::write_bench_json;
 use dlmc::{dense_rhs, Matrix, ValueDist, VectorSparseSpec};
 use jigsaw_core::compiled::dispatch;
 use jigsaw_core::{
-    execute_fast, max_relative_error, panelize_into, ExecOptions, JigsawConfig, JigsawSpmm,
-    KernelPolicy, PanelizedB, WorkspacePool,
+    execute_fast, panelize_into, ExecOptions, JigsawConfig, JigsawSpmm, KernelPolicy, PanelizedB,
+    WorkspacePool,
 };
 use serde::Serialize;
 
@@ -166,16 +166,10 @@ fn main() {
         let fast = || execute_fast(&spmm.format, &b);
         for &kind in &variants {
             let opts = ExecOptions::from(KernelPolicy::Forced(kind));
-            // Parity first: the bench never times a wrong kernel. The
-            // scalar variant is bit-exact; fused variants are held to
-            // the kernel_parity tolerances.
+            // Parity first: the bench never times a wrong kernel. Every
+            // variant is bit-identical to the oracle.
             let c = kernel.execute_opts(&b, &opts);
-            if kind.bit_exact() {
-                assert_eq!(c, oracle, "{} parity", kind.name());
-            } else {
-                let err = max_relative_error(&c, &oracle);
-                assert!(err < 1e-4, "{} parity, err {err}", kind.name());
-            }
+            assert_eq!(c, oracle, "{} parity", kind.name());
             let (fast_ms, compiled_ms) = paired_best_of(fast, || kernel.execute_opts(&b, &opts));
             let speedup = fast_ms / compiled_ms;
             println!(
@@ -212,19 +206,12 @@ fn main() {
         let mut c_buf = pool.acquire(m * n);
         for &kind in &variants {
             let opts = ExecOptions::from(KernelPolicy::Forced(kind));
-            // The stream kernels accumulate into C, so the reused
-            // buffer is re-zeroed before the parity run (the timing
-            // loop keeps accumulating — same work, values ignored).
-            c_buf.fill(0.0);
+            // The grid overwrites C, so the buffer the previous variant
+            // left behind needs no clearing.
             kernel
                 .execute_prepaneled_into_opts(&prepaneled, &mut c_buf, &opts)
                 .expect("prepaneled execute");
-            if kind.bit_exact() {
-                assert_eq!(*c_buf, *oracle, "{} prepaneled parity", kind.name());
-            } else {
-                let err = max_relative_error(&c_buf, &oracle);
-                assert!(err < 1e-4, "{} prepaneled parity, err {err}", kind.name());
-            }
+            assert_eq!(*c_buf, *oracle, "{} prepaneled parity", kind.name());
             let (fast_ms, compiled_ms) = paired_best_of(fast, || {
                 kernel
                     .execute_prepaneled_into_opts(&prepaneled, &mut c_buf, &opts)

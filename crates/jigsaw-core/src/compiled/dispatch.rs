@@ -24,12 +24,42 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use super::kernels_scalar::axpy_group_scalar;
 use super::GROUP_ROWS;
 
-/// Microkernel signature: one vector-row group's shared nonzero stream
-/// against one converted B panel (`slab`, panel-major `k × w` f32),
-/// accumulating into the group's `h` C rows ([`GroupC`]). `vals` holds
-/// the `h` rows' values interleaved per nonzero (`vals[i * h + r]` is
-/// row `r`'s value at `cols[i]`).
-pub(crate) type AxpyFn = fn(GroupC<'_>, &[f32], &[u32], &[f32]);
+/// Microkernel signature: a panel's vector-row groups two at a time
+/// (`second` is `None` for a panel's last, odd group), each against the
+/// same converted B panel. Every variant **overwrites** each group's
+/// rectangle of C: its accumulators start at zero and are stored once,
+/// so an empty stream stores zeros.
+///
+/// # Safety
+///
+/// Every column of every group's stream must be below `slab.k`, the
+/// number of B rows the slab holds. The grid's streams come from
+/// [`CompiledKernel`](super::CompiledKernel), whose compilation rejects
+/// any column at or past its `k` and records the stream's column bound;
+/// the grid checks, once per call, that B was cut for that `k` and
+/// holds that bound. The remaining slice conditions are checked per
+/// call by [`assert_group_args`].
+pub(crate) type AxpyFn = unsafe fn(Group<'_>, Option<Group<'_>>, Slab<'_>);
+
+/// One vector-row group's operands for a microkernel call: its C
+/// rectangle, its `h` rows' values interleaved per nonzero
+/// (`vals[i * h + r]` is row `r`'s value at `cols[i]`), and the shared
+/// column stream, whose entries are B rows of the slab.
+#[derive(Debug)]
+pub(crate) struct Group<'a> {
+    pub(crate) c: GroupC<'a>,
+    pub(crate) vals: &'a [f32],
+    pub(crate) cols: &'a [u32],
+}
+
+/// One converted B panel: `k` rows of `w` floats, row `r` at
+/// `data[r·w..][..w]`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slab<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) k: usize,
+    pub(crate) w: usize,
+}
 
 /// The C side of one microkernel call: the `h` rows of one vector-row
 /// group, cut down to one B panel's `w` columns. Row `r` is the `w`
@@ -92,15 +122,19 @@ impl<'a> GroupC<'a> {
     }
 }
 
-/// The entry assertions every variant's safe wrapper makes once per
-/// group call: `h` values per shared column, and every column a row of
-/// the `w`-wide slab. With [`GroupC`]'s own extent check these are all
-/// the raw-pointer kernels rely on.
-pub(crate) fn assert_group_args(c: &GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
-    assert_eq!(vals.len(), c.h * cols.len(), "h values per column");
-    let rows = slab.len() / c.w.max(1);
-    assert!(
-        cols.iter().all(|&col| (col as usize) < rows),
+/// The entry assertions every variant's wrapper makes once per group
+/// call, all O(1): `h` values per shared column, a group as wide as the
+/// panel, and a slab that holds `k` rows of that width. With
+/// [`GroupC`]'s own extent check and the [`AxpyFn`] contract (every
+/// column below `k`, established when the stream was compiled and
+/// checked against B by the grid) these are all the raw-pointer
+/// kernels rely on.
+pub(crate) fn assert_group_args(g: &Group<'_>, slab: &Slab<'_>) {
+    assert_eq!(g.vals.len(), g.c.h * g.cols.len(), "h values per column");
+    assert_eq!(g.c.w, slab.w, "group as wide as the panel");
+    assert!(slab.data.len() >= slab.k * slab.w, "slab holds k rows");
+    debug_assert!(
+        g.cols.iter().all(|&col| (col as usize) < slab.k),
         "B row in slab"
     );
 }
@@ -108,15 +142,16 @@ pub(crate) fn assert_group_args(c: &GroupC<'_>, vals: &[f32], cols: &[u32], slab
 /// The named microkernel variants of the dispatch registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Sequential f32 adds, bit-identical to `execute_fast` — the
-    /// semantic reference and the un-poisonable floor.
+    /// Sequential f32 adds, one row at a time — the semantic reference
+    /// and the un-poisonable floor.
     Scalar,
     /// 8-lane AVX2 with fused multiply-adds (x86-64): each group's
     /// rows held in a register block of `⌈8 / h⌉` YMM per row (12 for
     /// a single row).
     Avx2Fma,
     /// 16-lane AVX-512F with fused multiply-adds (x86-64): each group's
-    /// rows held in a register block of `16 / h` ZMM per row.
+    /// rows held in a register block of `16 / h` ZMM per row; on a
+    /// panel at most 16 wide, two groups share one block.
     Avx512f,
     /// 4×f32x4 NEON with fused multiply-adds (aarch64), row by row.
     Neon,
@@ -146,13 +181,6 @@ impl KernelKind {
     /// variants this way).
     pub fn parse(s: &str) -> Option<KernelKind> {
         ALL_KERNELS.into_iter().find(|kind| kind.name() == s)
-    }
-
-    /// True when this variant's result is bit-identical to
-    /// `execute_fast` on every input. Fused variants are only
-    /// ULP-bounded relative to the scalar oracle (DESIGN.md §13).
-    pub fn bit_exact(self) -> bool {
-        matches!(self, KernelKind::Scalar)
     }
 
     /// True when the running host can execute this variant right now.
@@ -376,16 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_is_the_only_bit_exact_variant_and_always_available() {
-        assert!(KernelKind::Scalar.bit_exact());
-        assert!(KernelKind::Scalar.available());
-        for kind in [KernelKind::Avx2Fma, KernelKind::Avx512f, KernelKind::Neon] {
-            assert!(!kind.bit_exact(), "{kind:?} must not claim bit-exactness");
-        }
-        assert!(available_kernels().contains(&KernelKind::Scalar));
-    }
-
-    #[test]
     fn forced_absent_isa_falls_back_cleanly() {
         // At most one of NEON / AVX-512 is available on any host, so
         // one of these forces must fall back — and both must resolve
@@ -415,6 +433,12 @@ mod tests {
         assert_ne!(forced, auto, "forcing a poisoned variant falls back");
         unpoison_all();
         assert_eq!(select(&ExecOptions::default()).kind, auto);
+    }
+
+    #[test]
+    fn scalar_is_always_available() {
+        assert!(KernelKind::Scalar.available());
+        assert!(available_kernels().contains(&KernelKind::Scalar));
     }
 
     #[test]

@@ -1,23 +1,34 @@
 //! aarch64 NEON microkernel of the dispatch registry: 4×f32x4 (16
 //! floats per pass over the C segment), fused multiply-adds via
-//! `vfmaq_n_f32`, applying a vector-row group row by row. Keeps the
-//! per-row `(window, slot)` accumulation order of the scalar
-//! reference; only per-step rounding changes (exact on integer-valued
-//! data, ≤ 1 ulp per step otherwise).
+//! `vfmaq_n_f32`, applying a vector-row group row by row, each row
+//! zeroed first. Keeps the per-row `(window, slot)` accumulation order
+//! of the scalar reference; a fused multiply-add of two f16 values
+//! rounds like the scalar multiply then add, so it is bit-identical to
+//! the scalar variant (DESIGN.md §13).
 #![cfg(target_arch = "aarch64")]
 
-use super::dispatch::{assert_group_args, GroupC};
+use super::dispatch::{assert_group_args, Group, Slab};
 
-/// NEON microkernel: safe wrapper around the `target_feature` inner
-/// function — the dispatch layer only returns it after runtime
-/// feature detection ([`super::dispatch::KernelKind::available`]).
-pub fn axpy_group_neon(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
-    assert_group_args(&c, vals, cols, slab);
-    let h = c.rows();
-    for r in 0..h {
-        // SAFETY: neon was verified by the dispatch layer; the slice
-        // invariants the inner kernel relies on are asserted above.
-        unsafe { axpy_row_neon(c.row(r), vals, cols, slab, h, r) }
+/// NEON microkernel: the two groups one after the other.
+///
+/// # Safety
+///
+/// neon must be present: the dispatch layer only returns this kernel
+/// after runtime feature detection
+/// ([`super::dispatch::KernelKind::available`]). Every stream column is
+/// below `slab.k`, the [`super::dispatch::AxpyFn`] contract.
+pub unsafe fn axpy_group_neon(first: Group<'_>, second: Option<Group<'_>>, slab: Slab<'_>) {
+    for mut g in std::iter::once(first).chain(second) {
+        assert_group_args(&g, &slab);
+        let h = g.c.rows();
+        for r in 0..h {
+            let c_row = g.c.row(r);
+            c_row.fill(0.0);
+            // SAFETY: neon and every column below `k` are this
+            // function's contract; the slab holding `k` rows of `w`
+            // and `h` values per column are asserted above.
+            unsafe { axpy_row_neon(c_row, g.vals, g.cols, slab.data, h, r) }
+        }
     }
 }
 
@@ -27,9 +38,10 @@ pub fn axpy_group_neon(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f3
 ///
 /// # Safety
 ///
-/// Requires neon. The caller has asserted `vals.len() == h ·
-/// cols.len()` and every `cols[i] as usize * w + w <= slab.len()`,
-/// with `w == c_row.len()`.
+/// Requires neon. `vals.len() == h · cols.len()` and every `cols[i]
+/// as usize * w + w <= slab.len()`, with `w == c_row.len()`: the caller
+/// asserted the lengths and `slab.len() >= k·w`, and every column is
+/// below `k` by the [`super::dispatch::AxpyFn`] contract.
 #[target_feature(enable = "neon")]
 unsafe fn axpy_row_neon(
     c_row: &mut [f32],

@@ -2,18 +2,29 @@
 //! in the dispatch registry is measured against. It applies a
 //! vector-row group row by row, each row in its own stream order.
 
-use super::dispatch::{assert_group_args, GroupC};
+use super::dispatch::{assert_group_args, Group, Slab};
 
-/// Scalar microkernel: row by row, four nonzeros per pass over the C
-/// segment (quartering C traffic), products applied as sequential f32
-/// adds so each row is bit-identical to the one-at-a-time order — and
-/// therefore to `execute_fast`, the differential oracle.
-pub fn axpy_group_scalar(mut c: GroupC<'_>, vals: &[f32], cols: &[u32], slab: &[f32]) {
-    assert_group_args(&c, vals, cols, slab);
-    let (h, w) = (c.rows(), c.width());
+/// Scalar microkernel: the two groups one after the other. Safe on any
+/// input: every B access is a bounds-checked slice.
+pub fn axpy_group_scalar(first: Group<'_>, second: Option<Group<'_>>, slab: Slab<'_>) {
+    for g in std::iter::once(first).chain(second) {
+        group_scalar(g, slab);
+    }
+}
+
+/// One group, row by row: the row is zeroed, then takes four nonzeros
+/// per pass over the C segment (quartering C traffic), products
+/// applied as sequential f32 adds so each row is bit-identical to the
+/// one-at-a-time order — and therefore to `execute_fast`, the
+/// differential oracle.
+fn group_scalar(mut g: Group<'_>, slab: Slab<'_>) {
+    assert_group_args(&g, &slab);
+    let (h, w) = (g.c.rows(), g.c.width());
+    let (vals, cols, slab) = (g.vals, g.cols, slab.data);
     let nnz = cols.len();
     for r in 0..h {
-        let c_row = c.row(r);
+        let c_row = g.c.row(r);
+        c_row.fill(0.0);
         let v = |i: usize| vals[i * h + r];
         let mut i = 0;
         while i + 4 <= nnz {

@@ -22,27 +22,32 @@
 //!    everywhere),
 //! 2. the **grid** — [`CompiledKernel::execute_prepaneled_into_opts`],
 //!    the one grid entry point, walks the panels in column order and,
-//!    inside each, makes one microkernel call per group in row order.
-//!    It runs on the calling thread: the kernel's parallelism (one
-//!    thread block per strip) is what `gpu-sim` models, and this path
-//!    is its functional twin,
+//!    inside each, hands the groups to the microkernel two at a time,
+//!    in row order. It runs on the calling thread: the kernel's
+//!    parallelism (one thread block per strip) is what `gpu-sim`
+//!    models, and this path is its functional twin,
 //! 3. a **group microkernel**, resolved per execution by the
 //!    [`dispatch`] layer: a registry of named variants (`scalar`,
 //!    `avx2_fma`, `avx512f`, `neon`) with runtime ISA
 //!    detection, a typed [`dispatch::KernelPolicy`] (`Auto` |
 //!    `Forced`), and per-variant poisoning for the resilience ladder.
 //!    The x86 variants hold all the group's rows in registers, so each
-//!    B vector they load feeds every row of the group.
+//!    B vector they load feeds every row of the group; on a panel one
+//!    ZMM wide the AVX-512F variant holds both groups' rows in one
+//!    block.
 //!
-//! Each row's stream preserves `execute_fast`'s per-row accumulation
-//! order and its zero/padding skip rules. The scalar microkernel
-//! applies products with sequential f32 adds and is **bit-identical**
-//! to `execute_fast` (which stays around as the differential-testing
-//! oracle). The fused SIMD variants keep the stream order and differ
-//! only by per-step rounding (exact on integer-valued data, ≤ 1 ulp
-//! per step otherwise; DESIGN.md §13). Grouping changes no bit: each
-//! output element still sees its own row's chain, in order, from the
-//! same starting C.
+//! C is written once: every microkernel starts its accumulators at
+//! zero and stores them, so the grid overwrites C and nothing clears
+//! it first. Each row's stream preserves `execute_fast`'s per-row
+//! accumulation order and its zero/padding skip rules. The scalar
+//! microkernel applies products with sequential f32 adds and is
+//! **bit-identical** to `execute_fast` (which stays around as the
+//! differential-testing oracle). The fused SIMD variants are
+//! bit-identical too: every operand is an f16 value, so each product
+//! is exact in f32 and a fused multiply-add rounds exactly like the
+//! multiply then add (DESIGN.md §13). Grouping and pairing change no
+//! bit: each output element still sees its own row's chain, in order,
+//! from zero.
 
 pub mod dispatch;
 mod kernels_aarch64;
@@ -63,8 +68,8 @@ use crate::pool::{AlignedBuf, PoolBuf, WorkspacePool};
 use crate::reorder::PAD;
 use crate::swizzle::{zorder, BLOCK_COLS, BLOCK_ELEMS};
 
-use dispatch::GroupC;
 pub use dispatch::{ExecOptions, KernelKind, KernelPolicy, Selection};
+use dispatch::{Group, GroupC, Slab};
 
 /// Target footprint of one converted B panel (`k × panel_width` f32):
 /// half of a 2 MiB per-core L2, so the slab stays in L2 while every
@@ -110,6 +115,10 @@ pub struct CompiledKernel {
     /// Source column of each group nonzero (the B row it multiplies),
     /// stored once for all the group's rows.
     cols: Vec<u32>,
+    /// One past the largest entry of `cols` (0 when empty): the B rows
+    /// the microkernels read unchecked. Compilation proves it `<= k`;
+    /// `k` is public, so the grid checks it against B on every call.
+    col_bound: usize,
 }
 
 /// Where one vector-row group starts: its first row and the offsets of
@@ -164,6 +173,7 @@ impl CompiledKernel {
             groups: Vec::new(),
             vals: Vec::new(),
             cols: Vec::new(),
+            col_bound: 0,
         };
         let mut pending = PendingGroup::default();
         // The streams of the current tile row's 16 rows, filled block
@@ -250,7 +260,8 @@ impl CompiledKernel {
     }
 
     /// Appends `g` (when it holds any rows) as the next group, its
-    /// per-row values interleaved `h` per column.
+    /// per-row values interleaved `h` per column, after checking every
+    /// column is a row of B.
     fn push_group(&mut self, g: &PendingGroup) -> Result<(), CompileError> {
         if g.h == 0 {
             return Ok(());
@@ -258,6 +269,15 @@ impl CompiledKernel {
         let nnz = self.vals.len() + g.vals.len();
         if nnz >= u32::MAX as usize {
             return Err(CompileError::StreamOverflow { nnz });
+        }
+        // The one walk over the stream's columns: the grid's
+        // microkernels read B row `col` unchecked (`dispatch::AxpyFn`).
+        if let Some(&col) = g.cols.iter().max() {
+            let col = col as usize;
+            if col >= self.k {
+                return Err(CompileError::ColumnOutOfRange { col, k: self.k });
+            }
+            self.col_bound = self.col_bound.max(col + 1);
         }
         self.groups.push(GroupPtr {
             row: g.row as u32,
@@ -287,6 +307,23 @@ impl CompiledKernel {
             &self.cols[lo.col as usize..hi.col as usize],
             &self.vals[lo.val as usize..hi.val as usize],
         )
+    }
+
+    /// Group `g`'s microkernel operands over panel columns `col0 ..
+    /// col0 + w`, where `c` is row-major C (`n` wide) from row `c_row`
+    /// on.
+    fn group_args<'a>(
+        &'a self,
+        g: usize,
+        c: &'a mut [f32],
+        c_row: usize,
+        n: usize,
+        col0: usize,
+        w: usize,
+    ) -> Group<'a> {
+        let (row, h, cols, vals) = self.group(g);
+        let c = GroupC::new(&mut c[(row - c_row) * n + col0..], n, h, w);
+        Group { c, vals, cols }
     }
 
     /// Nonzeros in the compiled stream.
@@ -341,8 +378,9 @@ impl CompiledKernel {
     }
 
     /// [`panelize_into`] `scratch`, then
-    /// [`CompiledKernel::execute_prepaneled_into_opts`] over it into the
-    /// zeroed `c`; a B of the wrong height is a caller bug and panics.
+    /// [`CompiledKernel::execute_prepaneled_into_opts`] over it into
+    /// `c`; both overwrite their buffer, so neither needs clearing. A B
+    /// of the wrong height is a caller bug and panics.
     fn panelize_and_execute(
         &self,
         b: &Matrix,
@@ -367,10 +405,12 @@ impl CompiledKernel {
     /// the layout the grid consumes. Resolves `opts` through the
     /// [`dispatch`] registry (forced selection falls back cleanly when
     /// the ISA is absent or poisoned). Layout disagreements (a buffer
-    /// cut for a different K, a wrong-sized C) are typed
-    /// [`ExecError`]s, never panics. The grid **accumulates** into `c`
-    /// (row-major `m × n`) — pass a zeroed buffer (the
-    /// [`crate::WorkspacePool`] re-zeroes on acquire).
+    /// cut for a different K, a wrong-sized C, a kernel whose public `k`
+    /// was lowered below the rows its stream reads) are typed
+    /// [`ExecError`]s, never panics. The grid **overwrites** `c`
+    /// (row-major `m × n`): every element is stored once, whatever the
+    /// buffer held before, so a reused [`crate::WorkspacePool`] buffer
+    /// needs no clearing.
     pub fn execute_prepaneled_into_opts(
         &self,
         b: &PanelizedB<'_>,
@@ -381,6 +421,13 @@ impl CompiledKernel {
             return Err(ExecError::PanelLayoutMismatch {
                 expected_k: self.k,
                 got_k: b.k(),
+            });
+        }
+        if self.col_bound > b.k() {
+            // Only reachable by editing `k` after compilation.
+            return Err(ExecError::BRowsMismatch {
+                expected_k: self.col_bound,
+                got: b.k(),
             });
         }
         let n = b.n();
@@ -398,20 +445,31 @@ impl CompiledKernel {
             fault::trip(points::EXECUTE);
         }
         if n == 0 || self.m == 0 || self.k == 0 {
+            // No panel to walk: every product is an empty sum.
+            c.fill(0.0);
             return Ok(());
         }
         let pw = panel_width(self.k, n);
         let axpy_started = jigsaw_obs::enabled().then(Instant::now);
+        let groups = self.groups.len() - 1;
         // Panel-major: each slab stays hot in cache while every group
-        // gathers its rows.
-        for (pb, slab) in b.data().chunks(self.k * pw).enumerate() {
-            let (col0, w) = (pb * pw, slab.len() / self.k);
-            for g in 0..self.groups.len() - 1 {
-                let (row, h, cols, vals) = self.group(g);
-                if !cols.is_empty() {
-                    let out = GroupC::new(&mut c[row * n + col0..], n, h, w);
-                    (sel.axpy)(out, vals, cols, slab);
-                }
+        // gathers its rows. Groups tile the rows in order, so C splits
+        // where the pair's second group starts (at `m` after the last
+        // group, via the sentinel) into the two rectangles.
+        for (pb, data) in b.data().chunks(self.k * pw).enumerate() {
+            let (col0, w) = (pb * pw, data.len() / self.k);
+            let slab = Slab { data, k: self.k, w };
+            for g in (0..groups).step_by(2) {
+                let row1 = self.groups[g + 1].row as usize;
+                let (c0, c1) = c.split_at_mut(row1 * n);
+                let first = self.group_args(g, c0, 0, n, col0, w);
+                let second = (g + 1 < groups).then(|| self.group_args(g + 1, c1, row1, n, col0, w));
+                // SAFETY: the AxpyFn contract: every column of these
+                // streams is below `self.col_bound` (set by
+                // `try_compile_traced`), which is at most `b.k() ==
+                // self.k` (both checked on entry), and this slab holds
+                // `self.k` rows of `w`.
+                unsafe { (sel.axpy)(first, second, slab) };
             }
         }
         if let Some(started) = axpy_started {
@@ -854,6 +912,51 @@ mod tests {
             &[(126, 4), (130, 4), (134, 4), (138, 4), (142, 2)],
             "greedy runs of at most 4 rows: {groups:?}"
         );
+    }
+
+    #[test]
+    fn out_of_range_source_column_is_a_compile_error() {
+        let (_, mut f) = setup(64, 96, 0.9, 4, 32, true, 5);
+        let past_k = f.k as u32 + 3;
+        for col in f.strips[0].col_idx.iter_mut().filter(|c| **c != PAD) {
+            *col = past_k;
+        }
+        assert!(matches!(
+            CompiledKernel::try_compile(&f),
+            Err(CompileError::ColumnOutOfRange { col, k: 96 }) if col == past_k as usize
+        ));
+    }
+
+    #[test]
+    fn lowering_public_k_below_the_stream_is_an_error_not_a_read() {
+        let (_, f) = setup(64, 96, 0.5, 4, 32, true, 5);
+        let mut kernel = CompiledKernel::compile(&f);
+        let bound = kernel.col_bound;
+        assert!(bound > 1, "precondition: the stream reads past B row 0");
+        kernel.k = bound - 1;
+        let b = dense_rhs(kernel.k, 16, ValueDist::SmallInt, 3);
+        let mut scratch = vec![0.0; kernel.k * 16];
+        panelize_into(&b, &mut scratch).unwrap();
+        let panels = PanelizedB::new(kernel.k, 16, &scratch).unwrap();
+        let mut c = vec![0.0; kernel.m * 16];
+        for kind in dispatch::available_kernels() {
+            let run = kernel.execute_prepaneled_into_opts(
+                &panels,
+                &mut c,
+                &ExecOptions::from(KernelPolicy::Forced(kind)),
+            );
+            assert_eq!(
+                run,
+                Err(ExecError::BRowsMismatch {
+                    expected_k: bound,
+                    got: bound - 1
+                }),
+                "{}",
+                kind.name()
+            );
+        }
+        let caught = std::panic::catch_unwind(|| kernel.execute(&b));
+        assert!(caught.is_err(), "execute panics on the typed error");
     }
 
     #[test]

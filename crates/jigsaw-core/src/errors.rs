@@ -132,7 +132,8 @@ impl From<FaultError> for PlanError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecError {
     /// B's height (or a batch part's height) does not match the
-    /// kernel's reduction dimension.
+    /// kernel's reduction dimension, or is below the rows the kernel's
+    /// compiled stream reads.
     BRowsMismatch {
         /// The expected reduction dimension (the kernel's K, or the
         /// height of part 0 when assembling a batch).
@@ -201,6 +202,14 @@ pub enum CompileError {
         /// Number of nonzeros in the plan.
         nnz: usize,
     },
+    /// A kept nonzero names a source column outside the format's `k`
+    /// (a corrupt or mismatched format); the grid would read past B.
+    ColumnOutOfRange {
+        /// The offending source column.
+        col: usize,
+        /// The format's reduction dimension.
+        k: usize,
+    },
     /// An armed [`crate::fault`] injection point fired during
     /// compilation.
     Fault(FaultError),
@@ -211,6 +220,9 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::StreamOverflow { nnz } => {
                 write!(f, "nonzero stream of {nnz} elements overflows u32 indices")
+            }
+            CompileError::ColumnOutOfRange { col, k } => {
+                write!(f, "source column {col} is outside k={k}")
             }
             CompileError::Fault(e) => write!(f, "{e}"),
         }

@@ -15,9 +15,9 @@
 //!
 //! [`execute_fast`] is also the **differential oracle** of the
 //! compiled microkernel family ([`crate::compiled::dispatch`]): the
-//! `scalar` variant must match it bit-for-bit on every input, and the
-//! fused/reordered variants are held within a stated ULP bound of it
-//! by the `kernel_parity` cross-ISA test suite.
+//! `scalar` variant must match it bit-for-bit on every input, and every
+//! fused variant must match `scalar` bit-for-bit, as the
+//! `kernel_parity` cross-ISA test suite checks.
 
 use dlmc::Matrix;
 use sptc::fragment::{AccFragment, F16Fragment, FragKind};

@@ -3,10 +3,13 @@
 //! Every SpMM execution needs two large transient buffers — the output
 //! C and the converted-B panel scratch — whose sizes repeat from call
 //! to call in steady-state serving. A [`WorkspacePool`] keeps returned
-//! buffers on a shelf so the next acquisition is a `memset`, not an
-//! allocation: a warm server performs **zero** per-request C/scratch
+//! buffers on a shelf so the next acquisition touches no memory at
+//! all: a warm server performs **zero** per-request C/scratch
 //! allocations, observable through [`WorkspacePool::stats`] (and the
 //! global `pool.hits` / `pool.misses` counters when tracing is on).
+//! A reused buffer keeps whatever its last holder wrote: every caller
+//! overwrites the whole slice (the grid stores C, panelization writes
+//! the scratch), so re-zeroing would be a wasted pass over memory.
 //!
 //! Every slice the pool hands out starts on a 64-byte cache line, on
 //! hits and misses alike, so the vector-row microkernels' 16-lane B
@@ -33,45 +36,45 @@ pub(crate) const ALIGN_BYTES: usize = 64;
 /// most 15 floats in. At most 60 bytes per buffer.
 const ALIGN_SLACK: usize = ALIGN_BYTES / 4 - 1;
 
-/// Zeroed f32 storage whose slice starts on an [`ALIGN_BYTES`]
-/// boundary: a plain `Vec` whose first `off` floats (before its first
-/// line boundary) are skipped. The one aligned-buffer implementation:
-/// the pool shelves its `Vec`s, and
+/// f32 storage whose slice starts on an [`ALIGN_BYTES`] boundary: a
+/// plain `Vec` whose first `off` floats (before its first line
+/// boundary) are skipped and whose slice is the `len` floats after
+/// them. The `Vec` keeps its whole initialized length, so reusing it
+/// for any length that fits touches no memory. The one aligned-buffer
+/// implementation: the pool shelves its `Vec`s, and
 /// [`crate::CompiledKernel::execute_opts`] allocates through it.
 #[derive(Debug, Default)]
 pub(crate) struct AlignedBuf {
     buf: Vec<f32>,
     off: usize,
+    len: usize,
 }
 
 impl AlignedBuf {
     /// A freshly allocated zeroed aligned slice of `len` floats.
     pub(crate) fn zeroed(len: usize) -> AlignedBuf {
-        // `vec!` of zeros allocates pre-zeroed memory; only the unused
-        // tail past the aligned slice is truncated away.
+        // `vec!` of zeros allocates pre-zeroed memory.
         let padded = len
             .checked_add(ALIGN_SLACK)
             .expect("buffer length fits in usize");
-        let mut buf = vec![0.0f32; padded];
+        let buf = vec![0.0f32; padded];
         let off = lead(&buf);
-        buf.truncate(off + len);
-        AlignedBuf { buf, off }
+        AlignedBuf { buf, off, len }
     }
 
-    /// `buf`'s allocation re-zeroed as an aligned slice of `len`
-    /// floats. `buf` must [`fits`] `len`, so nothing reallocates and the
-    /// start stays where `lead` found it.
-    fn reuse(mut buf: Vec<f32>, len: usize) -> AlignedBuf {
+    /// `buf`'s allocation as an aligned slice of `len` floats, holding
+    /// whatever its last holder wrote. `buf` must [`fits`] `len`, so
+    /// nothing reallocates and the start stays where `lead` found it.
+    fn reuse(buf: Vec<f32>, len: usize) -> AlignedBuf {
         debug_assert!(fits(&buf, len));
         let off = lead(&buf);
-        buf.clear();
-        buf.resize(off + len, 0.0);
-        AlignedBuf { buf, off }
+        AlignedBuf { buf, off, len }
     }
 
     /// The contents as a plain `Vec` (shifted to its start when the
     /// aligned slice did not begin there).
     pub(crate) fn into_vec(mut self) -> Vec<f32> {
+        self.buf.truncate(self.off + self.len);
         self.buf.drain(..self.off);
         self.buf
     }
@@ -80,13 +83,13 @@ impl AlignedBuf {
 impl Deref for AlignedBuf {
     type Target = [f32];
     fn deref(&self) -> &[f32] {
-        &self.buf[self.off..]
+        &self.buf[self.off..self.off + self.len]
     }
 }
 
 impl DerefMut for AlignedBuf {
     fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.buf[self.off..]
+        &mut self.buf[self.off..self.off + self.len]
     }
 }
 
@@ -95,11 +98,11 @@ fn lead(buf: &[f32]) -> usize {
     buf.as_ptr().align_offset(ALIGN_BYTES)
 }
 
-/// Whether `buf`'s allocation holds `len` floats from its first line
+/// Whether `buf` holds `len` initialized floats from its first line
 /// boundary. An unallocated `Vec` fits nothing: its dangling pointer
 /// would move on the first write.
-fn fits(buf: &Vec<f32>, len: usize) -> bool {
-    buf.capacity() > 0 && lead(buf) + len <= buf.capacity()
+fn fits(buf: &[f32], len: usize) -> bool {
+    !buf.is_empty() && lead(buf) + len <= buf.len()
 }
 
 /// Snapshot of a pool's accounting.
@@ -129,8 +132,8 @@ impl PoolStats {
 /// A thread-safe shelf of reusable `Vec<f32>` buffers.
 ///
 /// Acquire with [`WorkspacePool::acquire`]; the returned [`PoolBuf`]
-/// is zeroed, starts on a 64-byte cache line, and hands its storage
-/// back on drop. Capacity-based matching means one pool serves mixed
+/// starts on a 64-byte cache line, holds unspecified contents (the
+/// caller overwrites it), and hands its storage back on drop. Capacity-based matching means one pool serves mixed
 /// sizes (different models, different batch widths): a buffer big
 /// enough for the largest request satisfies every smaller one without
 /// reallocating.
@@ -159,11 +162,14 @@ impl WorkspacePool {
         }
     }
 
-    /// Acquires a zeroed buffer of exactly `len` elements whose first
-    /// element sits on a 64-byte (cache-line) boundary.
+    /// Acquires a buffer of exactly `len` elements whose first element
+    /// sits on a 64-byte (cache-line) boundary. Its contents are
+    /// unspecified: a miss is zeroed by the allocation, a hit holds
+    /// whatever its previous holder wrote. Every caller must overwrite
+    /// the slice before reading it.
     ///
-    /// A shelved buffer whose capacity already covers `len` past its
-    /// first line boundary is a *hit* (re-zeroed, never reallocated);
+    /// A shelved buffer that already holds `len` floats past its first
+    /// line boundary is a *hit* (neither reallocated nor cleared);
     /// anything else is a *miss* that allocates `len` plus at most 15
     /// floats of alignment slack. Matching is best-fit — the smallest
     /// adequate buffer is taken — so a small acquisition (C) never
@@ -179,7 +185,7 @@ impl WorkspacePool {
                 .iter()
                 .enumerate()
                 .filter(|(_, b)| fits(b, len))
-                .min_by_key(|(_, b)| b.capacity())
+                .min_by_key(|(_, b)| b.len())
                 .map(|(i, _)| i);
             found.map(|i| shelf.swap_remove(i))
         };
@@ -210,6 +216,15 @@ impl WorkspacePool {
         }
     }
 
+    /// Overwrites every float of every shelved buffer with `bits`, so a
+    /// test can check that callers never read what they did not write.
+    #[cfg(test)]
+    pub(crate) fn fill_shelved(&self, bits: u32) {
+        for buf in lock_recover(&self.shelf).iter_mut() {
+            buf.fill(f32::from_bits(bits));
+        }
+    }
+
     // `lock_recover` matters here specifically: PoolBuf returns its
     // storage from Drop, which also runs mid-unwind — a poisoned shelf
     // must not turn one panic into a double panic (abort).
@@ -221,7 +236,8 @@ impl WorkspacePool {
     }
 }
 
-/// A pooled buffer; derefs to a 64-byte-aligned `[f32]` and returns
+/// A pooled buffer; derefs to a 64-byte-aligned `[f32]` of unspecified
+/// contents (see [`WorkspacePool::acquire`]) and returns
 /// its storage to the pool on drop. Use [`PoolBuf::into_vec`] to keep
 /// the storage instead (counts as permanently borrowing it from the
 /// pool).
@@ -282,7 +298,6 @@ mod tests {
         );
         {
             let b = pool.acquire(100);
-            assert!(b.iter().all(|&v| v == 0.0), "reused buffer is zeroed");
             assert_eq!(b.len(), 100);
         }
         let s = pool.stats();
@@ -347,17 +362,16 @@ mod tests {
         (b.as_ptr() as usize).is_multiple_of(ALIGN_BYTES)
     }
 
-    /// Asserts `b` is a zeroed, line-aligned slice of `len` floats, then
-    /// dirties it so a later reuse must re-zero it.
+    /// Asserts `b` is a line-aligned slice of `len` floats, then writes
+    /// all of it, as every caller does.
     fn check_fresh(b: &mut [f32], len: usize) {
         assert_eq!(b.len(), len);
         assert!(line_aligned(b), "len {len} at {:p}", b.as_ptr());
-        assert!(b.iter().all(|&v| v == 0.0), "len {len} is zeroed");
         b.fill(7.0);
     }
 
     #[test]
-    fn every_acquire_is_line_aligned_and_zeroed() {
+    fn every_acquire_is_line_aligned() {
         let pool = WorkspacePool::new();
         // Cold: every acquisition misses (all are held at once).
         let mut held: Vec<PoolBuf<'_>> = LENS.iter().map(|&len| pool.acquire(len)).collect();

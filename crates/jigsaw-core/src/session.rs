@@ -321,6 +321,38 @@ mod tests {
         }
     }
 
+    /// A forward pass over shelved buffers full of NaN or all-ones bits
+    /// equals a fresh session's, bit for bit: every layer's C and
+    /// scratch are overwritten before they are read. The first layer
+    /// has a row with no nonzeros, the second an all-zero weight.
+    #[test]
+    fn stale_pool_buffers_change_no_forward_output() {
+        let mut w0 = weights_of(ValueDist::Uniform, 64, 32, 1);
+        w0.data[5 * 32..6 * 32].fill(F16::ZERO);
+        let w1 = Matrix::zeros(48, 64);
+        let w2 = weights_of(ValueDist::Uniform, 32, 48, 2);
+        let session = || {
+            let mut s = Session::new(GpuSpec::a100());
+            s.add_layer("up", &w0, JigsawConfig::v4(32)).unwrap();
+            s.add_layer("zero", &w1, JigsawConfig::v4(16)).unwrap();
+            s.add_layer("down", &w2, JigsawConfig::v4(16)).unwrap();
+            s
+        };
+        for n in [1, 13] {
+            let x = dense_rhs(32, n, ValueDist::Uniform, 3);
+            let (fresh, _) = session().forward(&x).unwrap();
+            let mut reused = session();
+            reused.forward(&x).unwrap();
+            for bits in [0x7FC0_0000, 0xFFFF_FFFF] {
+                let misses = reused.pool_stats().misses;
+                reused.pool.fill_shelved(bits);
+                let (y, _) = reused.forward(&x).unwrap();
+                assert_eq!(y.data, fresh.data, "n={n} stale {bits:#x}");
+                assert_eq!(reused.pool_stats().misses, misses, "reused the shelf");
+            }
+        }
+    }
+
     #[test]
     fn mismatched_layer_dims_error() {
         let mut session = Session::new(GpuSpec::a100());

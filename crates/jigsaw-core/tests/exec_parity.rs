@@ -220,3 +220,55 @@ fn execution_output_matches_pinned_digests() {
         wrong.join("\n")
     );
 }
+
+/// Bit patterns a reused pool buffer may hold: a quiet NaN, and all
+/// ones (a negative NaN with every payload bit set).
+const STALE: [u32; 2] = [0x7FC0_0000, 0xFFFF_FFFF];
+
+/// Fills the shelved buffers the next `execute_pooled` takes with
+/// `bits`: acquiring C's and the scratch's lengths in the order it
+/// does makes best-fit hand out the same buffers, which go back on the
+/// shelf dirty.
+fn dirty(pool: &WorkspacePool, lens: [usize; 2], bits: u32) {
+    let misses = pool.stats().misses;
+    let mut held: Vec<_> = lens.iter().map(|&len| pool.acquire(len)).collect();
+    for buf in &mut held {
+        buf.fill(f32::from_bits(bits));
+    }
+    drop(held);
+    assert_eq!(pool.stats().misses, misses, "dirtied the shelved buffers");
+}
+
+/// `execute_pooled` over reused buffers full of NaN or all-ones bits
+/// returns what a fresh buffer does, bit for bit: the grid stores every
+/// element of C and panelization writes every scratch float. Covers a
+/// row with no nonzeros, an all-zero A and K = 0.
+#[test]
+fn stale_pool_buffers_change_no_output() {
+    dispatch::unpoison_all();
+    let mut empty_row = shifted_matrix(144, 96, 4, 0x57A1E);
+    empty_row.data[3 * 96..4 * 96].fill(sptc::F16::ZERO);
+    for a in [empty_row, Matrix::zeros(144, 96), Matrix::zeros(32, 0)] {
+        let plan = ReorderPlan::build(&a, &JigsawConfig::v4(16));
+        let format = JigsawFormat::build(&a, &plan, true);
+        let kernel = CompiledKernel::compile(&format);
+        for n in [1, 13, 64] {
+            let b = dense_rhs(a.cols, n, ValueDist::Uniform, n as u64);
+            let fresh = kernel.execute_opts(&b, &ExecOptions::default());
+            assert_eq!(fresh, execute_fast(&format, &b), "fresh buffers");
+            let pool = WorkspacePool::new();
+            drop(kernel.execute_pooled(&b, &pool));
+            for bits in STALE {
+                dirty(&pool, [a.rows * n, a.cols * n], bits);
+                let got = kernel.execute_pooled(&b, &pool);
+                let label = format!("{}x{} n={n} stale {bits:#x}", a.rows, a.cols);
+                assert_eq!(bit_image(&got), bit_image(&fresh), "{label}");
+            }
+            assert_eq!(pool.stats().misses, 2, "only the warm-up allocated");
+        }
+    }
+}
+
+fn bit_image(c: &[f32]) -> Vec<u32> {
+    c.iter().map(|x| x.to_bits()).collect()
+}

@@ -1,21 +1,18 @@
 //! Cross-ISA differential parity suite for the microkernel dispatch
 //! registry (`jigsaw_core::compiled::dispatch`).
 //!
-//! Contract under test (DESIGN.md §13):
+//! Contract under test (DESIGN.md §13): one numeric contract for every
+//! variant.
 //!
 //! * the `scalar` variant is **bit-identical** to [`execute_fast`] —
 //!   the differential oracle — on every input,
-//! * every fused same-order variant (`avx2_fma`, `avx512f`, `neon`)
-//!   keeps the oracle's
-//!   accumulation *order* and differs only by per-step fused
-//!   rounding: bit-exact on integer-valued data, within the stated
-//!   tolerance (floored relative error ≤ 1e-5, ≈ 84 ulps at unit
-//!   scale) on arbitrary data,
-//! * every variant computes, per output element, exactly the per-row
-//!   chain — fused `mul_add`s (or, for `scalar`, sequential adds) over
-//!   `row_stream(row)` in order, starting from zero — whether the
-//!   compiled stream groups the row with its vector-row neighbours or
-//!   not (DESIGN.md §20),
+//! * every other variant (`avx2_fma`, `avx512f`, `neon`) is
+//!   bit-identical to `scalar`. Each keeps every row's accumulation
+//!   order, and a fused multiply-add of two f16 values rounds exactly
+//!   like a multiply then an add (their product is exact in f32), so
+//!   fusion changes no bit. That holds whether a row is grouped with
+//!   its vector-row neighbours or not (DESIGN.md §20), and whether its
+//!   group shares a register block with the next group or not,
 //! * `KernelPolicy::Forced(kind)` selects each runnable variant, and a
 //!   forced-but-absent ISA falls back cleanly to a correct product —
 //!   never a panic.
@@ -29,8 +26,8 @@ use rand::prelude::*;
 use dlmc::{dense_rhs, Matrix, ValueDist, VectorSparseSpec};
 use jigsaw_core::compiled::dispatch::{self, ALL_KERNELS};
 use jigsaw_core::{
-    execute_fast, max_relative_error, panel_cuts, CompiledKernel, ExecOptions, JigsawConfig,
-    JigsawFormat, KernelKind, KernelPolicy, ReorderPlan,
+    execute_fast, panel_cuts, CompiledKernel, ExecOptions, JigsawConfig, JigsawFormat, KernelKind,
+    KernelPolicy, ReorderPlan,
 };
 use sptc::F16;
 
@@ -167,30 +164,71 @@ proptest! {
         }
     }
 
-    /// On arbitrary values the fused same-order variants stay within
-    /// 1e-5 floored relative error of the scalar oracle, and every
-    /// variant is bit-identical to the test-local per-row chain — over
-    /// v ∈ {1, 2, 4, 8} (group heights 1..=4 and split v=8 runs) and
-    /// widths that reach every register-block tail.
+    /// On arbitrary values every variant equals the scalar oracle bit
+    /// for bit — over v ∈ {1, 2, 4, 8} (group heights 1..=4 and split
+    /// v=8 runs), one-vector panels (N ≤ 16, where avx512f pairs
+    /// groups) and widths that reach every register-block tail.
     #[test]
-    fn fused_variants_stay_within_stated_tolerance(
+    fn every_variant_equals_the_scalar_oracle_bit_for_bit(
         a in arb_matrix(ValueDist::Uniform),
-        n in arb_width(),
+        n in prop_oneof![1usize..=16, arb_width()],
         interleaved in any::<bool>(),
     ) {
         let b = dense_rhs(a.cols, n, ValueDist::Uniform, 29);
         let (_, kernel) = compile(&a, interleaved);
-        let oracle = kernel.execute_opts(&b, &ExecOptions::scalar());
-        let fused_chain = per_row_oracle(&kernel, &b, true);
-        let sequential_chain = per_row_oracle(&kernel, &b, false);
+        let oracle = bits(&kernel.execute_opts(&b, &ExecOptions::scalar()));
         for &kind in available_for_proptest() {
-            let got = kernel.execute_opts(&b, &forced(kind));
-            let err = max_relative_error(&got, &oracle);
-            prop_assert!(err <= 1e-5, "variant {} err {} exceeds 1e-5", kind.name(), err);
-            let chain = if kind.bit_exact() { &sequential_chain } else { &fused_chain };
-            prop_assert_eq!(&got, chain, "variant {} n={}", kind.name(), n);
+            let got = bits(&kernel.execute_opts(&b, &forced(kind)));
+            prop_assert_eq!(&got, &oracle, "variant {} n={}", kind.name(), n);
         }
     }
+
+    /// Adjacent groups of unequal heights and unequal stream lengths,
+    /// empty streams among them: runs of 1..=6 rows share one random
+    /// column set, so the compiled stream cuts them into groups of 1..=4
+    /// rows whose neighbours differ in height and length. At N ≤ 16
+    /// avx512f runs such pairs in one register block; every variant
+    /// must still equal the scalar oracle bit for bit.
+    #[test]
+    fn paired_groups_of_unequal_shapes_equal_the_scalar_oracle(
+        a in arb_row_runs(),
+        n in prop_oneof![1usize..=16, 17usize..=40],
+    ) {
+        let b = dense_rhs(a.cols, n, ValueDist::Uniform, 41);
+        let (format, kernel) = compile(&a, true);
+        let oracle = bits(&kernel.execute_opts(&b, &ExecOptions::scalar()));
+        prop_assert_eq!(&oracle, &bits(&execute_fast(&format, &b)));
+        for &kind in available_for_proptest() {
+            let got = bits(&kernel.execute_opts(&b, &forced(kind)));
+            prop_assert_eq!(&got, &oracle, "variant {} n={}", kind.name(), n);
+        }
+    }
+}
+
+/// Strategy: a 16·(1..=4) × 16·(1..=4) matrix of runs of 1..=6
+/// consecutive rows, each run sharing one random set of 0..=12 columns
+/// with its own uniform values.
+fn arb_row_runs() -> impl Strategy<Value = Matrix> {
+    (1usize..=4, 1usize..=4, any::<u64>()).prop_map(|(mr, kc, seed)| {
+        let (m, k) = (16 * mr, 16 * kc);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = vec![0.0f32; m * k];
+        let mut row = 0;
+        while row < m {
+            let run = rng.gen_range(1usize..=6).min(m - row);
+            let cols: Vec<usize> = (0..rng.gen_range(0..=12))
+                .map(|_| rng.gen_range(0..k))
+                .collect();
+            for r in row..row + run {
+                for &c in &cols {
+                    let mag = rng.gen_range(0.25f32..2.0);
+                    data[r * k + c] = if rng.gen_bool(0.5) { -mag } else { mag };
+                }
+            }
+            row += run;
+        }
+        Matrix::from_f32(m, k, &data)
+    })
 }
 
 proptest! {
@@ -303,32 +341,6 @@ fn bits(v: &[f32]) -> Vec<u32> {
 /// (panels are 512 wide at these K).
 fn arb_width() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), 2usize..=280, 513usize..=530]
-}
-
-/// The per-row reference chain, test-local so it cannot share a bug
-/// with the grouped kernels: for each output element, the products of
-/// `row_stream(row)` applied in stream order from zero — fused
-/// (`mul_add`) for the fused variants, sequential f32 adds for
-/// `scalar`.
-fn per_row_oracle(kernel: &CompiledKernel, b: &Matrix, fused: bool) -> Vec<f32> {
-    let n = b.cols;
-    let mut c = vec![0.0f32; kernel.m * n];
-    for row in 0..kernel.m {
-        let stream: Vec<(f32, usize)> = kernel.row_stream(row).collect();
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for &(v, col) in &stream {
-                let bv = b.row(col)[j].to_f32();
-                acc = if fused {
-                    v.mul_add(bv, acc)
-                } else {
-                    acc + v * bv
-                };
-            }
-            c[row * n + j] = acc;
-        }
-    }
-    c
 }
 
 /// `runnable_variants` would flood proptest output with one skip line

@@ -105,9 +105,8 @@ pub struct PlannedModel {
 /// How one resident model executes. A compiled model runs a two-rung
 /// ladder, compiled SIMD → compiled scalar; a model whose compilation
 /// failed runs [`execute_fast`] on the format instead. Every path
-/// computes the same product (the scalar rung and `execute_fast` are
-/// bit-identical; SIMD is within an ulp per step), so degrading is
-/// invisible to callers except in latency and the `degrade.*`
+/// computes the same product bit for bit (DESIGN.md §13), so degrading
+/// is invisible to callers except in latency and the `degrade.*`
 /// counters.
 #[derive(Clone, Debug)]
 pub enum ExecPlan {
@@ -183,8 +182,9 @@ impl PlannedModel {
     /// ([`assemble_panels`]) and executed through the prepaneled entry
     /// point, so the dense operand is touched once, in the layout the
     /// kernel consumes. A panic out of the SIMD rung poisons it
-    /// ([`ExecPlan`]): C is re-zeroed (a partial write may have
-    /// landed) and the scalar rung reruns over the same panels. A
+    /// ([`ExecPlan`]) and the scalar rung reruns over the same panels;
+    /// the rerun overwrites every element of C, so a partial write the
+    /// panic left behind never shows. A
     /// typed assembly error, an injected `serve.assemble` error
     /// included, comes back as a [`BatchError`]; an assembly panic
     /// unwinds to the caller's batch guard. Returns the product plus
@@ -218,10 +218,7 @@ impl PlannedModel {
                     done?;
                     return Ok((c, true));
                 }
-                Err(_) => {
-                    self.poison_after_panic(simd_poisoned);
-                    c.fill(0.0);
-                }
+                Err(_) => self.poison_after_panic(simd_poisoned),
             }
         }
         kernel.execute_prepaneled_into_opts(&b, &mut c, &ExecOptions::scalar())?;

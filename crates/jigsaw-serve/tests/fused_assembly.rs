@@ -125,7 +125,12 @@ fn lock() -> MutexGuard<'static, ()> {
 
 /// A fresh registry's one model, registered with `opts` and fetched.
 fn model(opts: ExecOptions) -> Arc<PlannedModel> {
-    let weights = VectorSparseSpec {
+    model_of(weights(), opts)
+}
+
+/// The 64 × 96 weights of [`model`].
+fn weights() -> Matrix {
+    VectorSparseSpec {
         rows: 64,
         cols: 96,
         sparsity: 0.9,
@@ -133,7 +138,12 @@ fn model(opts: ExecOptions) -> Arc<PlannedModel> {
         dist: ValueDist::Uniform,
         seed: 11,
     }
-    .generate();
+    .generate()
+}
+
+/// A fresh registry's one model of `weights`, registered with `opts`
+/// and fetched.
+fn model_of(weights: Matrix, opts: ExecOptions) -> Arc<PlannedModel> {
     let reg = ModelRegistry::new(RegistryConfig::default()).unwrap();
     reg.register_with_options("m", weights, JigsawConfig::v4(32), opts);
     reg.get("m").unwrap()
@@ -141,8 +151,13 @@ fn model(opts: ExecOptions) -> Arc<PlannedModel> {
 
 /// `count` ragged parts of one batch (widths 3, 5, 7, …).
 fn ragged_parts(count: usize) -> Vec<Matrix> {
+    ragged_parts_of(96, count)
+}
+
+/// `count` ragged `k`-row parts of one batch (widths 3, 5, 7, …).
+fn ragged_parts_of(k: usize, count: usize) -> Vec<Matrix> {
     (0..count)
-        .map(|i| dense_rhs(96, 3 + 2 * i, ValueDist::Uniform, 40 + i as u64))
+        .map(|i| dense_rhs(k, 3 + 2 * i, ValueDist::Uniform, 40 + i as u64))
         .collect()
 }
 
@@ -215,4 +230,77 @@ fn compile_failure_serves_the_batch_bit_exactly() {
     let (c, simd) = model.execute_batch_pooled(&refs, &pool).unwrap();
     assert!(!simd);
     assert_eq!(&c[..], &expect[..]);
+}
+
+/// Bit patterns a reused pool buffer may hold: a quiet NaN, and all
+/// ones (a negative NaN with every payload bit set).
+const STALE: [u32; 2] = [0x7FC0_0000, 0xFFFF_FFFF];
+
+/// Fills the shelved buffers the next batch takes with `bits`:
+/// acquiring C's and the scratch's lengths in the order the batch path
+/// does makes best-fit hand out the same buffers, which go back on the
+/// shelf dirty.
+fn dirty(pool: &WorkspacePool, lens: [usize; 2], bits: u32) {
+    let misses = pool.stats().misses;
+    let mut held: Vec<_> = lens.iter().map(|&len| pool.acquire(len)).collect();
+    for buf in &mut held {
+        buf.fill(f32::from_bits(bits));
+    }
+    drop(held);
+    assert_eq!(pool.stats().misses, misses, "dirtied the shelved buffers");
+}
+
+fn bit_image(c: &[f32]) -> Vec<u32> {
+    c.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Both rungs of the batch ladder over reused buffers full of NaN or
+/// all-ones bits return the `execute_fast`-on-concat product bit for
+/// bit: the SIMD rung, and the scalar rerun after an injected
+/// `exec.execute` panic (which fires before the grid writes anything,
+/// so the rerun starts from a C of nothing but stale bits). Models
+/// with a row of no nonzeros, an all-zero weight and K = 0.
+#[test]
+fn stale_pool_buffers_change_no_batch_output() {
+    let _g = lock();
+    let simd_host = dispatch::selected_kind(&ExecOptions::default()) != KernelKind::Scalar;
+    let mut empty_row = weights();
+    empty_row.data[7 * 96..8 * 96].fill(sptc::F16::ZERO);
+    for w in [empty_row, Matrix::zeros(64, 96), Matrix::zeros(32, 0)] {
+        let (m, k) = (w.rows, w.cols);
+        let parts = ragged_parts_of(k, 3);
+        let refs: Vec<&Matrix> = parts.iter().collect();
+        let n: usize = parts.iter().map(|p| p.cols).sum();
+        let model = model_of(w.clone(), ExecOptions::default());
+        let expect = bit_image(&execute_fast(
+            &model.format,
+            &concat_columns(&refs).unwrap(),
+        ));
+        let pool = WorkspacePool::new();
+        drop(model.execute_batch_pooled(&refs, &pool).unwrap());
+        for bits in STALE {
+            dirty(&pool, [m * n, k * n], bits);
+            let (c, simd) = model.execute_batch_pooled(&refs, &pool).unwrap();
+            assert!(simd, "a healthy model runs its top rung");
+            assert_eq!(bit_image(&c), expect, "{m}x{k} SIMD rung, stale {bits:#x}");
+        }
+        if !simd_host {
+            continue; // No SIMD rung to panic out of.
+        }
+        for bits in STALE {
+            let model = model_of(w.clone(), ExecOptions::default());
+            dirty(&pool, [m * n, k * n], bits);
+            fault::inject(FaultSpec::always(points::EXECUTE, FaultKind::Panic));
+            let (c, simd) = model.execute_batch_pooled(&refs, &pool).unwrap();
+            fault::reset();
+            dispatch::unpoison_all();
+            assert!(!simd, "the scalar rung produced the batch");
+            assert_eq!(
+                bit_image(&c),
+                expect,
+                "{m}x{k} scalar rerun, stale {bits:#x}"
+            );
+        }
+        assert_eq!(pool.stats().misses, 2, "only the warm-up allocated");
+    }
 }
