@@ -14,9 +14,9 @@ use serde::{Deserialize, Serialize};
 use jigsaw_core::panelize_into;
 use jigsaw_serve::{
     assemble_panels, concat_columns, default_zoo, generate_schedule, generate_zipf_schedule,
-    scaled_zoo, simulate_sharded, HealthConfig, HedgeConfig, LoadSpec, ModelRegistry,
-    RegistryConfig, ReplicationConfig, ShardConfig, ShardSimConfig, SimConfig, SimRequest,
-    StealConfig, ZipfLoadSpec,
+    scaled_zoo, simulate_sharded, ForwardConfig, HealthConfig, HedgeConfig, LoadSpec,
+    ModelRegistry, RegistryConfig, ReplicationConfig, ShardConfig, ShardSimConfig, SimConfig,
+    SimRequest, ZipfLoadSpec,
 };
 
 use crate::runner::render_table;
@@ -65,8 +65,6 @@ pub struct ShardRow {
     pub completed: u64,
     /// Requests redirected to a less-loaded replica at admission.
     pub forwarded: u64,
-    /// Requests an idle shard pulled from an overloaded peer.
-    pub stolen: u64,
     /// Breaker fast-rejects summed over shards.
     pub breaker_rejects: u64,
     /// Requests shed on deadline expiry.
@@ -354,7 +352,7 @@ pub fn run_shard_sweep(spec: &GpuSpec, sweep: &ShardSweepSpec) -> Vec<ShardRow> 
             let cfg = ShardSimConfig::new(
                 ShardConfig::new(shards)
                     .with_replication(ReplicationConfig::cycles(48, 2, 1_000_000.0))
-                    .with_steal(StealConfig::threshold(16)),
+                    .with_forwarding(ForwardConfig::threshold(16)),
                 SimConfig::batched(spec.clone(), MAX_BATCH_N),
             );
             let report = simulate_sharded(&registry, &schedule, &cfg);
@@ -363,7 +361,6 @@ pub fn run_shard_sweep(spec: &GpuSpec, sweep: &ShardSweepSpec) -> Vec<ShardRow> 
                 shards,
                 completed: report.totals.completed,
                 forwarded: report.forwarded,
-                stolen: report.stolen,
                 breaker_rejects: report.totals.breaker_rejects,
                 shed_expired: report.totals.shed_expired,
                 failed: report.totals.failed,
@@ -461,7 +458,7 @@ pub fn run_hedge_sweep(spec: &GpuSpec) -> Vec<HedgeRow> {
     let cfg = |tolerant: bool| {
         let shard = ShardConfig::new(HEDGE_SHARDS)
             .with_replication(ReplicationConfig::cycles(32, 2, 500_000.0))
-            .with_steal(StealConfig::threshold(8));
+            .with_forwarding(ForwardConfig::threshold(8));
         let cfg = ShardSimConfig::new(shard, SimConfig::batched(spec.clone(), 128))
             .with_straggler(STRAGGLER_SHARD, STRAGGLER_FACTOR);
         if tolerant {
@@ -637,7 +634,7 @@ impl Serving {
             "completed",
             "p50 lat",
             "p99 lat",
-            "fwd/stolen",
+            "fwd",
             "brk/shed/failed",
             "req/Gcycle",
         ]
@@ -653,7 +650,7 @@ impl Serving {
                     r.completed.to_string(),
                     format!("{:.0}", r.p50_latency_cycles),
                     format!("{:.0}", r.p99_latency_cycles),
-                    format!("{}/{}", r.forwarded, r.stolen),
+                    r.forwarded.to_string(),
                     format!("{}/{}/{}", r.breaker_rejects, r.shed_expired, r.failed),
                     format!("{:.1}", r.requests_per_gcycle),
                 ]
@@ -735,7 +732,7 @@ impl Serving {
             "Serving — {} requests, seed {:#x}; work-conserving batching,\n\
              max batch {} columns (virtual-clock scheduler, A100 spec)\n{}\n\
              Sharded — {} zipf requests from {} users, seed {:#x};\n\
-             consistent-hash ring, hot-model replication, work stealing\n{}\n\
+             consistent-hash ring, hot-model replication, forwarding\n{}\n\
              Fused assembly — panel-major emit vs concat+panelize,\n\
              k={}, {} columns/part (host-timed, bit-exact asserted)\n{}\n\
              Tail tolerance — {} shards, shard {} a {:.0}× straggler;\n\
@@ -818,7 +815,7 @@ mod tests {
         assert!(warm_row.avg_occupancy > 1.0, "requests were coalesced");
         let text = result.to_text();
         assert!(text.contains("batched+warm") && text.contains("req/Gcycle"));
-        assert!(text.contains("Sharded") && text.contains("fwd/stolen"));
+        assert!(text.contains("Sharded") && text.contains("fwd"));
         assert!(text.contains("Fused assembly") && text.contains("two-touch µs"));
         assert!(text.contains("Tail tolerance") && text.contains("work amp"));
         assert!(text.contains("Offered load") && text.contains("mean gap"));

@@ -37,6 +37,11 @@ pub fn to_obs_json<T: Serialize>(value: &T) -> Json {
 /// observability snapshot under `observability`, exported through the
 /// JSON sink.
 pub fn bench_doc<T: Serialize>(experiment: &str, value: &T) -> Json {
+    bench_doc_of(experiment, to_obs_json(value))
+}
+
+/// [`bench_doc`] over a `data` section that is already [`Json`].
+fn bench_doc_of(experiment: &str, data: Json) -> Json {
     let observability = JsonSink
         .emit(&jigsaw_obs::global().snapshot())
         .and_then(|text| jigsaw_obs::parse(&text).ok())
@@ -44,7 +49,7 @@ pub fn bench_doc<T: Serialize>(experiment: &str, value: &T) -> Json {
     Json::obj()
         .with("schema", BENCH_SCHEMA)
         .with("experiment", experiment)
-        .with("data", to_obs_json(value))
+        .with("data", data)
         .with("observability", observability)
 }
 
@@ -73,15 +78,16 @@ pub fn write_bench_json<T: Serialize>(experiment: &str, value: &T) -> io::Result
 #[rustfmt::skip]
 const SCHEMA: &[(&str, &str, &str, &[&str])] = &[
     // One row per (shape, N, microkernel variant, fusion).
-    ("exec", "shapes", "exec shape row missing key", &["m", "k", "n", "speedup"]),
+    ("exec", "shapes", "exec shape row missing key",
+     &["m", "k", "n", "variant", "fusion", "speedup"]),
     // The resilience columns (DESIGN.md §12) on every policy row.
     ("serving", "rows", "serving row missing resilience key",
      &["failed", "shed_expired", "queue_depth", "breakers_open"]),
     // One row per shard count with the per-shard columns (§14).
     ("serving", "shard_rows", "serving shard row missing key",
-     &["shards", "completed", "forwarded", "stolen", "breaker_rejects", "shed_expired",
-       "failed", "p50_latency_cycles", "p95_latency_cycles", "p99_latency_cycles",
-       "per_shard_submitted", "per_shard_completed"]),
+     &["shards", "completed", "forwarded", "breaker_rejects", "shed_expired", "failed",
+       "promotions", "demotions", "p50_latency_cycles", "p95_latency_cycles",
+       "p99_latency_cycles", "per_shard_submitted", "per_shard_completed"]),
     // One fusion row per batch size, gated by `--perf` (§16).
     ("serving", "fusion_rows", "serving fusion row missing key",
      &["batch", "k", "total_n", "fused_assemble_ns", "unfused_assemble_ns", "speedup"]),
@@ -108,40 +114,35 @@ fn data_rows<'a>(doc: &'a Json, section: &str) -> Option<&'a [Json]> {
         .filter(|r| !r.is_empty())
 }
 
-/// Exec rows: the `variant` column is optional (legacy docs predate
-/// the dispatch layer) but when present must name a registry variant,
-/// and a per-variant doc must include the `scalar` floor — it has no
-/// ISA gate, so its absence means the bench sweep silently shrank. A
-/// `fusion` column must be `on` or `off`.
+/// Exec rows (the schema check guarantees `variant` and `fusion`):
+/// every `variant` must name a registry variant, every `fusion` must be
+/// `on` or `off`, and the doc must include the `scalar` floor — it has
+/// no ISA gate, so its absence means the bench sweep silently shrank.
 fn check_exec_variants(rows: &[Json]) -> Result<(), String> {
-    let mut saw_variant = false;
     let mut saw_scalar = false;
     for row in rows {
-        if let Some(variant) = row.get("variant") {
-            let name = variant
-                .as_str()
-                .ok_or_else(|| "exec: variant must be a string".to_string())?;
-            if jigsaw_core::KernelKind::parse(name).is_none() {
-                return Err(format!("exec: unknown microkernel variant {name:?}"));
-            }
-            saw_variant = true;
-            saw_scalar |= name == "scalar";
+        let name = row
+            .get("variant")
+            .and_then(|v| v.as_str())
+            .ok_or_else(|| "exec: variant must be a string".to_string())?;
+        if jigsaw_core::KernelKind::parse(name).is_none() {
+            return Err(format!("exec: unknown microkernel variant {name:?}"));
         }
-        if let Some(fusion) = row.get("fusion") {
-            let mode = fusion
-                .as_str()
-                .ok_or_else(|| "exec: fusion must be a string".to_string())?;
-            if mode != "on" && mode != "off" {
-                return Err(format!(
-                    "exec: unknown fusion mode {mode:?}, expected \"on\" or \"off\""
-                ));
-            }
+        saw_scalar |= name == "scalar";
+        let mode = row
+            .get("fusion")
+            .and_then(|f| f.as_str())
+            .ok_or_else(|| "exec: fusion must be a string".to_string())?;
+        if mode != "on" && mode != "off" {
+            return Err(format!(
+                "exec: unknown fusion mode {mode:?}, expected \"on\" or \"off\""
+            ));
         }
     }
-    if saw_variant && !saw_scalar {
+    if !saw_scalar {
         return Err(
-            "exec: per-variant doc has no scalar rows — the scalar floor is \
-             portable and must be benched"
+            "exec: doc has no scalar rows — the scalar floor is portable and \
+             must be benched"
                 .to_string(),
         );
     }
@@ -269,9 +270,7 @@ fn num(row: &Json, key: &str, role: &str) -> Result<f64, String> {
 /// wall times are deliberately not compared. Every baseline row gates
 /// against its matching candidate row:
 ///
-/// * rows match on `(m, k, n, variant, fusion)`, where a missing
-///   `variant` column (legacy single-variant docs) reads as
-///   `avx2_fma` and a missing `fusion` reads as `off`,
+/// * rows match on `(m, k, n, variant, fusion)`,
 /// * a baseline row whose variant's ISA the gating host lacks (e.g. an
 ///   `avx512f` row from an exotic baseline host) is skipped with a
 ///   note, never an error — baselines regenerated on wide hosts do
@@ -308,26 +307,16 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
     // `(m, k, n, variant, fusion)` identity of one row.
     type RowKey = (u64, u64, u64, String, String);
     let key = |row: &Json| -> Option<RowKey> {
-        let variant = row
-            .get("variant")
-            .and_then(|v| v.as_str())
-            .unwrap_or("avx2_fma")
-            .to_string();
-        let fusion = row
-            .get("fusion")
-            .and_then(|f| f.as_str())
-            .unwrap_or("off")
-            .to_string();
         Some((
             row.get("m")?.as_u64()?,
             row.get("k")?.as_u64()?,
             row.get("n")?.as_u64()?,
-            variant,
-            fusion,
+            row.get("variant")?.as_str()?.to_string(),
+            row.get("fusion")?.as_str()?.to_string(),
         ))
     };
     // Both docs passed the schema check: their shapes are non-empty
-    // and every row carries m/k/n/speedup.
+    // and every row carries m/k/n/variant/fusion/speedup.
     let base_shapes = data_rows(&base_doc, "shapes").unwrap_or_default();
     let cand_shapes = data_rows(&cand_doc, "shapes").unwrap_or_default();
     let floor = base_doc
@@ -339,7 +328,7 @@ pub fn check_perf_text(baseline: &str, candidate: &str, tolerance: f64) -> Resul
     let mut report = Vec::new();
     let mut gated_any = false;
     for base in base_shapes {
-        let (m, k, n, variant, fusion) = key(base).ok_or("baseline: shape missing m/k/n")?;
+        let (m, k, n, variant, fusion) = key(base).ok_or("baseline: malformed shape key")?;
         let base_speedup = num(base, "speedup", "baseline")?;
         let kind = jigsaw_core::KernelKind::parse(&variant)
             .ok_or_else(|| format!("baseline: unknown variant {variant:?}"))?;
@@ -586,10 +575,11 @@ mod tests {
         shards: usize,
         completed: u64,
         forwarded: u64,
-        stolen: u64,
         breaker_rejects: u64,
         shed_expired: u64,
         failed: u64,
+        promotions: u64,
+        demotions: u64,
         p50_latency_cycles: f64,
         p95_latency_cycles: f64,
         p99_latency_cycles: f64,
@@ -602,10 +592,11 @@ mod tests {
             shards,
             completed: 100,
             forwarded: 3,
-            stolen: 1,
             breaker_rejects: 0,
             shed_expired: 0,
             failed: 0,
+            promotions: 1,
+            demotions: 0,
             p50_latency_cycles: 1_000.0,
             p95_latency_cycles: 5_000.0,
             p99_latency_cycles: 9_000.0,
@@ -1069,38 +1060,55 @@ mod tests {
         assert!(err.contains("missing key"), "{err}");
     }
 
-    #[derive(Serialize)]
-    struct ToyShape {
-        m: usize,
-        k: usize,
-        n: usize,
-        speedup: f64,
+    /// A 64×64 exec row carrying `columns`, e.g. `[("n", 64.into())]`.
+    fn shape_row(columns: Vec<(&str, Json)>) -> Json {
+        let row = Json::obj().with("m", 64usize).with("k", 64usize);
+        columns
+            .into_iter()
+            .fold(row, |row, (key, value)| row.with(key, value))
     }
 
-    #[derive(Serialize)]
-    struct ToyExec {
-        shapes: Vec<ToyShape>,
-        required_speedup: f64,
+    /// An exec doc over `shapes` with a 2.0× `required_speedup` floor.
+    fn exec_json(shapes: Vec<Json>) -> String {
+        let data = Json::obj()
+            .with("shapes", shapes)
+            .with("required_speedup", 2.0);
+        bench_doc_of("exec", data).to_string()
     }
 
-    fn exec_doc(speedups: &[(usize, f64)]) -> String {
-        let shapes = speedups
-            .iter()
-            .map(|&(n, speedup)| ToyShape {
-                m: 64,
-                k: 64,
-                n,
-                speedup,
-            })
-            .collect();
-        bench_doc(
-            "exec",
-            &ToyExec {
-                shapes,
-                required_speedup: 2.0,
-            },
+    /// Unfused rows of one `(N, variant, speedup)` each.
+    fn exec_doc_variants(rows: &[(usize, &str, f64)]) -> String {
+        exec_json(
+            rows.iter()
+                .map(|&(n, variant, speedup)| {
+                    shape_row(vec![
+                        ("n", n.into()),
+                        ("variant", variant.into()),
+                        ("fusion", "off".into()),
+                        ("speedup", speedup.into()),
+                    ])
+                })
+                .collect(),
         )
-        .to_string()
+    }
+
+    /// One floored `avx2_fma` row per `(N, speedup)`, each beside a
+    /// 1.5× scalar row.
+    fn exec_doc(speedups: &[(usize, f64)]) -> String {
+        let rows: Vec<(usize, &str, f64)> = speedups
+            .iter()
+            .flat_map(|&(n, speedup)| [(n, "avx2_fma", speedup), (n, "scalar", 1.5)])
+            .collect();
+        exec_doc_variants(&rows)
+    }
+
+    /// A doc from before the dispatch layer: rows with no `variant`
+    /// and no `fusion` column.
+    fn variantless_exec_doc() -> String {
+        exec_json(vec![shape_row(vec![
+            ("n", 64usize.into()),
+            ("speedup", 3.0.into()),
+        ])])
     }
 
     #[test]
@@ -1127,42 +1135,6 @@ mod tests {
         assert!(check_perf_text(&base, &base, 1.5).is_err());
     }
 
-    #[derive(Serialize)]
-    struct VariantShape {
-        m: usize,
-        k: usize,
-        n: usize,
-        variant: String,
-        speedup: f64,
-    }
-
-    fn exec_doc_variants(rows: &[(usize, &str, f64)]) -> String {
-        let shapes = rows
-            .iter()
-            .map(|&(n, variant, speedup)| VariantShape {
-                m: 64,
-                k: 64,
-                n,
-                variant: variant.to_string(),
-                speedup,
-            })
-            .collect::<Vec<_>>();
-        bench_doc(
-            "exec",
-            &ToyExec2 {
-                shapes,
-                required_speedup: 2.0,
-            },
-        )
-        .to_string()
-    }
-
-    #[derive(Serialize)]
-    struct ToyExec2 {
-        shapes: Vec<VariantShape>,
-        required_speedup: f64,
-    }
-
     #[test]
     fn exec_docs_validate_per_variant_rows() {
         // Per-variant rows with registry names pass…
@@ -1172,66 +1144,65 @@ mod tests {
             (64, "avx512f", 3.5),
         ]);
         assert_eq!(check_bench_text(&good), Ok("exec".to_string()));
-        // …legacy rows without a variant column still pass…
-        assert_eq!(
-            check_bench_text(&exec_doc(&[(64, 3.0)])),
-            Ok("exec".to_string())
-        );
-        // …but an unknown variant name is a schema error…
+        // …rows without a variant or fusion column are rejected…
+        let err = check_bench_text(&variantless_exec_doc()).unwrap_err();
+        assert!(err.contains("\"variant\""), "{err}");
+        let no_fusion = exec_json(vec![shape_row(vec![
+            ("n", 64usize.into()),
+            ("variant", "scalar".into()),
+            ("speedup", 1.5.into()),
+        ])]);
+        let err = check_bench_text(&no_fusion).unwrap_err();
+        assert!(err.contains("\"fusion\""), "{err}");
+        // …an unknown variant name is a schema error…
         let unknown = exec_doc_variants(&[(64, "warp_specialized", 3.0), (64, "scalar", 1.5)]);
         let err = check_bench_text(&unknown).unwrap_err();
         assert!(err.contains("warp_specialized"), "{err}");
-        // …a per-variant doc that lost its scalar rows is a schema
-        // error (the floor is portable — absence means the sweep
-        // shrank)…
+        // …a doc that lost its scalar rows is a schema error (the
+        // floor is portable — absence means the sweep shrank)…
         let no_scalar = exec_doc_variants(&[(64, "avx2_fma", 3.0), (64, "avx512f", 3.5)]);
         let err = check_bench_text(&no_scalar).unwrap_err();
         assert!(err.contains("scalar"), "{err}");
         // …and so is a row missing a perf-gate key or an empty table.
-        #[derive(Serialize)]
-        struct NoSpeedup {
-            m: usize,
-            k: usize,
-            n: usize,
-        }
-        #[derive(Serialize)]
-        struct NoSpeedupExec {
-            shapes: Vec<NoSpeedup>,
-        }
-        let bad = bench_doc(
-            "exec",
-            &NoSpeedupExec {
-                shapes: vec![NoSpeedup { m: 64, k: 64, n: 8 }],
-            },
-        )
-        .to_string();
+        let bad = exec_json(vec![shape_row(vec![
+            ("n", 8usize.into()),
+            ("variant", "scalar".into()),
+            ("fusion", "off".into()),
+        ])]);
         assert!(check_bench_text(&bad).unwrap_err().contains("speedup"));
-        let empty = bench_doc("exec", &NoSpeedupExec { shapes: vec![] }).to_string();
-        assert!(check_bench_text(&empty).is_err());
+        assert!(check_bench_text(&exec_json(vec![])).is_err());
     }
 
     #[test]
     fn perf_gate_matches_rows_per_variant() {
-        // A legacy variant-less baseline gates against the candidate's
-        // avx2_fma rows; the candidate's extra variants ride along.
-        let base = exec_doc(&[(64, 3.0)]);
-        let cand = exec_doc_variants(&[(64, "scalar", 2.1), (64, "avx2_fma", 2.9)]);
+        // A variant-less doc is rejected as either side of the gate.
+        let base = exec_doc_variants(&[(64, "scalar", 2.1), (64, "avx2_fma", 3.0)]);
+        let legacy = variantless_exec_doc();
+        let err = check_perf_text(&legacy, &base, 0.10).unwrap_err();
+        assert!(err.contains("baseline is not a valid bench doc"), "{err}");
+        let err = check_perf_text(&base, &legacy, 0.10).unwrap_err();
+        assert!(err.contains("candidate is not a valid bench doc"), "{err}");
+        // Rows gate row-for-row; the candidate's extra variants ride
+        // along.
+        let cand = exec_doc_variants(&[
+            (64, "scalar", 2.1),
+            (64, "avx2_fma", 2.9),
+            (64, "avx512f", 3.5),
+        ]);
         assert!(check_perf_text(&base, &cand, 0.10).is_ok());
         // A regressed avx2 row fails even when another variant is fast.
         let regressed = exec_doc_variants(&[(64, "avx2_fma", 2.0), (64, "scalar", 9.0)]);
         assert!(check_perf_text(&base, &regressed, 0.10).is_err());
-        // Per-variant baselines gate row-for-row: a scalar collapse is
-        // caught even with the floored avx2 row healthy.
-        let vbase = exec_doc_variants(&[(64, "scalar", 2.1), (64, "avx2_fma", 3.0)]);
-        assert!(check_perf_text(&vbase, &cand, 0.10).is_ok());
+        // A scalar collapse is caught even with the floored avx2 row
+        // healthy.
         let scalar_collapse = exec_doc_variants(&[(64, "scalar", 1.0), (64, "avx2_fma", 3.0)]);
-        let err = check_perf_text(&vbase, &scalar_collapse, 0.10).unwrap_err();
+        let err = check_perf_text(&base, &scalar_collapse, 0.10).unwrap_err();
         assert!(err.contains("scalar"), "{err}");
         // The absolute floor binds only the avx2 rows: scalar drifting
         // from 2.1x to 1.95x stays inside tolerance even though 1.95x
         // is under the 2.0x floor.
         let scalar_drift = exec_doc_variants(&[(64, "scalar", 1.95), (64, "avx2_fma", 3.0)]);
-        assert!(check_perf_text(&vbase, &scalar_drift, 0.10).is_ok());
+        assert!(check_perf_text(&base, &scalar_drift, 0.10).is_ok());
         // A baseline row for an ISA this host lacks (x86-64 has no
         // NEON, aarch64 no AVX-512F) is skipped with a note, not
         // demanded of the candidate.

@@ -48,7 +48,7 @@ pub mod points {
     /// One shard-router routing decision (before the request reaches
     /// its home shard's admission).
     pub const SHARD_ROUTE: &str = "shard.route";
-    /// One shard-router forward/steal redirect to a replica shard.
+    /// One shard-router forward to a replica shard.
     pub const SHARD_FORWARD: &str = "shard.forward";
     /// One shard dispatch that a chaos harness may turn into a
     /// straggler. Callers interpret the fault themselves via

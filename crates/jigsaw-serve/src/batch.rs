@@ -284,19 +284,12 @@ impl From<ExecError> for BatchError {
     }
 }
 
-/// Concatenates same-height matrices along the column axis.
-///
-/// Typed-error edges: an empty `parts` slice is
-/// [`BatchError::EmptyBatch`], a zero-width part is
-/// [`BatchError::ZeroWidthPart`], and disagreeing heights are
-/// [`BatchError::RowMismatch`] — admission validates all three before
-/// a request can reach a batch, so the server treats an `Err` here as
-/// a failed batch, not a panic.
-pub fn concat_columns(parts: &[&Matrix]) -> Result<Matrix, BatchError> {
-    let Some(first) = parts.first() else {
-        return Err(BatchError::EmptyBatch);
-    };
-    let rows = first.rows;
+/// The shared height K of a batch's parts, after the validation both
+/// assemblers run: at least one part ([`BatchError::EmptyBatch`]), no
+/// zero-width part ([`BatchError::ZeroWidthPart`]), and every part as
+/// tall as the first ([`BatchError::RowMismatch`]).
+fn batch_rows(parts: &[&Matrix]) -> Result<usize, BatchError> {
+    let rows = parts.first().ok_or(BatchError::EmptyBatch)?.rows;
     for (index, p) in parts.iter().enumerate() {
         if p.cols == 0 {
             return Err(BatchError::ZeroWidthPart { index });
@@ -309,6 +302,19 @@ pub fn concat_columns(parts: &[&Matrix]) -> Result<Matrix, BatchError> {
             });
         }
     }
+    Ok(rows)
+}
+
+/// Concatenates same-height matrices along the column axis.
+///
+/// Typed-error edges: an empty `parts` slice is
+/// [`BatchError::EmptyBatch`], a zero-width part is
+/// [`BatchError::ZeroWidthPart`], and disagreeing heights are
+/// [`BatchError::RowMismatch`] — admission validates all three before
+/// a request can reach a batch, so the server treats an `Err` here as
+/// a failed batch, not a panic.
+pub fn concat_columns(parts: &[&Matrix]) -> Result<Matrix, BatchError> {
+    let rows = batch_rows(parts)?;
     let cols: usize = parts.iter().map(|p| p.cols).sum();
     let mut data = Vec::with_capacity(rows * cols);
     for r in 0..rows {
@@ -342,22 +348,7 @@ pub fn assemble_panels(
     parts: &[&Matrix],
     scratch: &mut [f32],
 ) -> Result<(usize, usize), BatchError> {
-    let Some(first) = parts.first() else {
-        return Err(BatchError::EmptyBatch);
-    };
-    let rows = first.rows;
-    for (index, p) in parts.iter().enumerate() {
-        if p.cols == 0 {
-            return Err(BatchError::ZeroWidthPart { index });
-        }
-        if p.rows != rows {
-            return Err(BatchError::RowMismatch {
-                expected: rows,
-                got: p.rows,
-                index,
-            });
-        }
-    }
+    batch_rows(parts)?;
     fault::hit(points::SERVE_ASSEMBLE)?;
     // Heights were validated above, so the core assembler's only live
     // edge is scratch capacity.

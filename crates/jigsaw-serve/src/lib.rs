@@ -29,7 +29,7 @@
 //! a consistent-hash [`shard::ShardRouter`] spreads model ids over N
 //! independent server shards (each with its own registry LRU, worker
 //! pool, and breakers), replicates hot models onto ring neighbors,
-//! forwards/steals work off overloaded shards, and isolates shard
+//! forwards arrivals off overloaded shards, and isolates shard
 //! failures behind typed errors (DESIGN.md §14); a killed shard can be
 //! revived. A tail-tolerance layer (DESIGN.md §17) adds per-shard
 //! health scoring with outlier ejection and hedged requests under a
@@ -63,9 +63,9 @@ pub use registry::{
 };
 pub use server::{ServeConfig, ServeError, Server, Ticket};
 pub use shard::{
-    simulate_sharded, HashRing, HealthConfig, HealthState, HedgeConfig, HedgePolicy, HotTracker,
-    ReplicationConfig, RetryBudget, RouterMetrics, ShardConfig, ShardHealth, ShardLane,
-    ShardRouter, ShardSimConfig, ShardSimReport, StealConfig,
+    simulate_sharded, ForwardConfig, HashRing, HealthConfig, HealthState, HedgeConfig, HedgePolicy,
+    HotTracker, ReplicationConfig, RetryBudget, RouterMetrics, ShardConfig, ShardHealth, ShardLane,
+    ShardRouter, ShardSimConfig, ShardSimReport,
 };
 pub use sim::{SimCompletion, SimConfig, SimFailure, SimRequest};
 pub use zoo::{default_zoo, scaled_zoo, ZooModel};

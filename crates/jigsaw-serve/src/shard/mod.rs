@@ -1,5 +1,5 @@
 //! Sharded serving: a consistent-hash router in front of N independent
-//! server shards, with hot-model replication and work stealing.
+//! server shards, with hot-model replication and queue-depth forwarding.
 //!
 //! One [`crate::server::Server`] owns one registry, one worker pool,
 //! and one queue — a single-shard ceiling. This module scales that
@@ -8,8 +8,8 @@
 //! * [`ring`] — the consistent-hash ring placing model ids on shards;
 //! * [`replicate`] — windowed popularity tracking that promotes hot
 //!   models onto their ring neighbors and demotes them on cooldown;
-//! * [`steal`] — the queue-depth policy that forwards arrivals to the
-//!   least-loaded replica and lets idle shards pull queued work;
+//! * [`forward`] — the queue-depth policy that forwards arrivals to
+//!   the least-loaded replica, the only rule that moves load;
 //! * [`health`] — per-shard EWMA health scoring with outlier ejection
 //!   and probed re-admission, for gray failures a breaker can't see;
 //! * [`hedge`] — hedged requests past a p95-derived delay, bounded by
@@ -31,6 +31,7 @@
 //! requests with no live replica fail with a typed
 //! [`crate::batch::AdmitError::ShardUnavailable`], never a hang.
 
+pub mod forward;
 pub mod health;
 pub mod hedge;
 mod place;
@@ -38,15 +39,14 @@ pub mod replicate;
 pub mod ring;
 pub mod router;
 pub mod sim;
-pub mod steal;
 
+pub use forward::{least_loaded, should_forward, ForwardConfig};
 pub use health::{HealthConfig, HealthState, ShardHealth};
 pub use hedge::{HedgeConfig, HedgePolicy, RetryBudget};
 pub use replicate::{HotEvent, HotTracker, ReplicationConfig};
 pub use ring::{fnv1a64, HashRing};
 pub use router::{RouterMetrics, ShardRouter};
 pub use sim::{simulate_sharded, ShardLane, ShardSimConfig, ShardSimReport};
-pub use steal::{least_loaded, should_forward, StealConfig};
 
 /// Topology + placement policy for one sharded deployment, shared by
 /// the threaded router and the simulator.
@@ -58,20 +58,20 @@ pub struct ShardConfig {
     pub vnodes: usize,
     /// Hot-model replication policy.
     pub replication: ReplicationConfig,
-    /// Forward/steal policy.
-    pub steal: StealConfig,
+    /// Forwarding policy.
+    pub forwarding: ForwardConfig,
 }
 
 impl ShardConfig {
     /// `shards` shards with the module defaults: 64 vnodes, no
-    /// replication, no stealing (`queue_threshold` = `usize::MAX`).
+    /// replication, no forwarding (`queue_threshold` = `usize::MAX`).
     /// Policies opt in via the builders.
     pub fn new(shards: usize) -> ShardConfig {
         ShardConfig {
             shards: shards.max(1),
             vnodes: 64,
             replication: ReplicationConfig::disabled(),
-            steal: StealConfig::disabled(),
+            forwarding: ForwardConfig::disabled(),
         }
     }
 
@@ -81,9 +81,9 @@ impl ShardConfig {
         self
     }
 
-    /// Enables forwarding/stealing with the given policy.
-    pub fn with_steal(mut self, steal: StealConfig) -> ShardConfig {
-        self.steal = steal;
+    /// Enables forwarding with the given policy.
+    pub fn with_forwarding(mut self, forwarding: ForwardConfig) -> ShardConfig {
+        self.forwarding = forwarding;
         self
     }
 }

@@ -10,11 +10,11 @@
 use std::collections::BTreeMap;
 
 use crate::metrics::count;
+use crate::shard::forward::{least_loaded, should_forward, ForwardConfig};
 use crate::shard::health::{fleet_baseline, HealthConfig, HealthState, ShardHealth};
 use crate::shard::hedge::{HedgeConfig, HedgePolicy};
-use crate::shard::replicate::{HotEvent, HotTracker};
+use crate::shard::replicate::{HotEvent, HotTracker, ReplicationConfig};
 use crate::shard::ring::HashRing;
-use crate::shard::steal::{least_loaded, should_forward, StealConfig};
 use crate::shard::ShardConfig;
 
 /// One arrival's placement, as [`Placement::route`] decided it.
@@ -43,20 +43,27 @@ pub(crate) struct Placement {
     health_enabled: bool,
     /// The hedge window and retry budget.
     pub hedge: HedgePolicy,
-    steal: StealConfig,
+    forwarding: ForwardConfig,
 }
 
 impl Placement {
-    /// Fresh state: every shard admitted, no model hot.
+    /// Fresh state: every shard admitted, no model hot. The replica
+    /// count is clamped to the shard count; a clamped count below 2
+    /// has nowhere to put a replica, so it turns replication off.
     pub fn new(cfg: &ShardConfig, health: HealthConfig, hedge: HedgeConfig) -> Placement {
+        let mut replication = cfg.replication.clone();
+        replication.replicas = replication.replicas.min(cfg.shards);
+        if replication.replicas < 2 {
+            replication = ReplicationConfig::disabled();
+        }
         Placement {
             ring: HashRing::new(cfg.shards, cfg.vnodes),
-            hot: HotTracker::new(cfg.replication.clone()),
+            hot: HotTracker::new(replication),
             cursors: BTreeMap::new(),
             health: (0..cfg.shards).map(|_| ShardHealth::new(health)).collect(),
             health_enabled: health.enabled,
             hedge: HedgePolicy::new(hedge),
-            steal: cfg.steal,
+            forwarding: cfg.forwarding,
         }
     }
 
@@ -127,7 +134,7 @@ impl Placement {
         let forward = if candidates.len() > 1 {
             let target_depth = depth(target);
             least_loaded(&candidates, &depth).filter(|&best| {
-                best != target && should_forward(&self.steal, target_depth, depth(best))
+                best != target && should_forward(&self.forwarding, target_depth, depth(best))
             })
         } else {
             None
@@ -194,7 +201,6 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::replicate::ReplicationConfig;
 
     /// 4 shards; a model goes hot on its 2nd request and then spans 2
     /// shards; forwarding past 4 queued; health ejects after 2 samples
@@ -203,7 +209,7 @@ mod tests {
         Placement::new(
             &ShardConfig::new(4)
                 .with_replication(ReplicationConfig::cycles(2, 2, 1e12))
-                .with_steal(StealConfig::threshold(4)),
+                .with_forwarding(ForwardConfig::threshold(4)),
             HealthConfig {
                 enabled: true,
                 alpha: 1.0,
@@ -331,7 +337,32 @@ mod tests {
         let (model, _) = hot_model(&mut off);
         for _ in 0..2 {
             let r = off.route(&model, 1.0, |_| true, |s| 100 * usize::from(s == 0));
-            assert_eq!(r.expect("live").forward, None, "stealing off");
+            assert_eq!(r.expect("live").forward, None, "forwarding off");
+        }
+    }
+
+    #[test]
+    fn a_replica_count_below_two_never_promotes() {
+        // One shard has nowhere to put a replica, and `replicas: 1`
+        // asks for none: both clamp below 2, so no model ever goes hot.
+        for (shards, replicas) in [(1, 2), (4, 1)] {
+            let mut p = Placement::new(
+                &ShardConfig::new(shards)
+                    .with_replication(ReplicationConfig::cycles(2, replicas, 1e12)),
+                HealthConfig::disabled(),
+                HedgeConfig::disabled(),
+            );
+            let model = homed_on(&p, 0);
+            for t in 0..8 {
+                let r = p.route(&model, t as f64, |_| true, |_| 0).expect("live");
+                assert_eq!(
+                    r.event,
+                    HotEvent::None,
+                    "{shards} shards, {replicas} replicas"
+                );
+            }
+            assert_eq!(p.replica_set(&model), vec![0]);
+            assert_eq!(p.stats(), (0, 0));
         }
     }
 

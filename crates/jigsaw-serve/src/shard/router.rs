@@ -339,8 +339,8 @@ fn lock_recover_write<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::forward::ForwardConfig;
     use crate::shard::replicate::ReplicationConfig;
-    use crate::shard::steal::StealConfig;
     use crate::zoo::scaled_zoo;
     use dlmc::{dense_rhs, ValueDist};
 
@@ -352,7 +352,7 @@ mod tests {
         let router = ShardRouter::start(
             ShardConfig::new(shards)
                 .with_replication(replication)
-                .with_steal(StealConfig::threshold(8)),
+                .with_forwarding(ForwardConfig::threshold(8)),
             RegistryConfig::default(),
             ServeConfig {
                 workers: 1,

@@ -1,8 +1,7 @@
 //! Deterministic multi-shard virtual-clock simulation: N simulated
 //! devices behind the consistent-hash ring, with hot-model
-//! replication, queue-depth forwarding, idle-shard work stealing,
-//! health ejection and hedged requests — the policy engine behind
-//! `results/BENCH_serving.json`.
+//! replication, queue-depth forwarding, health ejection and hedged
+//! requests — the policy engine behind `results/BENCH_serving.json`.
 //!
 //! The only virtual-clock serving event loop: a single device is a
 //! one-shard [`ShardConfig`], and every shard batches by the
@@ -14,9 +13,9 @@
 //! nor hedges.
 //!
 //! Determinism contract: the only clock is the cycle counter; shard
-//! state lives in `BTreeMap`s; every tie (event time, head age, steal
-//! victim) breaks by id/name; and kernel costs come through each
-//! model's simulation memo. Same `(schedule, config, warm registry)` ⇒
+//! state lives in `BTreeMap`s; every tie (event time, head age,
+//! forward or hedge target) breaks by id/name; and kernel costs come
+//! through each model's simulation memo. Same `(schedule, config, warm registry)` ⇒
 //! bit-identical report (a cold fetch charges measured host time).
 //!
 //! Scale: requests only carry `(model, arrival, n)` — no operand
@@ -43,8 +42,8 @@ use crate::sim::{SimCompletion, SimConfig, SimFailure, SimRequest};
 /// breaker, device spec).
 #[derive(Clone, Debug)]
 pub struct ShardSimConfig {
-    /// Topology and replication/steal policies. The replication window
-    /// and thresholds are on the **cycle** clock here.
+    /// Topology and replication/forwarding policies. The replication
+    /// window and thresholds are on the **cycle** clock here.
     pub shard: ShardConfig,
     /// Per-shard serving policy; every shard gets an identical device.
     pub sim: SimConfig,
@@ -103,8 +102,6 @@ pub struct ShardLane {
     /// Arrivals redirected *to another shard* because this home/target
     /// was over the queue threshold.
     pub forwarded_out: u64,
-    /// Queued requests another shard pulled from this one.
-    pub stolen_from: u64,
     /// Cycles this shard's device spent busy.
     pub busy_cycles: f64,
 }
@@ -120,8 +117,6 @@ pub struct ShardSimReport {
     pub totals: ServeMetrics,
     /// Requests forwarded at admission (sender-initiated).
     pub forwarded: u64,
-    /// Requests moved by idle-shard stealing (receiver-initiated).
-    pub stolen: u64,
     /// Hot-model promotions / demotions.
     pub promotions: u64,
     /// Demotions at window rolls.
@@ -188,7 +183,6 @@ struct Shard<'a> {
     free_at: f64,
     metrics: ServeMetrics,
     forwarded_out: u64,
-    stolen_from: u64,
 }
 
 impl<'a> Shard<'a> {
@@ -224,11 +218,10 @@ fn decide(shard: &Shard<'_>, now: f64) -> Option<(String, f64)> {
 ///
 /// Every arrival is placed by the placement rule the threaded router
 /// also runs (`Placement`, DESIGN.md §14), with every simulated shard
-/// live; the same state picks every hedge target (§17). Between
-/// dispatches, an idle shard with a free device steals the back half
-/// of the deepest over-threshold peer's queue for a hot model it
-/// replicates. Every shard runs the same batching rule ([`pop_batch`])
-/// and per-model breakers.
+/// live; the same state picks every hedge target (§17). Forwarding at
+/// admission is the only rule that moves load: a queued request runs
+/// on the shard that admitted it. Every shard runs the same batching
+/// rule ([`pop_batch`]) and per-model breakers.
 ///
 /// Infallible by construction: registry errors and panics raised at
 /// dispatch (e.g. injected via [`jigsaw_core::fault`]) fail that
@@ -262,13 +255,11 @@ pub fn simulate_sharded(
             free_at: 0.0,
             metrics: ServeMetrics::default(),
             forwarded_out: 0,
-            stolen_from: 0,
         })
         .collect();
     let mut placement = Placement::new(&cfg.shard, cfg.health, cfg.hedge);
     let mut latency = Histogram::default();
     let mut forwarded = 0u64;
-    let mut stolen = 0u64;
     let mut next_arrival = 0usize;
     let mut now = 0.0f64;
     let mut makespan = 0.0f64;
@@ -283,8 +274,8 @@ pub fn simulate_sharded(
     // Hedged ids whose ledger event (complete/fail/shed) has fired; the
     // surviving copy of a resolved id is dropped unexecuted at dispatch.
     let mut resolved: BTreeSet<usize> = BTreeSet::new();
-    // Which shard's ledger currently holds each hedged id's `submitted`
-    // count (maintained through steals).
+    // Which shard's ledger holds each hedged id's `submitted` count:
+    // the primary's, until `resolve` moves it to the resolving shard.
     let mut origin: BTreeMap<usize, usize> = BTreeMap::new();
     let mut hedges = 0u64;
     let mut hedge_wins = 0u64;
@@ -331,67 +322,6 @@ pub fn simulate_sharded(
             placement.hedge.on_primary();
             let depth = lane.depth();
             lane.metrics.peak_queue_depth = lane.metrics.peak_queue_depth.max(depth);
-        }
-
-        // --- Receiver-initiated stealing: an idle, free shard pulls
-        // the back half of the deepest over-threshold peer queue for a
-        // model whose replica set includes it. ---
-        for thief in 0..n_shards {
-            if shards[thief].depth() > 0 || shards[thief].free_at > now {
-                continue;
-            }
-            // Deepest victim first; ties break low.
-            let Some(victim) = (0..n_shards)
-                .filter(|&s| s != thief && shards[s].depth() >= cfg.shard.steal.queue_threshold)
-                .max_by_key(|&s| (shards[s].depth(), usize::MAX - s))
-            else {
-                continue;
-            };
-            // First model (name order) in the victim's queues that
-            // the thief replicates.
-            let movable: Option<String> = shards[victim]
-                .queues
-                .iter()
-                .find(|(name, q)| {
-                    q.len() > 1
-                        && placement.is_hot(name)
-                        && placement.replica_set(name).contains(&thief)
-                })
-                .map(|(name, _)| name.clone());
-            let Some(model) = movable else { continue };
-            let q = shards[victim].queues.get_mut(&model).expect("found above");
-            let take = q.len() / 2;
-            let moved: Vec<Queued<'_>> = (0..take).filter_map(|_| q.pop_back()).collect();
-            if q.is_empty() {
-                shards[victim].queues.remove(&model);
-            }
-            shards[victim].stolen_from += take as u64;
-            stolen += take as u64;
-            if jigsaw_obs::enabled() {
-                jigsaw_obs::global()
-                    .counter("shard.stolen")
-                    .add(take as u64);
-            }
-            // Stolen work changes accounting shard: admit on the
-            // thief, un-admit on the victim. Hedged duplicates
-            // carry no ledger counts, so only primaries transfer;
-            // a moved hedged primary re-homes its ledger too.
-            let ledgered = moved.iter().filter(|qd| !qd.dup).count() as u64;
-            for qd in moved.iter().filter(|qd| !qd.dup) {
-                if hedged.contains(&qd.req.id) {
-                    origin.insert(qd.req.id, thief);
-                }
-            }
-            shards[victim].metrics.submitted -= ledgered;
-            let thief_lane = &mut shards[thief];
-            thief_lane.metrics.submitted += ledgered;
-            let tq = thief_lane.queues.entry(model).or_default();
-            // Preserve arrival order on the thief.
-            for qd in moved.into_iter().rev() {
-                tq.push_back(qd);
-            }
-            let depth = thief_lane.depth();
-            thief_lane.metrics.peak_queue_depth = thief_lane.metrics.peak_queue_depth.max(depth);
         }
 
         // --- Launch due hedges: a primary that has waited past the
@@ -682,7 +612,6 @@ pub fn simulate_sharded(
                 shard,
                 busy_cycles: lane.metrics.device_cycles,
                 forwarded_out: lane.forwarded_out,
-                stolen_from: lane.stolen_from,
                 metrics: lane.metrics,
             }
         })
@@ -693,7 +622,6 @@ pub fn simulate_sharded(
         latency_cycles: latency,
         totals,
         forwarded,
-        stolen,
         promotions,
         demotions,
         hedges,
@@ -736,9 +664,9 @@ mod tests {
     use super::*;
     use crate::loadgen::{generate_zipf_schedule, ZipfLoadSpec};
     use crate::registry::{ModelRegistry, RegistryConfig};
+    use crate::shard::forward::ForwardConfig;
     use crate::shard::replicate::ReplicationConfig;
     use crate::shard::ring::HashRing;
-    use crate::shard::steal::StealConfig;
     use crate::zoo::scaled_zoo;
     use gpu_sim::GpuSpec;
 
@@ -760,7 +688,7 @@ mod tests {
         ShardSimConfig::new(
             ShardConfig::new(shards)
                 .with_replication(ReplicationConfig::cycles(32, 2, 500_000.0))
-                .with_steal(StealConfig::threshold(8)),
+                .with_forwarding(ForwardConfig::threshold(8)),
             SimConfig::batched(GpuSpec::a100(), 128),
         )
     }
@@ -820,7 +748,6 @@ mod tests {
             b.latency_cycles.percentile(99.0).to_bits()
         );
         assert_eq!(a.forwarded, b.forwarded);
-        assert_eq!(a.stolen, b.stolen);
         assert_eq!(a.promotions, b.promotions);
         for (la, lb) in a.lanes.iter().zip(&b.lanes) {
             assert_eq!(la.metrics.submitted, lb.metrics.submitted);
@@ -845,10 +772,10 @@ mod tests {
     }
 
     #[test]
-    fn forwarding_and_stealing_fire_under_skew() {
+    fn forwarding_fires_under_skew() {
         let (reg, zoo) = warm_registry(8);
         // Heavy skew + tight arrivals: the hot model's home shard
-        // saturates, so replicas absorb forwarded/stolen work.
+        // saturates, so replicas absorb forwarded work.
         let schedule: Vec<SimRequest> = generate_zipf_schedule(
             &zoo,
             &ZipfLoadSpec {
@@ -864,12 +791,7 @@ mod tests {
         .collect();
         let report = simulate_sharded(&reg, &schedule, &sharded_cfg(4));
         assert!(report.promotions > 0, "hot model promoted");
-        assert!(
-            report.forwarded > 0 || report.stolen > 0,
-            "load moved off the hot shard (forwarded {} stolen {})",
-            report.forwarded,
-            report.stolen
-        );
+        assert!(report.forwarded > 0, "load moved off the hot shard");
         assert_eq!(
             report.totals.completed + report.totals.failed + report.totals.shed_expired,
             report.totals.submitted
@@ -888,7 +810,7 @@ mod tests {
         let cfg = |tail: bool| {
             let shard = ShardConfig::new(4)
                 .with_replication(ReplicationConfig::cycles(32, 2, 500_000.0))
-                .with_steal(StealConfig::threshold(8));
+                .with_forwarding(ForwardConfig::threshold(8));
             let cfg = ShardSimConfig::new(shard, SimConfig::batched(GpuSpec::a100(), 128))
                 .with_straggler(0, 10.0);
             if tail {
@@ -936,7 +858,7 @@ mod tests {
         let cfg = ShardSimConfig::new(
             ShardConfig::new(4)
                 .with_replication(ReplicationConfig::cycles(32, 2, 500_000.0))
-                .with_steal(StealConfig::threshold(8)),
+                .with_forwarding(ForwardConfig::threshold(8)),
             SimConfig::batched(GpuSpec::a100(), 128),
         )
         .with_health(HealthConfig::cycles())
@@ -959,8 +881,8 @@ mod tests {
     fn hedged_duplicates_carry_the_original_deadline() {
         // Deadline propagation (§17): the hedged duplicate inherits the
         // original submitter's deadline, never a fresh window. (A
-        // forwarded or stolen request moves the queued entry itself —
-        // same `req`, original arrival, original deadline — so the only
+        // forwarded request queues the request itself — same `req`,
+        // original arrival, original deadline — so the only
         // place a fresh window could sneak in is the duplicate, which
         // is created later.) Construction: shard 0's device is pinned
         // by a huge straggler batch, a deadlined probe queues behind

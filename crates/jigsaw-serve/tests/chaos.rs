@@ -24,9 +24,9 @@ use jigsaw_core::fault::{self, points, FaultKind, FaultSpec};
 use jigsaw_core::{execute_fast, CompiledKernel, ExecOptions, KernelKind, KernelPolicy};
 use jigsaw_serve::{
     default_zoo, generate_zipf_schedule, scaled_zoo, simulate_sharded, AdmitError, BreakerConfig,
-    BreakerState, HealthConfig, HedgeConfig, ModelRegistry, RegistryConfig, RegistryError,
-    ReplicationConfig, ServeConfig, ServeError, Server, ShardConfig, ShardRouter, ShardSimConfig,
-    ShardSimReport, SimConfig, SimRequest, StealConfig, ZipfLoadSpec,
+    BreakerState, ForwardConfig, HealthConfig, HedgeConfig, ModelRegistry, RegistryConfig,
+    RegistryError, ReplicationConfig, ServeConfig, ServeError, Server, ShardConfig, ShardRouter,
+    ShardSimConfig, ShardSimReport, SimConfig, SimRequest, ZipfLoadSpec,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -642,7 +642,7 @@ fn shard_router(
     let router = ShardRouter::start(
         ShardConfig::new(shards)
             .with_replication(replication)
-            .with_steal(StealConfig::threshold(8)),
+            .with_forwarding(ForwardConfig::threshold(8)),
         RegistryConfig::default(),
         ServeConfig {
             workers: 1,
@@ -988,7 +988,7 @@ fn hedging_bounds_p99_under_straggler_within_work_budget() {
     let base = |cfg: ShardConfig| {
         ShardSimConfig::new(
             cfg.with_replication(ReplicationConfig::cycles(32, 2, 500_000.0))
-                .with_steal(StealConfig::threshold(8)),
+                .with_forwarding(ForwardConfig::threshold(8)),
             SimConfig::batched(GpuSpec::a100(), 128),
         )
         .with_straggler(0, 10.0)
@@ -1032,7 +1032,7 @@ fn shard_slow_sim_fault_is_deterministic_and_visible() {
     let (reg, schedule) = straggler_registry(chaos_seed(0x51_0C0DE));
     let cfg = || {
         ShardSimConfig::new(
-            ShardConfig::new(2).with_steal(StealConfig::disabled()),
+            ShardConfig::new(2).with_forwarding(ForwardConfig::disabled()),
             SimConfig::batched(GpuSpec::a100(), 128),
         )
     };

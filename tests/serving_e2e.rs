@@ -7,9 +7,9 @@ use std::sync::Arc;
 
 use jigsaw::data::{dense_rhs, ValueDist};
 use jigsaw::serve::{
-    default_zoo, generate_schedule, generate_zipf_schedule, scaled_zoo, simulate_sharded, LoadSpec,
-    ModelRegistry, RegistryConfig, RegistryError, ReplicationConfig, ServeConfig, Server,
-    ShardConfig, ShardSimConfig, SimConfig, SimRequest, StealConfig, ZipfLoadSpec,
+    default_zoo, generate_schedule, generate_zipf_schedule, scaled_zoo, simulate_sharded,
+    ForwardConfig, LoadSpec, ModelRegistry, RegistryConfig, RegistryError, ReplicationConfig,
+    ServeConfig, Server, ShardConfig, ShardSimConfig, SimConfig, SimRequest, ZipfLoadSpec,
 };
 use jigsaw::sim::GpuSpec;
 
@@ -243,7 +243,7 @@ fn sharded_zipf_serving_is_deterministic_and_scales() {
         ShardSimConfig::new(
             ShardConfig::new(shards)
                 .with_replication(ReplicationConfig::cycles(32, 2, 1_000_000.0))
-                .with_steal(StealConfig::threshold(8)),
+                .with_forwarding(ForwardConfig::threshold(8)),
             SimConfig::batched(GpuSpec::a100(), 128),
         )
     };
